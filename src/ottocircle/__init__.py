@@ -38,20 +38,15 @@ from .density import (
     Density,
     cosine_density,
     density_from_csv,
-    density_from_json,
     density_to_csv,
-    density_to_json,
-    load_density_json,
     make_density,
     pushforward_monotone,
-    save_density_json,
     uniform_density,
     weighted_inner,
 )
 from .operators import (
     WeightedOperatorContext,
     div_mu,
-    green_mu,
     green_mu_coeffs,
     laplace_mu,
     project_exact,
@@ -61,28 +56,18 @@ from .tangent import (
     TangentVector,
     flow_constant_field,
     flow_map,
-    load_tangent_json,
     metric_gram,
-    observable,
-    observable_derivative,
     otto_inner,
     otto_norm,
-    remap_to_vol,
-    save_tangent_json,
-    tangent_from_json,
-    tangent_to_json,
     vector_from_potential,
 )
 from .connection import (
     ChristoffelTensor,
     christoffel,
     christoffel_residual,
-    christoffel_to_json,
     covariant_derivative,
     lie_bracket,
-    load_christoffel_json,
     parallel_transport,
-    save_christoffel_json,
 )
 from .geodesics import (
     GeodesicPath,
@@ -96,7 +81,6 @@ from .geodesics import (
     geodesic_christoffel,
     geodesic_hj,
     path_to_csv,
-    save_path,
     speed_squared_series,
 )
 from .curvature import (
@@ -104,7 +88,6 @@ from .curvature import (
     riemann,
     riemann_fd_oracle,
     sectional,
-    t_pairing,
     t_tensor,
 )
 from .ot_oracle import (

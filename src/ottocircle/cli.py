@@ -7,7 +7,8 @@ directory, and exits with the shared code contract:
     0  everything ran and every checked tolerance held
     1  a tolerance check failed
     2  configuration or usage problem
-    3  numerical failure (caustic crossing, solver breakdown)
+    3  numerical failure (caustic crossing, non-converged solve, Cholesky
+       breakdown)
 
 Reports are deterministic for a given (config, seed): keys are sorted, no
 timestamps are embedded, and the config hash covers everything except the
@@ -24,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, basis
+from .grid import GridSpec, ScalarField, basis, field_from_coeffs
 from .density import (
     Density,
     cosine_density,
@@ -34,19 +35,25 @@ from .density import (
 )
 from .errors import ConfigError, NumericalError
 from .operators import WeightedOperatorContext
-from .tangent import TangentVector, metric_gram, otto_norm, vector_from_potential
-from .connection import christoffel, christoffel_residual, lie_bracket, parallel_transport
-from .curvature import riemann, riemann_fd_oracle, sectional
+from .tangent import TangentVector, metric_gram, vector_from_potential
+from .connection import christoffel, christoffel_residual, lie_bracket
+from .curvature import riemann, sectional
 from .geodesics import (
     action,
-    continuity_residual,
     displacement_path,
     geodesic_christoffel,
     geodesic_hj,
     path_to_csv,
 )
 from .ot_oracle import CircleDistanceSolver, plan_to_csv, w2_lp
-from .validation import check, format_record, run_all
+from .validation import (
+    check,
+    fd_oracle_check,
+    format_record,
+    geodesic_route_checks,
+    run_all,
+    transport_checks,
+)
 
 SCHEMA_VERSION = "1"
 
@@ -178,9 +185,7 @@ def build_potential(spec: dict, grid: GridSpec) -> ScalarField:
         values = np.asarray(spec.get("values", []), dtype=np.float64)
         if values.ndim != 1 or values.size == 0 or values.size % 2:
             raise ConfigError("coefficient potential needs an even-length list")
-        N = values.size // 2
-        ctx = WeightedOperatorContext(uniform_density(grid), N)
-        return ScalarField(grid, values @ ctx.basis0)
+        return field_from_coeffs(grid, values)
     raise ConfigError(f"unknown potential family {family!r}")
 
 
@@ -299,33 +304,18 @@ def run_geodesic(config: dict, out_dir: str) -> dict:
     ctx = WeightedOperatorContext(mu0, N)
     v0 = vector_from_potential(psi0, ctx)
 
-    hj = geodesic_hj(mu0, psi0, times)
-    ch = geodesic_christoffel(mu0, v0, times, N=N)
-    di = displacement_path(mu0, psi0, times)
-    os.makedirs(out_dir, exist_ok=True)
-    for name, path in (("hj", hj), ("christoffel", ch), ("displacement", di)):
-        path_to_csv(path, os.path.join(out_dir, f"geodesic_{name}.csv"))
-
-    rho = {name: np.stack([d.rho for d in p.densities])
-           for name, p in (("hj", hj), ("christoffel", ch), ("displacement", di))}
-    sup_hc = float(np.abs(rho["hj"] - rho["christoffel"]).max())
-    sup_hd = float(np.abs(rho["hj"] - rho["displacement"]).max())
-    sup_cd = float(np.abs(rho["christoffel"] - rho["displacement"]).max())
-    resid = float(max(np.nanmax(continuity_residual(hj)),
-                      np.nanmax(continuity_residual(ch))))
-    results = {
-        "action_hj": action(hj),
-        "action_christoffel": action(ch),
-        "action_displacement": action(di),
-        "times": [float(t) for t in times],
+    paths = {
+        "hj": geodesic_hj(mu0, psi0, times),
+        "christoffel": geodesic_christoffel(mu0, v0, times, N=N),
+        "displacement": displacement_path(mu0, psi0, times),
     }
+    os.makedirs(out_dir, exist_ok=True)
+    for name, path in paths.items():
+        path_to_csv(path, os.path.join(out_dir, f"geodesic_{name}.csv"))
+    results = {f"action_{name}": action(path) for name, path in paths.items()}
+    results["times"] = [float(t) for t in times]
     tol = config["tolerances"]
-    checks = [
-        check("hj_vs_christoffel_sup", sup_hc, tol["geodesic_route_sup"]),
-        check("hj_vs_displacement_sup", sup_hd, tol["geodesic_route_sup"]),
-        check("christoffel_vs_displacement_sup", sup_cd, tol["geodesic_route_sup"]),
-        check("continuity_residual", resid, tol["continuity_residual"]),
-    ]
+    checks = geodesic_route_checks(paths, tol["geodesic_route_sup"], tol["continuity_residual"])
     return write_report(out_dir, "geodesic", config, results, checks)
 
 
@@ -336,31 +326,15 @@ def run_transport(config: dict, out_dir: str) -> dict:
     times = time_grid(config)
     N = config["N"]
     path = geodesic_hj(mu0, psi0, times)
-
     rng = np.random.default_rng(config["seed"])
     v0 = TangentVector(rng.standard_normal(2 * N), mu0)
-    moved = parallel_transport(v0, path)
-    norms = [otto_norm(v, metric_gram(v.base, N)) for v in moved]
-    drift = float(max(abs(nm - norms[0]) for nm in norms) / norms[0])
-
-    ctx0 = WeightedOperatorContext(mu0, N)
-    vel0 = vector_from_potential(psi0, ctx0)
-    moved_vel = parallel_transport(vel0, path)
-    worst_self = 0.0
-    for idx, v in enumerate(moved_vel):
-        ctx_t = WeightedOperatorContext(path.densities[idx], N)
-        vel_t = vector_from_potential(path.potentials[idx], ctx_t)
-        worst_self = max(worst_self, float(np.abs(v.coeffs - vel_t.coeffs).max()))
-
+    tol = config["tolerances"]
+    moved, norms, checks = transport_checks(path, v0, psi0, tol["transport_norm_drift"],
+                                            tol["transport_self_parallel"])
     write_csv(out_dir, "transport.csv", ["time", "index", "coefficient"],
               ((float(t), idx, moved[i].coeffs[idx])
                for i, t in enumerate(times) for idx in range(2 * N)))
     results = {"norms_along_path": [float(nm) for nm in norms]}
-    tol = config["tolerances"]
-    checks = [
-        check("norm_drift", drift, tol["transport_norm_drift"]),
-        check("self_parallelism", worst_self, tol["transport_self_parallel"]),
-    ]
     return write_report(out_dir, "transport", config, results, checks)
 
 
@@ -377,16 +351,14 @@ def run_curvature(config: dict, out_dir: str) -> dict:
 
     half = max(N // 2, 1)
     samples = []
-    min_sec = np.inf
-    for idx in range(16):
+    for _ in range(16):
         c1 = np.zeros(2 * N)
         c2 = np.zeros(2 * N)
         c1[: 2 * half] = rng.standard_normal(2 * half)
         c2[: 2 * half] = rng.standard_normal(2 * half)
-        value = sectional(ScalarField(grid, c1 @ ctx.basis0),
-                          ScalarField(grid, c2 @ ctx.basis0), ctx)
-        samples.append(value)
-        min_sec = min(min_sec, value)
+        samples.append(sectional(ScalarField(grid, c1 @ ctx.basis0),
+                                 ScalarField(grid, c2 @ ctx.basis0), ctx))
+    min_sec = min(samples)
     write_csv(out_dir, "sectional_samples.csv", ["sample", "value"],
               ((i, v) for i, v in enumerate(samples)))
 
@@ -400,20 +372,16 @@ def run_curvature(config: dict, out_dir: str) -> dict:
                     rows.append((i, j, k, l, riemann(*fields, ctx)))
     write_csv(out_dir, "riemann_table.csv", ["i", "j", "k", "l", "value"], rows)
 
-    ctx4 = WeightedOperatorContext(mu, 4)
-    fields4 = [ScalarField(grid, ctx4.basis0[q]) for q in (0, 1, 0, 1)]
-    reference = riemann(*fields4, ctx4)
-    fd = riemann_fd_oracle(0, 1, 0, 1, ctx4, h=1e-3)
-    fd_rel = float(abs(fd - reference) / abs(reference))
-
+    tol = config["tolerances"]
+    fd_check, [(fd, reference)] = fd_oracle_check(
+        [(WeightedOperatorContext(mu, 4), (0, 1, 0, 1))], tol["curvature_fd_relative"])
     results = {
         "sectional_first_harmonics": float(sec_base),
         "riemann_fd": float(fd),
         "riemann_reference": float(reference),
     }
-    tol = config["tolerances"]
     checks = [
-        check("fd_oracle_relative", fd_rel, tol["curvature_fd_relative"]),
+        fd_check,
         check("min_sampled_sectional", float(min_sec),
               tol["sectional_nonnegativity"], op=">="),
     ]
@@ -464,10 +432,7 @@ def run_validate(config: dict, out_dir: str) -> dict:
               ((r["index"], r["name"], c["name"], c["value"], c["threshold"],
                 c["op"], int(c["passed"]))
                for r in outcome["records"] for c in r["checks"]))
-    results = {
-        "records": outcome["records"],
-        "elapsed_seconds": outcome["elapsed_seconds"],
-    }
+    results = {"records": outcome["records"]}
     checks = [check(f"criterion_{r['index']:02d}_{r['name']}", 1.0 if r["passed"] else 0.0,
                     0.5, op=">=") for r in outcome["records"]]
     return write_report(out_dir, "validate", config, results, checks)
@@ -519,12 +484,13 @@ def main(argv=None) -> int:
     try:
         config = load_config(args)
         report = SUBCOMMANDS[args.subcommand](config, args.out)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
+    # LinAlgError (a Cholesky breakdown) subclasses ValueError: catch it first
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     status = "ok" if report["passed"] else "TOLERANCE BREACH"
     print(f"{args.subcommand}: {status} "
           f"(report in {os.path.join(args.out, args.subcommand + '_report.json')})")

@@ -25,7 +25,6 @@ weighted Laplacian (both occurrences flip together).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .density import Density
 from .errors import DomainError
-from .grid import ScalarField, basis_matrix, check_same_grid, deriv
+from .grid import ScalarField, basis_matrix, check_same_grid, deriv, rk4_step
 from .operators import (
     WeightedOperatorContext,
     assemble_gram,
@@ -42,15 +41,7 @@ from .operators import (
     green_mu_coeffs,
     laplace_mu,
 )
-from .tangent import BASIS_ORDERING, TangentVector
-
-
-def _potential_field(phi, ctx: WeightedOperatorContext) -> ScalarField:
-    if isinstance(phi, TangentVector):
-        return phi.potential(ctx)
-    if isinstance(phi, ScalarField):
-        return phi
-    raise DomainError(f"expected ScalarField or TangentVector, got {type(phi).__name__}")
+from .tangent import TangentVector, as_potential
 
 
 def lie_bracket(phi1, phi2, ctx: WeightedOperatorContext, route: str = "hessian",
@@ -63,8 +54,8 @@ def lie_bracket(phi1, phi2, ctx: WeightedOperatorContext, route: str = "hessian"
     divergence; laplace_sign flips the sign convention of both Laplacian
     occurrences at once, which must not change the result.
     """
-    f1 = _potential_field(phi1, ctx)
-    f2 = _potential_field(phi2, ctx)
+    f1 = as_potential(phi1, ctx)
+    f2 = as_potential(phi2, ctx)
     check_same_grid(f1, f2)
     check_same_grid(f1, ctx.mu.field())
     if route == "hessian":
@@ -86,8 +77,8 @@ def lie_bracket(phi1, phi2, ctx: WeightedOperatorContext, route: str = "hessian"
 
 def covariant_derivative(phi1, phi2, ctx: WeightedOperatorContext) -> TangentVector:
     """nabla_{V_phi1} V_phi2 for constant potentials, as a projection."""
-    f1 = _potential_field(phi1, ctx)
-    f2 = _potential_field(phi2, ctx)
+    f1 = as_potential(phi1, ctx)
+    f2 = as_potential(phi2, ctx)
     check_same_grid(f1, f2)
     check_same_grid(f1, ctx.mu.field())
     w = deriv(f1).values * deriv(f2, 2).values
@@ -126,10 +117,15 @@ class ChristoffelTensor:
         return float(np.abs(self.gamma - self.gamma.transpose(0, 2, 1)).max())
 
 
+def _triple_products(ctx: WeightedOperatorContext) -> np.ndarray:
+    """c[i, j, l] = int phi_i' phi_j'' phi_l' dmu over the 2N basis."""
+    weights = ctx.mu.rho / ctx.grid.n
+    return np.einsum("ix,jx,lx,x->ijl", ctx.basis1, ctx.basis2, ctx.basis1, weights, optimize=True)
+
+
 def christoffel(ctx: WeightedOperatorContext) -> ChristoffelTensor:
     """Assemble Gamma^k_ij from Gram * Gamma^._ij = int phi_i' phi_j'' phi_l' dmu."""
-    weights = ctx.mu.rho / ctx.grid.n
-    c = np.einsum("ix,jx,lx,x->ijl", ctx.basis1, ctx.basis2, ctx.basis1, weights, optimize=True)
+    c = _triple_products(ctx)
     d = 2 * ctx.N
     # Solve over the last axis for every (i, j) pair.
     gamma = ctx.gram_solve(c.reshape(d * d, d).T).reshape(d, d, d)
@@ -138,35 +134,8 @@ def christoffel(ctx: WeightedOperatorContext) -> ChristoffelTensor:
 
 def christoffel_residual(tensor: ChristoffelTensor, ctx: WeightedOperatorContext) -> float:
     """Max |Gram * Gamma^._ij - c_ij.| over all (i, j): solver self-consistency."""
-    weights = ctx.mu.rho / ctx.grid.n
-    c = np.einsum("ix,jx,lx,x->ijl", ctx.basis1, ctx.basis2, ctx.basis1, weights, optimize=True)
     recon = np.einsum("lk,kij->ijl", ctx.gram, tensor.gamma)
-    return float(np.abs(recon - c).max())
-
-
-def christoffel_to_json(tensor: ChristoffelTensor) -> dict:
-    return {
-        "N": tensor.N,
-        "ordering": BASIS_ORDERING,
-        "base_sha256": tensor.base.sha256(),
-        "gamma": [[[float(v) for v in row] for row in block] for block in tensor.gamma],
-    }
-
-
-def save_christoffel_json(tensor: ChristoffelTensor, path) -> None:
-    with open(path, "w") as handle:
-        json.dump(christoffel_to_json(tensor), handle, sort_keys=True)
-        handle.write("\n")
-
-
-def load_christoffel_json(path, base: Density) -> ChristoffelTensor:
-    with open(path) as handle:
-        payload = json.load(handle)
-    if payload.get("ordering") != BASIS_ORDERING:
-        raise DomainError(f"unsupported basis ordering {payload.get('ordering')!r}")
-    if payload.get("base_sha256") != base.sha256():
-        raise DomainError("Christoffel tensor was exported at a different base density")
-    return ChristoffelTensor(np.asarray(payload["gamma"], dtype=np.float64), base, int(payload["N"]))
+    return float(np.abs(recon - _triple_products(ctx)).max())
 
 
 def parallel_transport(v0: TangentVector, path, substeps: int = 4) -> list[TangentVector]:
@@ -203,11 +172,7 @@ def parallel_transport(v0: TangentVector, path, substeps: int = 4) -> list[Tange
         h = (times[idx + 1] - times[idx]) / substeps
         t = times[idx]
         for _ in range(substeps):
-            k1 = rhs(t, eta)
-            k2 = rhs(t + 0.5 * h, eta + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, eta + 0.5 * h * k2)
-            k4 = rhs(t + h, eta + h * k3)
-            eta = eta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            eta = rk4_step(rhs, t, eta, h)
             t += h
         out.append(TangentVector(eta, path.densities[idx + 1]))
     return out

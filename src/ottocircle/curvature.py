@@ -30,7 +30,7 @@ from .errors import ConfigError, ConditioningWarning, DomainError
 from .grid import OneForm, ScalarField, deriv
 from .operators import WeightedOperatorContext, project_exact
 from .connection import christoffel, lie_bracket
-from .tangent import TangentVector
+from .tangent import as_potential
 
 
 @dataclass(frozen=True)
@@ -42,26 +42,14 @@ class TTensor:
     norm2: float
 
 
-def _as_field(phi, ctx: WeightedOperatorContext) -> ScalarField:
-    if isinstance(phi, TangentVector):
-        return phi.potential(ctx)
-    if isinstance(phi, ScalarField):
-        return phi
-    raise ConfigError("potentials must be ScalarField or TangentVector")
-
-
 def t_tensor(phi, psi, ctx: WeightedOperatorContext) -> TTensor:
     """Projection residual of the one-form phi' psi'' dx at ctx.mu."""
-    f = _as_field(phi, ctx)
-    g = _as_field(psi, ctx)
+    f = as_potential(phi, ctx)
+    g = as_potential(psi, ctx)
     omega = OneForm(f.grid, deriv(f).values * deriv(g, 2).values)
     _, residual = project_exact(omega, ctx)
     norm2 = weighted_inner(residual, residual, ctx.mu)
     return TTensor(residual=residual, base=ctx.mu, norm2=float(norm2))
-
-
-def t_pairing(t1: TTensor, t2: TTensor, mu: Density) -> float:
-    return float(weighted_inner(t1.residual, t2.residual, mu))
 
 
 def riemann(phi1, phi2, phi3, phi4, ctx: WeightedOperatorContext) -> float:
@@ -77,8 +65,12 @@ def riemann(phi1, phi2, phi3, phi4, ctx: WeightedOperatorContext) -> float:
     t14 = t_tensor(phi1, phi4, ctx)
     t13 = t_tensor(phi1, phi3, ctx)
     t24 = t_tensor(phi2, phi4, ctx)
+
+    def pairing(a: TTensor, b: TTensor) -> float:
+        return float(weighted_inner(a.residual, b.residual, mu))
+
     base_term = 0.0  # flat base manifold
-    return base_term - 2.0 * t_pairing(t12, t34, mu) + t_pairing(t23, t14, mu) - t_pairing(t13, t24, mu)
+    return base_term - 2.0 * pairing(t12, t34) + pairing(t23, t14) - pairing(t13, t24)
 
 
 def sectional(phi1, phi2, ctx: WeightedOperatorContext) -> float:
@@ -87,8 +79,8 @@ def sectional(phi1, phi2, ctx: WeightedOperatorContext) -> float:
     Normalized by the pair's Gram determinant, so it is invariant under
     rescaling and shear of the spanning pair.
     """
-    f1 = _as_field(phi1, ctx)
-    f2 = _as_field(phi2, ctx)
+    f1 = as_potential(phi1, ctx)
+    f2 = as_potential(phi2, ctx)
     d1 = OneForm(f1.grid, deriv(f1).values)
     d2 = OneForm(f2.grid, deriv(f2).values)
     g11 = weighted_inner(d1, d1, ctx.mu)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,26 +164,3 @@ def density_from_csv(path, grid: GridSpec | None = None) -> Density:
         raise GridMismatchError("density CSV nodes do not match the expected grid")
     return make_density(ScalarField(grid, values))
 
-
-def density_to_json(mu: Density) -> dict:
-    return {
-        "n": mu.grid.n,
-        "values": [float(v) for v in mu.rho],
-    }
-
-
-def density_from_json(payload: dict) -> Density:
-    grid = GridSpec(int(payload["n"]))
-    values = np.asarray(payload["values"], dtype=np.float64)
-    return make_density(ScalarField(grid, values))
-
-
-def save_density_json(mu: Density, path) -> None:
-    with open(path, "w") as handle:
-        json.dump(density_to_json(mu), handle, sort_keys=True)
-        handle.write("\n")
-
-
-def load_density_json(path) -> Density:
-    with open(path) as handle:
-        return density_from_json(json.load(handle))

@@ -25,16 +25,24 @@ All stored potentials are de-meaned against their own mu_t.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .density import Density, make_density, pushforward_monotone
-from .errors import CausticError, ConfigError
-from .grid import TWO_PI, GridSpec, ScalarField, basis_matrix, check_same_grid, deriv, eval_trig
-from .operators import WeightedOperatorContext, assemble_gram
+from .errors import CausticError, ConfigError, NumericalError
+from .grid import (
+    TWO_PI,
+    GridSpec,
+    ScalarField,
+    basis_matrix,
+    check_same_grid,
+    deriv,
+    eval_trig,
+    rk4_step,
+)
+from .operators import assemble_gram
 from .tangent import TangentVector
 
 
@@ -91,18 +99,25 @@ def _continuity_rhs(rho: np.ndarray, dpsi: np.ndarray, grid: GridSpec) -> np.nda
     return -deriv(ScalarField(grid, rho * dpsi), 1).values
 
 
-def _characteristic_feet(psi0: ScalarField, t: float, targets: np.ndarray,
-                         guess: np.ndarray | None = None) -> np.ndarray:
-    """Solve x0 + t*psi0'(x0) = target for each target by vectorized Newton."""
-    x = targets.copy() if guess is None else guess.copy()
+def _characteristic_feet(psi0: ScalarField, t: float, targets: np.ndarray) -> np.ndarray:
+    """Solve x0 + t*psi0'(x0) = target for each target by vectorized Newton.
+
+    Raises NumericalError, naming t and the worst residual, when the Newton
+    steps have not dropped below 1e-14 after 60 iterations.
+    """
+    x = targets.copy()
     for _ in range(60):
         f = x + t * eval_trig(psi0, x, order=1) - targets
         fp = 1.0 + t * eval_trig(psi0, x, order=2)
         step = f / fp
         x = x - step
         if np.abs(step).max() < 1e-14:
-            break
-    return x
+            return x
+    residual = np.abs(x + t * eval_trig(psi0, x, order=1) - targets).max()
+    raise NumericalError(
+        f"characteristic Newton solve at t = {t:.6g} did not converge in 60 "
+        f"iterations (worst residual {residual:.3e})"
+    )
 
 
 def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int = 4) -> GeodesicPath:
@@ -115,14 +130,19 @@ def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int 
     grid = mu0.grid
     nodes = grid.nodes
 
+    # psi_t' at the nodes, evaluated once per stage time (k2 and k3 share it)
     feet_cache: dict[float, np.ndarray] = {}
+    dpsi_cache: dict[float, np.ndarray] = {}
 
-    def dpsi_at(t: float, guess=None) -> np.ndarray:
-        if t == 0.0:
-            return eval_trig(psi0, nodes, order=1)
+    def feet_at(t: float) -> np.ndarray:
         if t not in feet_cache:
-            feet_cache[t] = _characteristic_feet(psi0, t, nodes, guess)
-        return eval_trig(psi0, feet_cache[t], order=1)
+            feet_cache[t] = _characteristic_feet(psi0, t, nodes)
+        return feet_cache[t]
+
+    def rhs(t: float, rho: np.ndarray) -> np.ndarray:
+        if t not in dpsi_cache:
+            dpsi_cache[t] = eval_trig(psi0, nodes if t == 0.0 else feet_at(t), order=1)
+        return _continuity_rhs(rho, dpsi_cache[t], grid)
 
     rho = mu0.rho.copy()
     densities = [mu0]
@@ -131,17 +151,12 @@ def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int 
         h = (times[idx + 1] - times[idx]) / steps_per_interval
         t = times[idx]
         for _ in range(steps_per_interval):
-            k1 = _continuity_rhs(rho, dpsi_at(t), grid)
-            half = dpsi_at(t + 0.5 * h)
-            k2 = _continuity_rhs(rho + 0.5 * h * k1, half, grid)
-            k3 = _continuity_rhs(rho + 0.5 * h * k2, half, grid)
-            k4 = _continuity_rhs(rho + h * k3, dpsi_at(t + h), grid)
-            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rho = rk4_step(rhs, t, rho, h)
             t += h
         t_out = times[idx + 1]
         mu_t = make_density(ScalarField(grid, rho))
         rho = mu_t.rho.copy()
-        feet = feet_cache[t_out] if t_out in feet_cache else _characteristic_feet(psi0, t_out, nodes)
+        feet = feet_at(t_out)
         p0 = eval_trig(psi0, feet)
         dp0 = eval_trig(psi0, feet, order=1)
         psi_t = p0 + 0.5 * t_out * dp0**2
@@ -150,8 +165,8 @@ def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int 
     return GeodesicPath(grid, times, densities, potentials, route="hj")
 
 
-def geodesic_christoffel(mu0: Density, psi0_coeffs, times, ctx: WeightedOperatorContext | None = None,
-                         N: int | None = None, steps_per_interval: int = 4) -> GeodesicPath:
+def geodesic_christoffel(mu0: Density, psi0_coeffs, times, N: int | None = None,
+                         steps_per_interval: int = 4) -> GeodesicPath:
     """Basis-coefficient geodesic ODE with the density co-evolved spectrally.
 
     psi0_coeffs may be a coefficient array or a TangentVector at mu0.  The
@@ -163,7 +178,7 @@ def geodesic_christoffel(mu0: Density, psi0_coeffs, times, ctx: WeightedOperator
         psi0_coeffs = psi0_coeffs.coeffs
     coeffs = np.asarray(psi0_coeffs, dtype=np.float64)
     if N is None:
-        N = coeffs.size // 2 if ctx is None else ctx.N
+        N = coeffs.size // 2
     if coeffs.size != 2 * N:
         raise ConfigError(f"expected {2 * N} coefficients, got {coeffs.size}")
     times = np.asarray(times, dtype=np.float64)
@@ -174,7 +189,7 @@ def geodesic_christoffel(mu0: Density, psi0_coeffs, times, ctx: WeightedOperator
     b1 = basis_matrix(grid, N, order=1)
     b2 = basis_matrix(grid, N, order=2)
 
-    def rhs(state):
+    def rhs(_t, state):  # autonomous: the stage time is unused
         psi_c = state[: 2 * N]
         rho = state[2 * N :]
         dpsi = psi_c @ b1
@@ -188,24 +203,15 @@ def geodesic_christoffel(mu0: Density, psi0_coeffs, times, ctx: WeightedOperator
     state = np.concatenate([coeffs, mu0.rho])
     densities = [mu0]
     potentials = [_demeaned(coeffs @ b0, mu0.rho, grid)]
-    coeff_series = [coeffs.copy()]
     for idx in range(times.size - 1):
         h = (times[idx + 1] - times[idx]) / steps_per_interval
         for _ in range(steps_per_interval):
-            k1 = rhs(state)
-            k2 = rhs(state + 0.5 * h * k1)
-            k3 = rhs(state + 0.5 * h * k2)
-            k4 = rhs(state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        psi_c = state[: 2 * N].copy()
+            state = rk4_step(rhs, 0.0, state, h)
         mu_t = make_density(ScalarField(grid, state[2 * N :]))
         state[2 * N :] = mu_t.rho
         densities.append(mu_t)
-        potentials.append(_demeaned(psi_c @ b0, mu_t.rho, grid))
-        coeff_series.append(psi_c)
-    path = GeodesicPath(grid, times, densities, potentials, route="christoffel")
-    object.__setattr__(path, "coefficient_series", np.stack(coeff_series))
-    return path
+        potentials.append(_demeaned(state[: 2 * N] @ b0, mu_t.rho, grid))
+    return GeodesicPath(grid, times, densities, potentials, route="christoffel")
 
 
 def displacement_interpolation(mu0: Density, psi0: ScalarField, t: float) -> Density:
@@ -337,24 +343,3 @@ def path_to_csv(path: GeodesicPath, file_path) -> None:
             for x, r, p in zip(path.grid.nodes, rho, psi):
                 writer.writerow([repr(float(t)), repr(float(x)), repr(float(r)), repr(float(p))])
 
-
-def path_manifest(path: GeodesicPath, csv_name: str) -> dict:
-    return {
-        "route": path.route,
-        "n": path.grid.n,
-        "times": [float(t) for t in path.times],
-        "csv": csv_name,
-        "mass_drift_max": float(max(d.mass_drift for d in path.densities)),
-    }
-
-
-def save_path(path: GeodesicPath, directory, stem: str) -> dict:
-    import os
-
-    csv_name = f"{stem}.csv"
-    path_to_csv(path, os.path.join(directory, csv_name))
-    manifest = path_manifest(path, csv_name)
-    with open(os.path.join(directory, f"{stem}.json"), "w") as handle:
-        json.dump(manifest, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-    return manifest

@@ -49,22 +49,17 @@ def make_grid(n: int) -> GridSpec:
     return GridSpec(n)
 
 
-def _as_values(values) -> np.ndarray:
-    out = np.asarray(values, dtype=np.float64)
-    if out.ndim != 1:
-        raise GridMismatchError(f"field values must be 1-d, got shape {out.shape}")
-    return out
-
-
 @dataclass(frozen=True)
-class ScalarField:
-    """Real function sampled at the grid nodes."""
+class _NodeValues:
+    """Float64 values at the grid nodes, one per node."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        values = _as_values(self.values)
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim != 1:
+            raise GridMismatchError(f"field values must be 1-d, got shape {values.shape}")
         if values.shape != (self.grid.n,):
             raise GridMismatchError(
                 f"expected {self.grid.n} node values, got {values.shape}"
@@ -73,24 +68,18 @@ class ScalarField:
 
 
 @dataclass(frozen=True)
-class OneForm:
+class ScalarField(_NodeValues):
+    """Real function sampled at the grid nodes."""
+
+
+@dataclass(frozen=True)
+class OneForm(_NodeValues):
     """One-form w(x) dx sampled at the grid nodes (coefficient of dx).
 
     On the circle with the standard metric the musical isomorphisms are the
     identity on coefficient arrays, so vector fields and one-forms share this
     representation; the distinction is kept in type only.
     """
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = _as_values(self.values)
-        if values.shape != (self.grid.n,):
-            raise GridMismatchError(
-                f"expected {self.grid.n} node values, got {values.shape}"
-            )
-        object.__setattr__(self, "values", values)
 
 
 def check_same_grid(a, b) -> GridSpec:
@@ -197,6 +186,15 @@ def eval_trig(f: ScalarField, points: np.ndarray, order: int = 0) -> np.ndarray:
     if order == 0:
         out = out + mean
     return out
+
+
+def rk4_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical Runge-Kutta step of dy/dt = f(t, y) from (t, y) with step h."""
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def field_from_coeffs(grid: GridSpec, coeffs: np.ndarray, order: int = 0) -> ScalarField:

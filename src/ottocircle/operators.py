@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .density import Density, weighted_inner
-from .errors import CompatibilityError, ConditioningWarning, ConfigError
+from .density import Density
+from .errors import CompatibilityError, ConditioningWarning, ConfigError, DomainError
 from .grid import OneForm, ScalarField, basis_matrix, check_same_grid, deriv
 
 GRAM_CONDITION_LIMIT = 1e12
@@ -49,14 +49,7 @@ class WeightedOperatorContext:
         self.basis1 = basis_matrix(grid, self.N, order=1)
         self.basis2 = basis_matrix(grid, self.N, order=2)
         self.gram = assemble_gram(self.basis1, self.mu.rho)
-        eigs = np.linalg.eigvalsh(self.gram)
-        if eigs[0] <= 0.0:
-            raise ConfigError(f"Gram matrix not positive definite (min eig {eigs[0]:.3e})")
-        if eigs[-1] / eigs[0] > GRAM_CONDITION_LIMIT:
-            warnings.warn(
-                f"Gram eigenvalue ratio {eigs[-1] / eigs[0]:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e}",
-                ConditioningWarning,
-            )
+        check_gram(self.gram)
         self._cho = cho_factor(self.gram)
 
     @property
@@ -85,6 +78,22 @@ class WeightedOperatorContext:
         return float(np.mean(values * self.mu.rho))
 
 
+def check_gram(matrix: np.ndarray) -> None:
+    """Raise DomainError unless the Gram matrix is symmetric and positive
+    definite; warn when its eigenvalue ratio exceeds GRAM_CONDITION_LIMIT."""
+    asym = np.abs(matrix - matrix.T).max()
+    if asym > 1e-12 * max(1.0, np.abs(matrix).max()):
+        raise DomainError(f"Gram matrix asymmetry {asym:.3e} beyond tolerance")
+    eigs = np.linalg.eigvalsh(matrix)
+    if eigs[0] <= 0.0:
+        raise DomainError(f"Gram matrix not positive definite (min eig {eigs[0]:.3e})")
+    if eigs[-1] / eigs[0] > GRAM_CONDITION_LIMIT:
+        warnings.warn(
+            f"Gram eigenvalue ratio {eigs[-1] / eigs[0]:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e}",
+            ConditioningWarning,
+        )
+
+
 def assemble_gram(basis1: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Otto-metric Gram matrix int phi_i' phi_j' dmu for the given basis rows."""
     n = rho.size
@@ -107,24 +116,18 @@ def laplace_mu(psi: ScalarField, ctx: WeightedOperatorContext) -> ScalarField:
     return ScalarField(psi.grid, -deriv(flux).values / ctx.mu.rho)
 
 
-def green_mu(f: ScalarField, ctx: WeightedOperatorContext) -> ScalarField:
-    """Solve L_mu phi = f in the Galerkin span with int phi dmu = 0.
+def green_mu_coeffs(f: ScalarField, ctx: WeightedOperatorContext) -> np.ndarray:
+    """Basis coefficients of the Galerkin solve of L_mu phi = f (phi modulo
+    constants).
 
     f must be mean-zero in mu up to 1e-8 (solvability); any sub-tolerance
     mean is removed before solving.
     """
-    phi = ctx.potential_values(green_mu_coeffs(f, ctx))
-    phi = phi - ctx.mu_mean(phi)
-    return ScalarField(f.grid, phi)
-
-
-def green_mu_coeffs(f: ScalarField, ctx: WeightedOperatorContext) -> np.ndarray:
-    """Basis coefficients of the Green solve (potential modulo constants)."""
     check_same_grid(f, ctx.mu.field())
     mean = ctx.mu_mean(f.values)
     if abs(mean) > MEAN_ZERO_TOL:
         raise CompatibilityError(
-            f"green_mu needs int f dmu = 0 within {MEAN_ZERO_TOL:.0e}, got {mean:.3e}"
+            f"green_mu_coeffs needs int f dmu = 0 within {MEAN_ZERO_TOL:.0e}, got {mean:.3e}"
         )
     return ctx.gram_solve(ctx.weighted_moment(f.values - mean, 0))
 
@@ -141,8 +144,3 @@ def project_exact(omega: OneForm, ctx: WeightedOperatorContext) -> tuple[ScalarF
         ScalarField(omega.grid, ctx.potential_values(coeffs)),
         OneForm(omega.grid, residual),
     )
-
-
-def residual_norm2(residual: OneForm, mu: Density) -> float:
-    """Squared L^2(mu) norm of a one-form residual."""
-    return weighted_inner(residual, residual, mu)

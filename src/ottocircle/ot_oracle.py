@@ -53,23 +53,9 @@ class _SpectralCDF:
         self.k = (np.nonzero(keep)[0] + 1).astype(np.float64)
         self.a = a[keep]
         self.b = b[keep]
-        self.mu = mu
-        self.rho_min = float(mu.rho.min())
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.k.size == 0:
-            return x / TWO_PI
-        kx = np.multiply.outer(x, self.k)
-        series = np.sin(kx) @ (self.a / self.k) - (np.cos(kx) - 1.0) @ (self.b / self.k)
-        return (x + series) / TWO_PI
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.k.size == 0:
-            return np.full(x.shape, 1.0 / TWO_PI)
-        kx = np.multiply.outer(x, self.k)
-        return (1.0 + np.cos(kx) @ self.a + np.sin(kx) @ self.b) / TWO_PI
+        return self._cdf_pdf(np.asarray(x, dtype=np.float64))[0]
 
     def _cdf_pdf(self, x):
         if self.k.size == 0:

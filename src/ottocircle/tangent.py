@@ -8,18 +8,14 @@ matrix at the uniform density is diag(1, 1, 4, 4, ..., N^2, N^2).
 
 from __future__ import annotations
 
-import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .density import Density, pushforward_monotone
-from .errors import ConditioningWarning, DomainError, StiffnessError
-from .grid import ScalarField, basis_matrix, check_same_grid, deriv, eval_trig
-from .operators import GRAM_CONDITION_LIMIT, WeightedOperatorContext, assemble_gram
-
-BASIS_ORDERING = "cos1,sin1,cos2,sin2,..."
+from .errors import DomainError, StiffnessError
+from .grid import ScalarField, basis_matrix, check_same_grid, deriv, eval_trig, rk4_step
+from .operators import WeightedOperatorContext, assemble_gram, check_gram
 
 
 @dataclass(frozen=True)
@@ -34,17 +30,7 @@ class GramMatrix:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.shape != (2 * self.N, 2 * self.N):
             raise DomainError(f"Gram matrix shape {m.shape} does not match N={self.N}")
-        asym = np.abs(m - m.T).max()
-        if asym > 1e-12 * max(1.0, np.abs(m).max()):
-            raise DomainError(f"Gram matrix asymmetry {asym:.3e} beyond tolerance")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs[0] <= 0.0:
-            raise DomainError(f"Gram matrix not positive definite (min eig {eigs[0]:.3e})")
-        if eigs[-1] / eigs[0] > GRAM_CONDITION_LIMIT:
-            warnings.warn(
-                f"Gram eigenvalue ratio {eigs[-1] / eigs[0]:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e}",
-                ConditioningWarning,
-            )
+        check_gram(m)
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -80,6 +66,15 @@ class TangentVector:
         return ScalarField(self.base.grid, ctx.potential_values(self.coeffs))
 
 
+def as_potential(phi, ctx: WeightedOperatorContext) -> ScalarField:
+    """Node values of a potential given as a ScalarField or a TangentVector."""
+    if isinstance(phi, TangentVector):
+        return phi.potential(ctx)
+    if isinstance(phi, ScalarField):
+        return phi
+    raise DomainError(f"expected ScalarField or TangentVector, got {type(phi).__name__}")
+
+
 def _check_same_base(v1: TangentVector, v2: TangentVector) -> None:
     if v1.base.grid.n != v2.base.grid.n or not np.array_equal(v1.base.rho, v2.base.rho):
         raise DomainError("tangent vectors live at different base densities")
@@ -105,20 +100,6 @@ def vector_from_potential(psi: ScalarField, ctx: WeightedOperatorContext) -> Tan
     return TangentVector(coeffs, ctx.mu)
 
 
-def observable(phi: ScalarField, mu: Density) -> float:
-    """Linear statistic F_phi(mu) = int phi dmu."""
-    check_same_grid(phi, mu.field())
-    return float(np.mean(phi.values * mu.rho))
-
-
-def observable_derivative(phi: ScalarField, v: TangentVector, ctx: WeightedOperatorContext) -> float:
-    """Derivative of F_phi along V_psi: int <grad phi, grad psi> dmu."""
-    check_same_grid(phi, ctx.mu.field())
-    if not np.array_equal(v.base.rho, ctx.mu.rho):
-        raise DomainError("tangent vector base does not match the context density")
-    return float(v.coeffs @ ctx.weighted_moment(deriv(phi).values, 1))
-
-
 def flow_map(psi: ScalarField, t: float, steps: int | None = None) -> np.ndarray:
     """Node trajectories of dx/dt = psi'(x) integrated with RK4 to time t."""
     if steps is None:
@@ -128,11 +109,8 @@ def flow_map(psi: ScalarField, t: float, steps: int | None = None) -> np.ndarray
         return x
     h = t / steps
     for _ in range(steps):
-        k1 = eval_trig(psi, x, order=1)
-        k2 = eval_trig(psi, x + 0.5 * h * k1, order=1)
-        k3 = eval_trig(psi, x + 0.5 * h * k2, order=1)
-        k4 = eval_trig(psi, x + h * k3, order=1)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # autonomous: the stage time is unused
+        x = rk4_step(lambda _t, y: eval_trig(psi, y, order=1), 0.0, x, h)
     if not np.all(np.isfinite(x)):
         raise StiffnessError("flow integration produced non-finite node positions")
     return x
@@ -148,52 +126,3 @@ def flow_constant_field(psi: ScalarField, mu: Density, t: float, steps: int | No
     x_final = flow_map(psi, t, steps)
     displacement = ScalarField(psi.grid, x_final - psi.grid.nodes)
     return pushforward_monotone(mu, displacement)
-
-
-def remap_to_vol(v: TangentVector, ctx_vol: WeightedOperatorContext) -> TangentVector:
-    """Transport V_psi at mu to the uniform base by projecting rho * psi'.
-
-    Linear in v; contracts the norm up to the density bound:
-    |remap(v)|_vol^2 <= max(rho) * |v|_mu^2.
-    """
-    if ctx_vol.mu.rho.max() != ctx_vol.mu.rho.min():
-        raise DomainError("remap_to_vol needs a context at the uniform density")
-    if ctx_vol.N != v.N:
-        raise DomainError(f"context N={ctx_vol.N} does not match vector N={v.N}")
-    dpsi = v.coeffs @ basis_matrix(v.base.grid, v.N, order=1)
-    coeffs, _ = ctx_vol.project_gradient_coeffs(v.base.rho * dpsi)
-    return TangentVector(coeffs, ctx_vol.mu)
-
-
-# -- serialization ----------------------------------------------------------
-
-
-def tangent_to_json(v: TangentVector) -> dict:
-    return {
-        "N": v.N,
-        "ordering": BASIS_ORDERING,
-        "coefficients": [float(c) for c in v.coeffs],
-        "base_sha256": v.base.sha256(),
-    }
-
-
-def tangent_from_json(payload: dict, base: Density) -> TangentVector:
-    if payload.get("ordering") != BASIS_ORDERING:
-        raise DomainError(f"unsupported basis ordering {payload.get('ordering')!r}")
-    coeffs = np.asarray(payload["coefficients"], dtype=np.float64)
-    if coeffs.size != 2 * int(payload["N"]):
-        raise DomainError("coefficient count does not match declared N")
-    if payload.get("base_sha256") not in (None, base.sha256()):
-        raise DomainError("tangent vector was serialized at a different base density")
-    return TangentVector(coeffs, base)
-
-
-def save_tangent_json(v: TangentVector, path) -> None:
-    with open(path, "w") as handle:
-        json.dump(tangent_to_json(v), handle, sort_keys=True)
-        handle.write("\n")
-
-
-def load_tangent_json(path, base: Density) -> TangentVector:
-    with open(path) as handle:
-        return tangent_from_json(json.load(handle), base)

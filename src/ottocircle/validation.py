@@ -16,8 +16,6 @@ solver precision instead of being polluted by truncation.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .grid import GridSpec, ScalarField, OneForm, basis, deriv
@@ -62,6 +60,64 @@ def _record(index: int, name: str, checks: list[dict], details: dict | None = No
     if details:
         rec["details"] = details
     return rec
+
+
+# -- scenario evaluators shared with the CLI -----------------------------------
+
+
+def geodesic_route_checks(paths: dict, route_tol: float, continuity_tol: float) -> list[dict]:
+    """Pairwise sup-norm gaps between the hj, christoffel and displacement
+    densities, and the continuity residual of the two ODE routes."""
+    rho = {name: np.stack([d.rho for d in p.densities]) for name, p in paths.items()}
+    resid = max(np.nanmax(continuity_residual(paths["hj"])),
+                np.nanmax(continuity_residual(paths["christoffel"])))
+    return [
+        check("hj_vs_christoffel_sup", np.abs(rho["hj"] - rho["christoffel"]).max(), route_tol),
+        check("hj_vs_displacement_sup", np.abs(rho["hj"] - rho["displacement"]).max(), route_tol),
+        check("christoffel_vs_displacement_sup",
+              np.abs(rho["christoffel"] - rho["displacement"]).max(), route_tol),
+        check("continuity_residual", resid, continuity_tol),
+    ]
+
+
+def transport_checks(path, v0: TangentVector, psi0: ScalarField, drift_tol: float,
+                     self_tol: float) -> tuple[list[TangentVector], list[float], list[dict]]:
+    """Transport v0 along a geodesic path from psi0: Otto-norm drift of v0, and
+    self-parallelism of the path's own velocity.
+
+    Returns the transported v0 at every path time, its norms, and the checks.
+    """
+    N = v0.N
+    moved = parallel_transport(v0, path)
+    norms = [otto_norm(v, metric_gram(v.base, N)) for v in moved]
+    drift = max(abs(nm - norms[0]) for nm in norms) / norms[0]
+
+    vel0 = vector_from_potential(psi0, WeightedOperatorContext(path.densities[0], N))
+    worst_self = 0.0
+    for idx, v in enumerate(parallel_transport(vel0, path)):
+        ctx_t = WeightedOperatorContext(path.densities[idx], N)
+        vel_t = vector_from_potential(path.potentials[idx], ctx_t)
+        worst_self = max(worst_self, np.abs(v.coeffs - vel_t.coeffs).max())
+    checks = [check("norm_drift", drift, drift_tol),
+              check("self_parallelism", worst_self, self_tol)]
+    return moved, norms, checks
+
+
+def fd_oracle_check(cases, tol: float) -> tuple[dict, list[tuple[float, float]]]:
+    """Worst relative gap between the finite-difference frame oracle (h = 1e-3)
+    and the T-tensor route over (ctx, basis quad) cases.
+
+    Returns the check and the (oracle, T-route) value pair of every case.
+    """
+    values = []
+    worst = 0.0
+    for ctx, quad in cases:
+        fields = [ScalarField(ctx.grid, ctx.basis0[q]) for q in quad]
+        reference = riemann(*fields, ctx)
+        fd = riemann_fd_oracle(*quad, ctx, h=1e-3)
+        values.append((fd, reference))
+        worst = max(worst, abs(fd - reference) / abs(reference))
+    return check("fd_oracle_relative", worst, tol), values
 
 
 def _band_limited_pair(rng, ctx: WeightedOperatorContext):
@@ -204,19 +260,8 @@ def criterion_3_connection(session: ValidationSession) -> dict:
 def criterion_4_geodesic_routes(session: ValidationSession) -> dict:
     """Pairwise sup-norm agreement of the three geodesic routes and the
     continuity residual of the ODE-based paths."""
-    paths = session.scenario_paths()
-    rho = {name: np.stack([d.rho for d in p.densities]) for name, p in paths.items()}
-    hj_ch = np.abs(rho["hj"] - rho["christoffel"]).max()
-    hj_di = np.abs(rho["hj"] - rho["displacement"]).max()
-    ch_di = np.abs(rho["christoffel"] - rho["displacement"]).max()
-    resid = max(np.nanmax(continuity_residual(paths["hj"])),
-                np.nanmax(continuity_residual(paths["christoffel"])))
-    return _record(4, "geodesic_route_agreement", [
-        check("hj_vs_christoffel_sup", hj_ch, 1e-4),
-        check("hj_vs_displacement_sup", hj_di, 1e-4),
-        check("christoffel_vs_displacement_sup", ch_di, 1e-4),
-        check("continuity_residual", resid, 1e-5),
-    ])
+    return _record(4, "geodesic_route_agreement",
+                   geodesic_route_checks(session.scenario_paths(), 1e-4, 1e-5))
 
 
 def criterion_5_constant_speed(session: ValidationSession) -> dict:
@@ -291,18 +336,14 @@ def criterion_8_curvature(session: ValidationSession) -> dict:
     # frame oracle at N = 4, quads whose value is well away from zero
     ctx4 = WeightedOperatorContext(session.vol, 4)
     ctx4w = WeightedOperatorContext(session.weighted, 4)
-    worst_fd = 0.0
-    for ctx_fd, quad in ((ctx4, (0, 1, 0, 1)), (ctx4w, (0, 1, 0, 1)), (ctx4w, (0, 2, 1, 3))):
-        fields = [ScalarField(grid, ctx_fd.basis0[q]) for q in quad]
-        reference = riemann(*fields, ctx_fd)
-        fd = riemann_fd_oracle(*quad, ctx_fd, h=1e-3)
-        worst_fd = max(worst_fd, abs(fd - reference) / abs(reference))
+    fd_check, _ = fd_oracle_check(
+        ((ctx4, (0, 1, 0, 1)), (ctx4w, (0, 1, 0, 1)), (ctx4w, (0, 2, 1, 3))), 1e-3)
     return _record(8, "curvature", [
         check("sectional_first_harmonics", sec_err, 1e-6),
         check("tensor_symmetries", worst_sym, 1e-8),
         check("first_bianchi", worst_bianchi, 1e-8),
         check("min_sampled_sectional", min_sec, -1e-10, op=">="),
-        check("fd_oracle_relative", worst_fd, 1e-3),
+        fd_check,
     ])
 
 
@@ -364,26 +405,10 @@ def criterion_10_transport_oracles(session: ValidationSession) -> dict:
 
 def criterion_11_parallel_transport(session: ValidationSession) -> dict:
     """Norm conservation and self-parallelism along the reference geodesic."""
-    N = 16
-    path = session.scenario_paths()["hj"]
-    rng = session.rng(11)
-    v0 = TangentVector(rng.standard_normal(2 * N), session.vol)
-    moved = parallel_transport(v0, path)
-    norms = [otto_norm(v, metric_gram(v.base, N)) for v in moved]
-    drift = max(abs(nm - norms[0]) for nm in norms) / norms[0]
-
-    ctx16 = WeightedOperatorContext(session.vol, N)
-    vel0 = vector_from_potential(session.scenario_psi0, ctx16)
-    moved_vel = parallel_transport(vel0, path)
-    worst_self = 0.0
-    for idx, v in enumerate(moved_vel):
-        ctx_t = WeightedOperatorContext(path.densities[idx], N)
-        vel_t = vector_from_potential(path.potentials[idx], ctx_t)
-        worst_self = max(worst_self, np.abs(v.coeffs - vel_t.coeffs).max())
-    return _record(11, "parallel_transport", [
-        check("norm_drift", drift, 1e-5),
-        check("self_parallelism", worst_self, 1e-5),
-    ])
+    v0 = TangentVector(session.rng(11).standard_normal(2 * 16), session.vol)  # scenario N = 16
+    _, _, checks = transport_checks(session.scenario_paths()["hj"], v0,
+                                    session.scenario_psi0, 1e-5, 1e-5)
+    return _record(11, "parallel_transport", checks)
 
 
 def criterion_12_truncation(session: ValidationSession) -> dict:
@@ -426,16 +451,10 @@ CRITERIA = (
 
 
 def run_all(n: int = 256, N: int = 8, seed: int = 0) -> dict:
-    """Evaluate every acceptance criterion; returns records plus wall time."""
+    """Evaluate every acceptance criterion; returns the records."""
     session = ValidationSession(n=n, N=N, seed=seed)
-    started = time.perf_counter()
     records = [fn(session) for fn in CRITERIA]
-    elapsed = time.perf_counter() - started
-    return {
-        "records": records,
-        "all_passed": all(r["passed"] for r in records),
-        "elapsed_seconds": round(elapsed, 3),
-    }
+    return {"records": records, "all_passed": all(r["passed"] for r in records)}
 
 
 def format_record(record: dict) -> str:

@@ -44,11 +44,14 @@ def test_metric_report_schema(tmp_path):
 def test_reports_are_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
-        assert run_cli(["bracket", "--out", str(out)]) == 0
-        assert run_cli(["transport", "--out", str(out)]) == 0
-    for name in ("bracket_report.json", "bracket.csv",
-                 "transport_report.json", "transport.csv"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        for sub in ("metric", "bracket", "christoffel", "geodesic", "transport",
+                    "curvature", "distance"):
+            assert run_cli([sub, "--out", str(out)]) == 0
+    names = sorted(p.name for p in out_a.iterdir())
+    assert names == sorted(p.name for p in out_b.iterdir())
+    assert len(names) == 19  # 7 reports and 12 CSV files
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
 def test_config_hash_tracks_flags(tmp_path):
@@ -93,6 +96,24 @@ def test_caustic_exits_three(tmp_path):
         "potential": {"family": "cosine", "amplitude": 2.0, "mode": 1, "phase": 0.0},
     })
     assert run_cli(["geodesic", "--config", config, "--out", str(tmp_path / "out")]) == 3
+
+
+def test_unconverged_characteristics_exit_three(tmp_path, capsys):
+    # the first caustic sits at t = 1/0.99, just past t_max = 1: the
+    # characteristic Newton solve stalls and must fail loudly, not return
+    config = write_config(tmp_path, {
+        "potential": {"family": "cosine", "amplitude": 0.99, "mode": 1, "phase": 0.0},
+    })
+    assert run_cli(["geodesic", "--config", config, "--out", str(tmp_path / "out")]) == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_cholesky_breakdown_exits_three(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr("ottocircle.geodesics.cho_factor", broken)
+    assert run_cli(["geodesic", "--out", str(tmp_path / "out")]) == 3
 
 
 def test_bracket_report_carries_both_routes(tmp_path):
@@ -181,5 +202,6 @@ def test_validate_defaults_pass(tmp_path, capsys):
     assert printed.count("PASS") >= 12
     report = read_report(out, "validate")
     assert len(report["results"]["records"]) == 12
+    assert "elapsed_seconds" not in report["results"]
     assert all(r["passed"] for r in report["results"]["records"])
     assert (out / "validate_summary.csv").exists()

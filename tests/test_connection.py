@@ -16,19 +16,16 @@ from ottocircle import (
     WeightedOperatorContext,
     christoffel,
     christoffel_residual,
-    christoffel_to_json,
     cosine_density,
     covariant_derivative,
     deriv,
     geodesic_hj,
     lie_bracket,
-    load_christoffel_json,
     make_grid,
     metric_gram,
     otto_inner,
     otto_norm,
     parallel_transport,
-    save_christoffel_json,
     uniform_density,
     vector_from_potential,
 )
@@ -220,18 +217,6 @@ def test_christoffel_quadrature_oracle(ctx_weighted):
 def test_christoffel_residual_small(ctx_weighted):
     tensor = christoffel(ctx_weighted)
     assert christoffel_residual(tensor, ctx_weighted) < 1e-12
-
-
-def test_christoffel_serialization(tmp_path, ctx_weighted):
-    tensor = christoffel(ctx_weighted)
-    path = tmp_path / "christoffel.json"
-    save_christoffel_json(tensor, path)
-    back = load_christoffel_json(path, WEIGHTED)
-    np.testing.assert_allclose(back.gamma, tensor.gamma, rtol=0.0, atol=0.0)
-    with pytest.raises(DomainError):
-        load_christoffel_json(path, VOL)
-    payload = christoffel_to_json(tensor)
-    assert payload["N"] == N_MODES
 
 
 def test_christoffel_tensor_shape_validation():

@@ -15,9 +15,9 @@ from ottocircle import (
     riemann,
     riemann_fd_oracle,
     sectional,
-    t_pairing,
     t_tensor,
     uniform_density,
+    weighted_inner,
 )
 
 GRID = make_grid(256)
@@ -63,7 +63,7 @@ def test_t_pairing_is_bilinear_pairing(ctx_vol):
     s1 = basis(GRID, 1, "sin")
     t_cs = t_tensor(c1, s1, ctx_vol)
     t_sc = t_tensor(s1, c1, ctx_vol)
-    assert t_pairing(t_cs, t_sc, VOL) == pytest.approx(-1.0, abs=1e-12)
+    assert weighted_inner(t_cs.residual, t_sc.residual, VOL) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_riemann_frozen_value(ctx_vol):

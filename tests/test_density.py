@@ -12,15 +12,11 @@ from ottocircle import (
     ScalarField,
     cosine_density,
     density_from_csv,
-    density_from_json,
     density_to_csv,
-    density_to_json,
     integrate,
-    load_density_json,
     make_density,
     make_grid,
     pushforward_monotone,
-    save_density_json,
     uniform_density,
     weighted_inner,
 )
@@ -143,12 +139,3 @@ def test_csv_roundtrip(grid, tmp_path):
         handle.write("x,y\n0.0,1.0\n")
     with pytest.raises(DomainError):
         density_from_csv(tmp_path / "bad.csv")
-
-
-def test_json_roundtrip(grid, tmp_path):
-    mu = cosine_density(grid, 0.25)
-    back = density_from_json(density_to_json(mu))
-    np.testing.assert_allclose(back.rho, mu.rho, rtol=0.0, atol=0.0)
-    path = tmp_path / "density.json"
-    save_density_json(mu, path)
-    np.testing.assert_allclose(load_density_json(path).rho, mu.rho, rtol=0.0, atol=0.0)

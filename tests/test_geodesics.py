@@ -21,6 +21,7 @@ from ottocircle import (
     geodesic_hj,
     integrate,
     make_grid,
+    path_to_csv,
     speed_squared_series,
     uniform_density,
 )
@@ -92,7 +93,7 @@ def test_christoffel_route_accepts_tangent_vector():
     coeffs = np.zeros(32)
     coeffs[0] = 0.1 / np.sqrt(2.0)
     ch = geodesic_christoffel(WEIGHTED, TangentVector(coeffs, WEIGHTED), TIMES)
-    assert ch.coefficient_series.shape == (TIMES.size, 32)
+    assert len(ch.densities) == TIMES.size
     with pytest.raises(ConfigError):
         geodesic_christoffel(WEIGHTED, coeffs, TIMES, N=8)
 
@@ -151,14 +152,11 @@ def test_flow_is_not_a_geodesic():
 
 
 def test_path_serialization(tmp_path, hj_path):
-    from ottocircle.geodesics import path_manifest, save_path
-
-    manifest = save_path(hj_path, tmp_path, "geodesic")
-    assert (tmp_path / "geodesic.csv").exists()
-    assert (tmp_path / "geodesic.json").exists()
-    assert manifest["route"] == "hj"
-    assert manifest["n"] == GRID.n
+    path_to_csv(hj_path, tmp_path / "geodesic.csv")
     with open(tmp_path / "geodesic.csv") as handle:
         rows = handle.read().strip().split("\n")
+    assert rows[0] == "time,node,density,potential"
     assert len(rows) == 1 + TIMES.size * GRID.n
-    assert path_manifest(hj_path, "geodesic.csv")["times"] == [float(t) for t in TIMES]
+    last = [float(v) for v in rows[-1].split(",")]
+    assert last == [float(TIMES[-1]), float(GRID.nodes[-1]), float(hj_path.densities[-1].rho[-1]),
+                    float(hj_path.potentials[-1].values[-1])]

@@ -1,4 +1,4 @@
-"""Tangent vectors, the Otto metric, observables, and constant-field flows."""
+"""Tangent vectors, the Otto metric, linear statistics, and constant-field flows."""
 
 import numpy as np
 import pytest
@@ -10,20 +10,14 @@ from ottocircle import (
     WeightedOperatorContext,
     basis,
     cosine_density,
+    deriv,
     flow_constant_field,
     flow_map,
     integrate,
-    load_tangent_json,
     make_grid,
     metric_gram,
-    observable,
-    observable_derivative,
     otto_inner,
     otto_norm,
-    remap_to_vol,
-    save_tangent_json,
-    tangent_from_json,
-    tangent_to_json,
     uniform_density,
     vector_from_potential,
 )
@@ -96,33 +90,26 @@ def test_potential_roundtrip(ctx_vol):
         v.potential(WeightedOperatorContext(VOL, N_MODES + 1))
 
 
-def test_observable_frozen_value():
-    phi = ScalarField(GRID, np.cos(GRID.nodes))
+def test_observable_frozen_value(ctx_weighted, ctx_vol):
+    # the linear statistic int phi dmu for phi = cos x:
     # int cos(x) (1 + 0.3 cos x) dvol = 0.15
-    assert observable(phi, WEIGHTED) == pytest.approx(0.15, abs=1e-14)
-    assert observable(phi, VOL) == pytest.approx(0.0, abs=1e-14)
+    phi = np.cos(GRID.nodes)
+    assert ctx_weighted.mu_mean(phi) == pytest.approx(0.15, abs=1e-14)
+    assert ctx_vol.mu_mean(phi) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_observable_derivative_matches_linearization(ctx_weighted):
     # moving mass along V_psi changes rho at rate -(rho psi')'; for a linear
-    # statistic the chain rule gives exactly int phi' psi' dmu
+    # statistic the chain rule gives exactly int phi' psi' dmu, which is the
+    # order-1 weighted moment contracted with psi's coefficients
     rng = np.random.default_rng(23)
     phi = ScalarField(GRID, np.cos(2 * GRID.nodes) + 0.5 * np.sin(GRID.nodes))
     coeffs = rng.standard_normal(2 * N_MODES)
-    v = TangentVector(coeffs, WEIGHTED)
     dpsi = coeffs @ ctx_weighted.basis1
-    from ottocircle import deriv
-
     drho = -deriv(ScalarField(GRID, WEIGHTED.rho * dpsi)).values
     linearized = float(np.mean(phi.values * drho))
-    assert observable_derivative(phi, v, ctx_weighted) == pytest.approx(linearized, abs=1e-12)
-
-
-def test_observable_derivative_base_mismatch(ctx_vol):
-    phi = ScalarField(GRID, np.cos(GRID.nodes))
-    v = unit_vector(0, base=WEIGHTED)
-    with pytest.raises(DomainError):
-        observable_derivative(phi, v, ctx_vol)
+    derivative = float(coeffs @ ctx_weighted.weighted_moment(deriv(phi).values, 1))
+    assert derivative == pytest.approx(linearized, abs=1e-12)
 
 
 def test_flow_map_fixed_points():
@@ -149,41 +136,23 @@ def test_flow_conserves_mass():
     assert nu.rho.min() > 0.0
 
 
+def _remap_to_vol(v, ctx_vol):
+    """Project the velocity field rho * psi' of V_psi onto gradients at vol."""
+    coeffs, _ = ctx_vol.project_gradient_coeffs(v.base.rho * (v.coeffs @ ctx_vol.basis1))
+    return TangentVector(coeffs, VOL)
+
+
 def test_remap_identity_at_uniform(ctx_vol):
     rng = np.random.default_rng(29)
     v = TangentVector(rng.standard_normal(2 * N_MODES), VOL)
-    back = remap_to_vol(v, ctx_vol)
+    back = _remap_to_vol(v, ctx_vol)
     np.testing.assert_allclose(back.coeffs, v.coeffs, atol=1e-12)
 
 
 def test_remap_norm_bound(ctx_vol):
+    # the L^2(vol) projection contracts: |remap(v)|_vol^2 <= max(rho) |v|_mu^2
     rng = np.random.default_rng(31)
     v = TangentVector(rng.standard_normal(2 * N_MODES), WEIGHTED)
-    moved = remap_to_vol(v, ctx_vol)
+    moved = _remap_to_vol(v, ctx_vol)
     bound = WEIGHTED.rho.max() * otto_inner(v, v, metric_gram(WEIGHTED, N_MODES))
     assert otto_inner(moved, moved, metric_gram(VOL, N_MODES)) <= bound + 1e-12
-
-
-def test_remap_requires_uniform_context(ctx_weighted):
-    v = unit_vector(0, base=WEIGHTED)
-    with pytest.raises(DomainError):
-        remap_to_vol(v, ctx_weighted)
-
-
-def test_tangent_serialization_roundtrip(tmp_path):
-    rng = np.random.default_rng(37)
-    v = TangentVector(rng.standard_normal(2 * N_MODES), WEIGHTED)
-    payload = tangent_to_json(v)
-    back = tangent_from_json(payload, WEIGHTED)
-    np.testing.assert_allclose(back.coeffs, v.coeffs, rtol=0.0, atol=0.0)
-
-    path = tmp_path / "vector.json"
-    save_tangent_json(v, path)
-    np.testing.assert_allclose(load_tangent_json(path, WEIGHTED).coeffs, v.coeffs,
-                               rtol=0.0, atol=0.0)
-
-    with pytest.raises(DomainError):
-        tangent_from_json(payload, VOL)  # wrong base density
-    payload_bad = dict(payload, ordering="sin-first")
-    with pytest.raises(DomainError):
-        tangent_from_json(payload_bad, WEIGHTED)
