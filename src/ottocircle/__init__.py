@@ -25,7 +25,6 @@ from .grid import (
     OneForm,
     ScalarField,
     basis,
-    basis_label,
     basis_matrix,
     deriv,
     eval_trig,

@@ -358,7 +358,7 @@ def run_curvature(config: dict, out_dir: str) -> dict:
         c2[: 2 * half] = rng.standard_normal(2 * half)
         samples.append(sectional(ScalarField(grid, c1 @ ctx.basis0),
                                  ScalarField(grid, c2 @ ctx.basis0), ctx))
-    min_sec = min(samples)
+    min_sec = np.min(samples)
     write_csv(out_dir, "sectional_samples.csv", ["sample", "value"],
               ((i, v) for i, v in enumerate(samples)))
 

@@ -123,12 +123,6 @@ def basis(grid: GridSpec, k: int, kind: str) -> ScalarField:
     raise ConfigError(f"basis kind must be 'cos' or 'sin', got {kind!r}")
 
 
-def basis_label(index: int) -> tuple[int, str]:
-    """Map flat basis index to (k, kind) in the ordering cos1, sin1, cos2, ..."""
-    k = index // 2 + 1
-    return k, ("cos" if index % 2 == 0 else "sin")
-
-
 def basis_matrix(grid: GridSpec, N: int, order: int = 0) -> np.ndarray:
     """Rows are the 2N basis functions (or their order-th derivatives) at the nodes.
 

@@ -9,9 +9,11 @@ Two deliberately separate routes to the quadratic Wasserstein distance:
 
     with the target quantile unrolled periodically,
     Gnu^{-1}(u + 1) = Gnu^{-1}(u) + 2*pi.  CDFs are integrated termwise from
-    the trigonometric interpolant of the density, quantiles come from
-    safeguarded Newton, the cut is located by an exhaustive grid-aligned scan
-    followed by bounded scalar minimization.
+    the trigonometric interpolant of the density, and quantiles come from
+    safeguarded Newton at the m midpoints of the integral.  The cut is
+    bracketed by a ternary search over grid-aligned offsets j/m, where the
+    target quantile is an index shift of the midpoint values, and polished by
+    bounded scalar minimization on a periodic spline through those values.
   * transport_lp: a linear program on explicit atoms with squared circular
     distance cost, solved by scipy's HiGHS backend.  w2_lp discretizes a pair
     of densities onto m atoms and calls it.
@@ -83,8 +85,13 @@ class _SpectralCDF:
             bad = (x_new <= lo) | (x_new >= hi)
             x = np.where(bad, 0.5 * (lo + hi), x_new)
         else:
-            if np.abs(self.cdf(x) - s).max() > 1e-12:
-                raise NumericalError("quantile iteration failed to converge")
+            resid = np.abs(self.cdf(x) - s)
+            worst = int(np.argmax(resid))
+            if not resid.flat[worst] <= 1e-12:  # a NaN residual fails too
+                raise NumericalError(
+                    f"quantile iteration failed to converge after 80 iterations: "
+                    f"worst index {worst} (s = {float(s.flat[worst])!r}) has residual "
+                    f"{resid.flat[worst]:.3e}")
         return x
 
 
@@ -95,30 +102,29 @@ class TransportResult:
     w2: float
     w2_squared: float
     shift: float
-    method: str
 
 
 class _QuantileTable:
-    """Per-density quantile data: exact midpoint values for the cut scan and
-    a periodic cubic interpolant of quantile(u) - 2*pi*u for off-grid cuts.
+    """Per-density quantile data from one CDF inversion at the m midpoints
+    s_j = (j + 1/2)/m.
 
-    The interpolated part is smooth and 1-periodic with both endpoints pinned
-    at zero, so a periodic spline on spline_nodes points reproduces it to well
-    below the cut-scan resolution.
+    q_mid holds the exact midpoint quantiles the cut scan indexes.  Off-grid
+    cuts use a periodic cubic spline of the smooth 1-periodic part
+    quantile(u) - 2*pi*u through those same values (nodes s_j and s_0 + 1),
+    so the polish and the scan see one quantile function.
     """
 
-    def __init__(self, mu: Density, m: int, spline_nodes: int):
-        self.cdf = _SpectralCDF(mu)
+    def __init__(self, mu: Density, m: int):
         s = (np.arange(m) + 0.5) / m
-        self.q_mid = self.cdf.quantile(s)
-        u = np.arange(spline_nodes + 1) / spline_nodes
-        wobble = self.cdf.quantile(u) - TWO_PI * u
-        wobble[-1] = wobble[0]
-        self._spline = CubicSpline(u, wobble, bc_type="periodic")
+        self.q_mid = _SpectralCDF(mu).quantile(s)
+        wobble = self.q_mid - TWO_PI * s
+        self._s0 = s[0]
+        self._spline = CubicSpline(np.append(s, s[0] + 1.0), np.append(wobble, wobble[0]),
+                                   bc_type="periodic")
 
     def unrolled(self, u):
         """quantile extended by quantile(u + 1) = quantile(u) + 2*pi."""
-        return TWO_PI * u + self._spline(u - np.floor(u))
+        return TWO_PI * u + self._spline(self._s0 + np.mod(u - self._s0, 1.0))
 
 
 class CircleDistanceSolver:
@@ -129,17 +135,16 @@ class CircleDistanceSolver:
     density's content hash.
     """
 
-    def __init__(self, m: int = 2048, spline_nodes: int = 4096):
+    def __init__(self, m: int = 2048):
         if m < 16:
             raise ConfigError("quantile integral needs m >= 16")
         self.m = m
-        self.spline_nodes = spline_nodes
         self._tables: dict[str, _QuantileTable] = {}
 
     def table(self, mu: Density) -> _QuantileTable:
         key = mu.sha256()
         if key not in self._tables:
-            self._tables[key] = _QuantileTable(mu, self.m, self.spline_nodes)
+            self._tables[key] = _QuantileTable(mu, self.m)
         return self._tables[key]
 
     def distance(self, mu: Density, nu: Density) -> TransportResult:
@@ -189,7 +194,6 @@ class CircleDistanceSolver:
             w2=float(np.sqrt(max(squared, 0.0))),
             w2_squared=squared,
             shift=shift,
-            method="circle_cdf",
         )
 
 
@@ -197,8 +201,8 @@ def w2_circle_exact(mu: Density, nu: Density, m: int = 2048) -> TransportResult:
     """Quadratic Wasserstein distance between two circle densities.
 
     m is the midpoint-rule resolution of the quantile mismatch integral; the
-    cut offset is scanned at every multiple of 1/m over [-1, 1] and then
-    polished by bounded minimization to xatol 1e-10.
+    cut offset is bracketed by a ternary search over multiples of 1/m in
+    [-1, 1] and then polished by bounded minimization to xatol 1e-10.
     """
     return CircleDistanceSolver(m=m).distance(mu, nu)
 
@@ -222,9 +226,6 @@ class TransportPlan:
         row = np.abs(self.coupling.sum(axis=1) - self.weights_a).max()
         col = np.abs(self.coupling.sum(axis=0) - self.weights_b).max()
         return float(row), float(col)
-
-    def min_entry(self) -> float:
-        return float(self.coupling.min())
 
 
 def transport_lp(locations_a, weights_a, locations_b, weights_b) -> TransportPlan:

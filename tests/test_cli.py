@@ -158,6 +158,24 @@ def test_curvature_and_christoffel(tmp_path):
     assert (out / "christoffel.csv").exists()
 
 
+def test_nan_sectional_sample_fails_curvature(tmp_path, monkeypatch):
+    import ottocircle.cli as cli
+
+    real = cli.sectional
+    calls = []
+
+    def sectional(*args):
+        calls.append(None)
+        return np.nan if len(calls) == 3 else real(*args)  # one random sample
+
+    monkeypatch.setattr(cli, "sectional", sectional)
+    out = tmp_path / "out"
+    assert run_cli(["curvature", "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in read_report(out, "curvature")["checks"]}
+    assert not checks["min_sampled_sectional"]["passed"]
+    assert checks["sectional_first_harmonics_error"]["passed"]
+
+
 def test_custom_density_from_csv(tmp_path):
     grid = make_grid(256)
     csv_path = tmp_path / "profile.csv"

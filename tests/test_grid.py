@@ -10,7 +10,6 @@ from ottocircle import (
     GridSpec,
     ScalarField,
     basis,
-    basis_label,
     basis_matrix,
     deriv,
     eval_trig,
@@ -83,13 +82,6 @@ def test_basis_mode_range(grid):
 def test_basis_matrix_antialiasing(grid):
     with pytest.raises(AliasingError):
         basis_matrix(grid, grid.n // 4)
-
-
-def test_basis_label_ordering():
-    assert basis_label(0) == (1, "cos")
-    assert basis_label(1) == (1, "sin")
-    assert basis_label(2) == (2, "cos")
-    assert basis_label(5) == (3, "sin")
 
 
 def test_basis_matrix_derivative_rows(grid):

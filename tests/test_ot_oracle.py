@@ -8,15 +8,19 @@ from hypothesis import strategies as st
 from ottocircle import (
     CircleDistanceSolver,
     ConfigError,
+    NumericalError,
+    ScalarField,
     circular_distance,
     cosine_density,
     density_atoms,
+    flow_constant_field,
     make_grid,
     transport_lp,
     uniform_density,
     w2_circle_exact,
     w2_lp,
 )
+from ottocircle.ot_oracle import _QuantileTable, _SpectralCDF
 
 GRID = make_grid(256)
 VOL = uniform_density(GRID)
@@ -108,6 +112,60 @@ def test_solver_caches_tables():
     assert first == second
 
 
+def test_table_build_inverts_the_cdf_once(monkeypatch):
+    real = _SpectralCDF.quantile
+    calls = []
+
+    def counting(self, s):
+        calls.append(np.size(s))
+        return real(self, s)
+
+    monkeypatch.setattr(_SpectralCDF, "quantile", counting)
+    _QuantileTable(cosine_density(GRID, 0.3), 64)
+    assert calls == [64]
+
+
+def test_table_unrolled_passes_through_midpoint_quantiles():
+    m = 64
+    table = _QuantileTable(cosine_density(GRID, 0.45, mode=2), m)
+    s = (np.arange(m) + 0.5) / m
+    for k in (-1, 0, 1, 2):
+        np.testing.assert_allclose(table.unrolled(s + k), table.q_mid + 2.0 * np.pi * k,
+                                   rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["cosine", "cosine_mode2", "flow_pushforward"])
+def test_table_off_grid_matches_direct_quantile(name):
+    if name == "cosine":
+        mu = cosine_density(GRID, 0.3)
+    elif name == "cosine_mode2":
+        mu = cosine_density(GRID, 0.45, mode=2)
+    else:
+        psi = ScalarField(GRID, 0.1 * np.cos(GRID.nodes))
+        mu = flow_constant_field(psi, cosine_density(GRID, 0.3), 3.0)
+    table = CircleDistanceSolver().table(mu)
+    # off-grid points across three turns, none on a midpoint or a turn boundary
+    u = np.linspace(-1.0, 2.0, 401) + 1e-4 * np.pi
+    turns = np.floor(u)
+    direct = _SpectralCDF(mu).quantile(u - turns) + 2.0 * np.pi * turns
+    np.testing.assert_allclose(table.unrolled(u), direct, rtol=0.0, atol=1e-10)
+
+
+def test_quantile_non_convergence_names_index_and_residual(monkeypatch):
+    cdf = _SpectralCDF(cosine_density(GRID, 0.3))
+    real = _SpectralCDF._cdf_pdf
+
+    def offset(self, x):
+        value, slope = real(self, x)
+        return value + 1e-9, slope
+
+    # an offset CDF sits above s = 0 on all of [0, 2*pi], so that target
+    # cannot converge while the others still do
+    monkeypatch.setattr(_SpectralCDF, "_cdf_pdf", offset)
+    with pytest.raises(NumericalError, match=r"worst index 1 \(s = 0\.0\) has residual 1\.000e-09"):
+        cdf.quantile(np.array([0.25, 0.0, 0.75]))
+
+
 def test_transport_lp_two_antipodal_atoms():
     plan = transport_lp(np.array([0.0]), np.array([1.0]), np.array([np.pi]), np.array([1.0]))
     assert plan.w2 == pytest.approx(np.pi, abs=1e-9)
@@ -125,7 +183,7 @@ def test_transport_lp_marginals_and_positivity():
     plan = transport_lp(xa, wa, xb, wb)
     row_err, col_err = plan.marginal_errors()
     assert max(row_err, col_err) < 1e-9
-    assert plan.min_entry() >= -1e-12
+    assert plan.coupling.min() >= -1e-12
     assert plan.w2 >= 0.0
 
 
