@@ -8,11 +8,12 @@ directory, and exits with the shared code contract:
     1  a tolerance check failed
     2  configuration or usage problem
     3  numerical failure (caustic crossing, non-converged solve, Cholesky
-       breakdown)
+       breakdown, an RK4 density that turns nonpositive)
 
 Reports are deterministic for a given (config, seed): keys are sorted, no
 timestamps are embedded, and the config hash covers everything except the
-output directory.
+output directory.  The config chooses inputs only: every check threshold is
+a fixed constant, so no config can loosen one.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .density import (
     density_to_csv,
     uniform_density,
 )
-from .errors import ConfigError, NumericalError
+from .errors import AliasingError, ConfigError, NumericalError
 from .operators import WeightedOperatorContext
 from .tangent import TangentVector, metric_gram, vector_from_potential
 from .connection import christoffel, christoffel_residual, lie_bracket
@@ -47,6 +48,11 @@ from .geodesics import (
 )
 from .ot_oracle import CircleDistanceSolver, plan_to_csv, w2_lp
 from .validation import (
+    BRACKET_ROUTE_TOL,
+    FIRST_HARMONIC_SECTIONAL_TOL,
+    LP_RELATIVE_TOL,
+    MARGINAL_TOL,
+    SECTIONAL_FLOOR,
     check,
     fd_oracle_check,
     format_record,
@@ -67,20 +73,6 @@ DEFAULT_CONFIG = {
     "potential_b": {"family": "sine", "amplitude": 0.1, "mode": 1, "phase": 0.0},
     "times": {"t_max": 1.0, "count": 17},
     "atoms": 64,
-    "tolerances": {
-        "gram_symmetry": 1e-12,
-        "bracket_route_agreement": 1e-8,
-        "christoffel_residual": 1e-8,
-        "geodesic_route_sup": 1e-4,
-        "continuity_residual": 1e-5,
-        "transport_norm_drift": 1e-5,
-        "transport_self_parallel": 1e-5,
-        "sectional_uniform_value": 1e-6,
-        "curvature_fd_relative": 1e-3,
-        "sectional_nonnegativity": -1e-10,
-        "lp_vs_circle_relative": 0.02,
-        "coupling_marginal": 1e-9,
-    },
 }
 
 
@@ -108,7 +100,6 @@ def _merge(defaults, override, path="config"):
 
 def load_config(args) -> dict:
     config = {k: (dict(v) if isinstance(v, dict) else v) for k, v in DEFAULT_CONFIG.items()}
-    config["tolerances"] = dict(DEFAULT_CONFIG["tolerances"])
     if args.config is not None:
         try:
             with open(args.config) as handle:
@@ -128,11 +119,6 @@ def load_config(args) -> dict:
         raise ConfigError("need 1 <= N and 4N < n")
     if not isinstance(config["seed"], int) or config["seed"] < 0:
         raise ConfigError("seed must be a nonnegative integer")
-    for name, value in config["tolerances"].items():
-        if name == "sectional_nonnegativity":
-            continue
-        if not (isinstance(value, (int, float)) and value > 0):
-            raise ConfigError(f"tolerance {name} must be positive")
     return config
 
 
@@ -147,6 +133,16 @@ def _known_keys(spec: dict, allowed: set[str], what: str) -> None:
         raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
 
 
+def _mode(spec: dict, grid: GridSpec, what: str) -> int:
+    """The spec's mode, which must be resolved by the grid (an aliased mode
+    would silently stand for a lower one)."""
+    k = int(spec.get("mode", 1))
+    if not 1 <= k <= grid.n // 2 - 1:
+        raise AliasingError(f"{what} mode {k} outside resolved range "
+                            f"[1, {grid.n // 2 - 1}] for n={grid.n}")
+    return k
+
+
 def build_density(spec: dict, grid: GridSpec) -> Density:
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigError("density spec needs a 'family' key")
@@ -157,7 +153,7 @@ def build_density(spec: dict, grid: GridSpec) -> Density:
     if family == "cosine":
         _known_keys(spec, {"family", "amplitude", "mode", "phase"}, "density")
         return cosine_density(grid, float(spec.get("amplitude", 0.3)),
-                              mode=int(spec.get("mode", 1)),
+                              mode=_mode(spec, grid, "density"),
                               phase=float(spec.get("phase", 0.0)))
     if family == "custom":
         _known_keys(spec, {"family", "path"}, "density")
@@ -174,10 +170,8 @@ def build_potential(spec: dict, grid: GridSpec) -> ScalarField:
     if family in ("cosine", "sine"):
         _known_keys(spec, {"family", "amplitude", "mode", "phase"}, "potential")
         a = float(spec.get("amplitude", 0.1))
-        k = int(spec.get("mode", 1))
+        k = _mode(spec, grid, "potential")
         phase = float(spec.get("phase", 0.0))
-        if k < 1:
-            raise ConfigError("potential mode must be >= 1")
         fn = np.cos if family == "cosine" else np.sin
         return ScalarField(grid, a * fn(k * (grid.nodes - phase)))
     if family == "coefficients":
@@ -250,7 +244,7 @@ def run_metric(config: dict, out_dir: str) -> dict:
         "condition_number": float(eigs[-1] / eigs[0]),
     }
     checks = [
-        check("gram_symmetry", sym, config["tolerances"]["gram_symmetry"]),
+        check("gram_symmetry", sym, 1e-12),
         check("positive_definite", float(eigs[0]), 0.0, op=">"),
     ]
     return write_report(out_dir, "metric", config, results, checks)
@@ -272,7 +266,7 @@ def run_bracket(config: dict, out_dir: str) -> dict:
         "coefficients_hessian_route": [float(c) for c in hess.coeffs],
         "coefficients_laplacian_route": [float(c) for c in lap.coeffs],
     }
-    checks = [check("route_agreement", gap, config["tolerances"]["bracket_route_agreement"])]
+    checks = [check("route_agreement", gap, BRACKET_ROUTE_TOL)]
     return write_report(out_dir, "bracket", config, results, checks)
 
 
@@ -290,8 +284,7 @@ def run_christoffel(config: dict, out_dir: str) -> dict:
         "dimension": d,
         "max_ij_asymmetry": float(tensor.max_ij_asymmetry()),
     }
-    checks = [check("assembly_residual", residual,
-                    config["tolerances"]["christoffel_residual"])]
+    checks = [check("assembly_residual", residual, 1e-8)]
     return write_report(out_dir, "christoffel", config, results, checks)
 
 
@@ -314,8 +307,7 @@ def run_geodesic(config: dict, out_dir: str) -> dict:
         path_to_csv(path, os.path.join(out_dir, f"geodesic_{name}.csv"))
     results = {f"action_{name}": action(path) for name, path in paths.items()}
     results["times"] = [float(t) for t in times]
-    tol = config["tolerances"]
-    checks = geodesic_route_checks(paths, tol["geodesic_route_sup"], tol["continuity_residual"])
+    checks = geodesic_route_checks(paths)
     return write_report(out_dir, "geodesic", config, results, checks)
 
 
@@ -328,9 +320,7 @@ def run_transport(config: dict, out_dir: str) -> dict:
     path = geodesic_hj(mu0, psi0, times)
     rng = np.random.default_rng(config["seed"])
     v0 = TangentVector(rng.standard_normal(2 * N), mu0)
-    tol = config["tolerances"]
-    moved, norms, checks = transport_checks(path, v0, psi0, tol["transport_norm_drift"],
-                                            tol["transport_self_parallel"])
+    moved, norms, checks = transport_checks(path, v0, psi0)
     write_csv(out_dir, "transport.csv", ["time", "index", "coefficient"],
               ((float(t), idx, moved[i].coeffs[idx])
                for i, t in enumerate(times) for idx in range(2 * N)))
@@ -372,9 +362,7 @@ def run_curvature(config: dict, out_dir: str) -> dict:
                     rows.append((i, j, k, l, riemann(*fields, ctx)))
     write_csv(out_dir, "riemann_table.csv", ["i", "j", "k", "l", "value"], rows)
 
-    tol = config["tolerances"]
-    fd_check, [(fd, reference)] = fd_oracle_check(
-        [(WeightedOperatorContext(mu, 4), (0, 1, 0, 1))], tol["curvature_fd_relative"])
+    fd_check, [(fd, reference)] = fd_oracle_check([(WeightedOperatorContext(mu, 4), (0, 1, 0, 1))])
     results = {
         "sectional_first_harmonics": float(sec_base),
         "riemann_fd": float(fd),
@@ -382,13 +370,11 @@ def run_curvature(config: dict, out_dir: str) -> dict:
     }
     checks = [
         fd_check,
-        check("min_sampled_sectional", float(min_sec),
-              tol["sectional_nonnegativity"], op=">="),
+        check("min_sampled_sectional", float(min_sec), SECTIONAL_FLOOR, op=">="),
     ]
     if config["density"].get("family") == "uniform":
-        checks.insert(0, check("sectional_first_harmonics_error",
-                               abs(sec_base - 3.0),
-                               tol["sectional_uniform_value"]))
+        checks.insert(0, check("sectional_first_harmonics_error", abs(sec_base - 3.0),
+                               FIRST_HARMONIC_SECTIONAL_TOL))
     return write_report(out_dir, "curvature", config, results, checks)
 
 
@@ -414,11 +400,9 @@ def run_distance(config: dict, out_dir: str) -> dict:
         "w2_lp": plan.w2,
         "atoms": m,
     }
-    tol = config["tolerances"]
     checks = [
-        check("lp_vs_circle_relative", rel, tol["lp_vs_circle_relative"]),
-        check("coupling_marginal_violation", max(row_err, col_err),
-              tol["coupling_marginal"]),
+        check("lp_vs_circle_relative", rel, LP_RELATIVE_TOL),
+        check("coupling_marginal_violation", max(row_err, col_err), MARGINAL_TOL),
     ]
     return write_report(out_dir, "distance", config, results, checks)
 

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .density import Density, make_density, pushforward_monotone
-from .errors import CausticError, ConfigError, NumericalError
+from .errors import CausticError, ConfigError, DomainError, NumericalError
 from .grid import (
     TWO_PI,
     GridSpec,
@@ -69,12 +69,12 @@ class GeodesicPath:
         object.__setattr__(self, "times", times)
 
 
-def first_caustic_time(psi0: ScalarField, refine: int = 4) -> float:
+def first_caustic_time(psi0: ScalarField) -> float:
     """Earliest t > 0 with 1 + t*psi0'' = 0 (inf if characteristics never cross).
 
-    The second derivative is scanned on a refine-x finer grid.
+    The second derivative is scanned on a 4x finer grid.
     """
-    n_fine = refine * psi0.grid.n
+    n_fine = 4 * psi0.grid.n
     x_fine = TWO_PI * np.arange(n_fine) / n_fine
     curv_min = float(eval_trig(psi0, x_fine, order=2).min())
     if curv_min >= 0.0:
@@ -97,6 +97,17 @@ def _demeaned(values: np.ndarray, rho: np.ndarray, grid: GridSpec) -> ScalarFiel
 
 def _continuity_rhs(rho: np.ndarray, dpsi: np.ndarray, grid: GridSpec) -> np.ndarray:
     return -deriv(ScalarField(grid, rho * dpsi), 1).values
+
+
+def _stepped_density(rho: np.ndarray, grid: GridSpec, t: float, route: str) -> Density:
+    """Normalize an RK4-advanced density.  A nonpositive or non-finite result
+    is a breakdown of the integration, not a bad input, so it raises
+    NumericalError naming t."""
+    try:
+        return make_density(ScalarField(grid, rho))
+    except DomainError as exc:
+        raise NumericalError(f"{route} route: the RK4 density at t = {t:.6g} "
+                             f"is not a density ({exc})") from exc
 
 
 def _characteristic_feet(psi0: ScalarField, t: float, targets: np.ndarray) -> np.ndarray:
@@ -154,7 +165,7 @@ def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int 
             rho = rk4_step(rhs, t, rho, h)
             t += h
         t_out = times[idx + 1]
-        mu_t = make_density(ScalarField(grid, rho))
+        mu_t = _stepped_density(rho, grid, t_out, "hj")
         rho = mu_t.rho.copy()
         feet = feet_at(t_out)
         p0 = eval_trig(psi0, feet)
@@ -207,7 +218,7 @@ def geodesic_christoffel(mu0: Density, psi0_coeffs, times, N: int | None = None,
         h = (times[idx + 1] - times[idx]) / steps_per_interval
         for _ in range(steps_per_interval):
             state = rk4_step(rhs, 0.0, state, h)
-        mu_t = make_density(ScalarField(grid, state[2 * N :]))
+        mu_t = _stepped_density(state[2 * N :], grid, times[idx + 1], "christoffel")
         state[2 * N :] = mu_t.rho
         densities.append(mu_t)
         potentials.append(_demeaned(state[: 2 * N] @ b0, mu_t.rho, grid))
@@ -241,7 +252,7 @@ def displacement_path(mu0: Density, psi0: ScalarField, times) -> GeodesicPath:
     return GeodesicPath(grid, times, densities, potentials, route="displacement")
 
 
-def flow_path(mu0: Density, psi: ScalarField, times, steps: int | None = None) -> GeodesicPath:
+def flow_path(mu0: Density, psi: ScalarField, times) -> GeodesicPath:
     """Curve pushed along the fixed field grad(psi); velocity potential is psi
     at every time (it is not a geodesic)."""
     from .tangent import flow_constant_field
@@ -251,7 +262,7 @@ def flow_path(mu0: Density, psi: ScalarField, times, steps: int | None = None) -
     densities = []
     potentials = []
     for t in times:
-        mu_t = mu0 if t == 0.0 else flow_constant_field(psi, mu0, float(t), steps)
+        mu_t = mu0 if t == 0.0 else flow_constant_field(psi, mu0, float(t))
         densities.append(mu_t)
         potentials.append(_demeaned(psi.values, mu_t.rho, grid))
     return GeodesicPath(grid, times, densities, potentials, route="flow")
@@ -295,27 +306,19 @@ def continuity_residual(path: GeodesicPath) -> np.ndarray:
     return out
 
 
-def constant_speed_report(path: GeodesicPath, w2, max_times: int = 17) -> dict:
-    """Ratios W2(mu_s, mu_t) / |t - s| over the path's time-grid pairs.
+def constant_speed_report(path: GeodesicPath, w2) -> dict:
+    """Ratios W2(mu_s, mu_t) / |t - s| over all pairs of the path's times.
 
-    w2 is the distance oracle (mu, nu) -> W2.  When the path stores more than
-    max_times times, a uniform subsample is used to keep the pair count
-    manageable.  Deviation is reported relative to the endpoint distance.
+    w2 is the distance oracle (mu, nu) -> W2.  The pair count grows
+    quadratically with the number of times.  Deviation is reported relative
+    to the endpoint distance.
     """
     m = path.times.size
-    if m > max_times:
-        stride = int(np.ceil((m - 1) / (max_times - 1)))
-        idxs = list(range(0, m, stride))
-        if idxs[-1] != m - 1:
-            idxs.append(m - 1)
-    else:
-        idxs = list(range(m))
     w2_end = w2(path.densities[0], path.densities[-1])
     total = path.times[-1] - path.times[0]
     pairs = []
-    for a in range(len(idxs)):
-        for b in range(a + 1, len(idxs)):
-            i, j = idxs[a], idxs[b]
+    for i in range(m):
+        for j in range(i + 1, m):
             gap = path.times[j] - path.times[i]
             ratio = w2(path.densities[i], path.densities[j]) / gap
             pairs.append({"s": float(path.times[i]), "t": float(path.times[j]), "ratio": float(ratio)})

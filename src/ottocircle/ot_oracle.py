@@ -36,6 +36,9 @@ from .density import Density
 from .errors import ConfigError, NumericalError
 from .grid import TWO_PI, check_same_grid, trig_coefficients
 
+# midpoint-rule resolution of the quantile mismatch integral
+QUANTILE_MIDPOINTS = 2048
+
 
 def circular_distance(a, b):
     """Geodesic distance on a circle of circumference 2*pi (vectorized)."""
@@ -135,21 +138,18 @@ class CircleDistanceSolver:
     density's content hash.
     """
 
-    def __init__(self, m: int = 2048):
-        if m < 16:
-            raise ConfigError("quantile integral needs m >= 16")
-        self.m = m
+    def __init__(self):
         self._tables: dict[str, _QuantileTable] = {}
 
     def table(self, mu: Density) -> _QuantileTable:
         key = mu.sha256()
         if key not in self._tables:
-            self._tables[key] = _QuantileTable(mu, self.m)
+            self._tables[key] = _QuantileTable(mu, QUANTILE_MIDPOINTS)
         return self._tables[key]
 
     def distance(self, mu: Density, nu: Density) -> TransportResult:
         check_same_grid(mu.field(), nu.field())
-        m = self.m
+        m = QUANTILE_MIDPOINTS
         F = self.table(mu)
         G = self.table(nu)
         s = (np.arange(m) + 0.5) / m
@@ -197,14 +197,15 @@ class CircleDistanceSolver:
         )
 
 
-def w2_circle_exact(mu: Density, nu: Density, m: int = 2048) -> TransportResult:
+def w2_circle_exact(mu: Density, nu: Density) -> TransportResult:
     """Quadratic Wasserstein distance between two circle densities.
 
-    m is the midpoint-rule resolution of the quantile mismatch integral; the
-    cut offset is bracketed by a ternary search over multiples of 1/m in
-    [-1, 1] and then polished by bounded minimization to xatol 1e-10.
+    The quantile mismatch integral uses the midpoint rule on
+    m = QUANTILE_MIDPOINTS points; the cut offset is bracketed by a ternary
+    search over multiples of 1/m in [-1, 1] and then polished by bounded
+    minimization to xatol 1e-10.
     """
-    return CircleDistanceSolver(m=m).distance(mu, nu)
+    return CircleDistanceSolver().distance(mu, nu)
 
 
 # -- linear-program route ----------------------------------------------------
@@ -304,8 +305,8 @@ def w2_lp(mu: Density, nu: Density, m: int = 64) -> TransportPlan:
     return transport_lp(xa, wa, xb, wb)
 
 
-def plan_to_csv(plan: TransportPlan, file_path, threshold: float = 1e-15) -> None:
-    """Nonzero coupling entries as source/target index, location, mass rows."""
+def plan_to_csv(plan: TransportPlan, file_path) -> None:
+    """Coupling entries above 1e-15 as source/target index, location, mass rows."""
     with open(file_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["source_index", "target_index", "source_location",
@@ -313,6 +314,6 @@ def plan_to_csv(plan: TransportPlan, file_path, threshold: float = 1e-15) -> Non
         for i in range(plan.coupling.shape[0]):
             for j in range(plan.coupling.shape[1]):
                 mass = plan.coupling[i, j]
-                if mass > threshold:
+                if mass > 1e-15:
                     writer.writerow([i, j, repr(float(plan.locations_a[i])),
                                      repr(float(plan.locations_b[j])), repr(float(mass))])

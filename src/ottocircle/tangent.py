@@ -116,13 +116,13 @@ def flow_map(psi: ScalarField, t: float, steps: int | None = None) -> np.ndarray
     return x
 
 
-def flow_constant_field(psi: ScalarField, mu: Density, t: float, steps: int | None = None) -> Density:
+def flow_constant_field(psi: ScalarField, mu: Density, t: float) -> Density:
     """Push mu along the flow of the fixed vector field grad(psi) for time t.
 
     The resulting curve of measures has velocity V_psi at every time, but it
     is not a geodesic: its speed is generally not constant in t.
     """
     check_same_grid(psi, mu.field())
-    x_final = flow_map(psi, t, steps)
+    x_final = flow_map(psi, t)
     displacement = ScalarField(psi.grid, x_final - psi.grid.nodes)
     return pushforward_monotone(mu, displacement)

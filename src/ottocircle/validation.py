@@ -35,6 +35,14 @@ from .geodesics import (
 )
 from .ot_oracle import CircleDistanceSolver, w2_lp
 
+# Thresholds applied both by a numbered criterion and by a CLI subcommand.
+# Every acceptance threshold is fixed: none is read from a config.
+BRACKET_ROUTE_TOL = 1e-8
+LP_RELATIVE_TOL = 0.02
+MARGINAL_TOL = 1e-9
+SECTIONAL_FLOOR = -1e-10
+FIRST_HARMONIC_SECTIONAL_TOL = 1e-6
+
 
 def check(name: str, value: float, threshold: float, op: str = "<=") -> dict:
     value = float(value)
@@ -65,23 +73,23 @@ def _record(index: int, name: str, checks: list[dict], details: dict | None = No
 # -- scenario evaluators shared with the CLI -----------------------------------
 
 
-def geodesic_route_checks(paths: dict, route_tol: float, continuity_tol: float) -> list[dict]:
+def geodesic_route_checks(paths: dict) -> list[dict]:
     """Pairwise sup-norm gaps between the hj, christoffel and displacement
     densities, and the continuity residual of the two ODE routes."""
     rho = {name: np.stack([d.rho for d in p.densities]) for name, p in paths.items()}
     # the residual is defined at the interior times [2:-2] only
     resid = np.max([continuity_residual(paths[name])[2:-2] for name in ("hj", "christoffel")])
     return [
-        check("hj_vs_christoffel_sup", np.abs(rho["hj"] - rho["christoffel"]).max(), route_tol),
-        check("hj_vs_displacement_sup", np.abs(rho["hj"] - rho["displacement"]).max(), route_tol),
+        check("hj_vs_christoffel_sup", np.abs(rho["hj"] - rho["christoffel"]).max(), 1e-4),
+        check("hj_vs_displacement_sup", np.abs(rho["hj"] - rho["displacement"]).max(), 1e-4),
         check("christoffel_vs_displacement_sup",
-              np.abs(rho["christoffel"] - rho["displacement"]).max(), route_tol),
-        check("continuity_residual", resid, continuity_tol),
+              np.abs(rho["christoffel"] - rho["displacement"]).max(), 1e-4),
+        check("continuity_residual", resid, 1e-5),
     ]
 
 
-def transport_checks(path, v0: TangentVector, psi0: ScalarField, drift_tol: float,
-                     self_tol: float) -> tuple[list[TangentVector], list[float], list[dict]]:
+def transport_checks(path, v0: TangentVector,
+                     psi0: ScalarField) -> tuple[list[TangentVector], list[float], list[dict]]:
     """Transport v0 along a geodesic path from psi0: Otto-norm drift of v0, and
     self-parallelism of the path's own velocity.
 
@@ -98,12 +106,12 @@ def transport_checks(path, v0: TangentVector, psi0: ScalarField, drift_tol: floa
         ctx_t = WeightedOperatorContext(path.densities[idx], N)
         vel_t = vector_from_potential(path.potentials[idx], ctx_t)
         self_gaps.append(np.abs(v.coeffs - vel_t.coeffs).max())
-    checks = [check("norm_drift", drift, drift_tol),
-              check("self_parallelism", np.max(self_gaps), self_tol)]
+    checks = [check("norm_drift", drift, 1e-5),
+              check("self_parallelism", np.max(self_gaps), 1e-5)]
     return moved, norms, checks
 
 
-def fd_oracle_check(cases, tol: float) -> tuple[dict, list[tuple[float, float]]]:
+def fd_oracle_check(cases) -> tuple[dict, list[tuple[float, float]]]:
     """Worst relative gap between the finite-difference frame oracle (h = 1e-3)
     and the T-tensor route over (ctx, basis quad) cases.
 
@@ -115,7 +123,7 @@ def fd_oracle_check(cases, tol: float) -> tuple[dict, list[tuple[float, float]]]
         reference = riemann(*fields, ctx)
         values.append((riemann_fd_oracle(*quad, ctx, h=1e-3), reference))
     worst = np.max([abs(fd - reference) / abs(reference) for fd, reference in values])
-    return check("fd_oracle_relative", worst, tol), values
+    return check("fd_oracle_relative", worst, 1e-3), values
 
 
 def _band_limited_pair(rng, ctx: WeightedOperatorContext):
@@ -208,7 +216,7 @@ def criterion_2_bracket(session: ValidationSession) -> dict:
         sign.append(np.abs(lap.coeffs - lap_flip.coeffs).max())
     return _record(2, "bracket_identities", [
         check("antisymmetry", np.max(anti), 1e-9),
-        check("route_agreement", np.max(route), 1e-8),
+        check("route_agreement", np.max(route), BRACKET_ROUTE_TOL),
         check("sign_convention_invariance", np.max(sign), 1e-10),
     ])
 
@@ -259,7 +267,7 @@ def criterion_4_geodesic_routes(session: ValidationSession) -> dict:
     """Pairwise sup-norm agreement of the three geodesic routes and the
     continuity residual of the ODE-based paths."""
     return _record(4, "geodesic_route_agreement",
-                   geodesic_route_checks(session.scenario_paths(), 1e-4, 1e-5))
+                   geodesic_route_checks(session.scenario_paths()))
 
 
 def criterion_5_constant_speed(session: ValidationSession) -> dict:
@@ -333,12 +341,12 @@ def criterion_8_curvature(session: ValidationSession) -> dict:
     ctx4 = WeightedOperatorContext(session.vol, 4)
     ctx4w = WeightedOperatorContext(session.weighted, 4)
     fd_check, _ = fd_oracle_check(
-        ((ctx4, (0, 1, 0, 1)), (ctx4w, (0, 1, 0, 1)), (ctx4w, (0, 2, 1, 3))), 1e-3)
+        ((ctx4, (0, 1, 0, 1)), (ctx4w, (0, 1, 0, 1)), (ctx4w, (0, 2, 1, 3))))
     return _record(8, "curvature", [
-        check("sectional_first_harmonics", sec_err, 1e-6),
+        check("sectional_first_harmonics", sec_err, FIRST_HARMONIC_SECTIONAL_TOL),
         check("tensor_symmetries", np.max(sym_gaps), 1e-8),
         check("first_bianchi", np.max(bianchi_gaps), 1e-8),
-        check("min_sampled_sectional", np.min(secs), -1e-10, op=">="),
+        check("min_sampled_sectional", np.min(secs), SECTIONAL_FLOOR, op=">="),
         fd_check,
     ])
 
@@ -393,8 +401,8 @@ def criterion_10_transport_oracles(session: ValidationSession) -> dict:
         da, db, dc = random_density(), random_density(), random_density()
         slacks.append(session.w2(da, db) + session.w2(db, dc) - session.w2(da, dc))
     return _record(10, "transport_oracle_cross_validation", [
-        check("lp_vs_circle_relative", np.max(rel_gaps), 0.02),
-        check("coupling_marginal_violation", np.max(marginals), 1e-9),
+        check("lp_vs_circle_relative", np.max(rel_gaps), LP_RELATIVE_TOL),
+        check("coupling_marginal_violation", np.max(marginals), MARGINAL_TOL),
         check("triangle_slack", np.min(slacks), -1e-6, op=">="),
     ])
 
@@ -402,8 +410,7 @@ def criterion_10_transport_oracles(session: ValidationSession) -> dict:
 def criterion_11_parallel_transport(session: ValidationSession) -> dict:
     """Norm conservation and self-parallelism along the reference geodesic."""
     v0 = TangentVector(session.rng(11).standard_normal(2 * 16), session.vol)  # scenario N = 16
-    _, _, checks = transport_checks(session.scenario_paths()["hj"], v0,
-                                    session.scenario_psi0, 1e-5, 1e-5)
+    _, _, checks = transport_checks(session.scenario_paths()["hj"], v0, session.scenario_psi0)
     return _record(11, "parallel_transport", checks)
 
 

@@ -50,7 +50,7 @@ def test_nan_route_fails_max_check(session, monkeypatch):
     monkeypatch.setattr(validation, "riemann_fd_oracle",
                         _nan_on_call(validation.riemann_fd_oracle, 1))
     ctx4 = WeightedOperatorContext(session.vol, 4)
-    fd_check, _ = fd_oracle_check([(ctx4, (0, 1, 0, 1)), (ctx4, (0, 1, 0, 1))], 1e-3)
+    fd_check, _ = fd_oracle_check([(ctx4, (0, 1, 0, 1)), (ctx4, (0, 1, 0, 1))])
     assert np.isnan(fd_check["value"])
     assert not fd_check["passed"]
 
@@ -78,7 +78,7 @@ def test_nan_continuity_residual_fails(monkeypatch):
         return out
 
     monkeypatch.setattr(validation, "continuity_residual", residual)
-    checks = {c["name"]: c for c in geodesic_route_checks(paths, 1e-4, 1e-5)}
+    checks = {c["name"]: c for c in geodesic_route_checks(paths)}
     assert checks["hj_vs_christoffel_sup"]["passed"]
     assert np.isnan(checks["continuity_residual"]["value"])
     assert not checks["continuity_residual"]["passed"]

@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, report schema, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,14 @@ import sys
 import numpy as np
 import pytest
 
-from ottocircle import cosine_density, density_to_csv, make_grid
+from ottocircle import (
+    NumericalError,
+    cosine_density,
+    density_to_csv,
+    geodesic_christoffel,
+    make_grid,
+    uniform_density,
+)
 from ottocircle.cli import main
 
 
@@ -75,6 +83,15 @@ def test_usage_errors_exit_two(tmp_path):
     assert run_cli(["metric", "--config", bad_family, "--out", out]) == 2
     typo = write_config(tmp_path, {"density": {"family": "cosine", "amplitud": 0.3}}, "typo.json")
     assert run_cli(["metric", "--config", typo, "--out", out]) == 2
+    # thresholds are fixed: a config cannot loosen one
+    loosened = write_config(tmp_path, {"tolerances": {"geodesic_route_sup": 100}}, "tol.json")
+    assert run_cli(["geodesic", "--config", loosened, "--out", out]) == 2
+    # at n = 256 the modes 200 and 250 alias to 56 and 6
+    aliased = write_config(tmp_path, {"density": {"family": "cosine", "mode": 200}}, "alias_d.json")
+    assert run_cli(["metric", "--config", aliased, "--out", out]) == 2
+    aliased = write_config(tmp_path, {"potential": {"family": "cosine", "amplitude": 0.1,
+                                                    "mode": 250}}, "alias_p.json")
+    assert run_cli(["geodesic", "--config", aliased, "--out", out]) == 2
 
 
 def test_unknown_subcommand_exits_two():
@@ -83,12 +100,23 @@ def test_unknown_subcommand_exits_two():
     assert excinfo.value.code == 2
 
 
-def test_tolerance_breach_exits_one(tmp_path):
-    config = write_config(tmp_path, {"tolerances": {"lp_vs_circle_relative": 1e-9}})
+def test_tolerance_breach_exits_one(tmp_path, monkeypatch):
+    import ottocircle.cli as cli
+
+    real = cli.w2_lp
+
+    def w2_lp(*args, **kwargs):  # an LP value 50% off the exact distance
+        plan = real(*args, **kwargs)
+        return dataclasses.replace(plan, w2=1.5 * plan.w2)
+
+    monkeypatch.setattr(cli, "w2_lp", w2_lp)
     out = tmp_path / "out"
-    assert run_cli(["distance", "--config", config, "--out", str(out)]) == 1
+    assert run_cli(["distance", "--out", str(out)]) == 1
     report = read_report(out, "distance")
     assert report["passed"] is False
+    checks = {c["name"]: c for c in report["checks"]}
+    assert not checks["lp_vs_circle_relative"]["passed"]
+    assert checks["coupling_marginal_violation"]["passed"]
 
 
 def test_caustic_exits_three(tmp_path):
@@ -114,6 +142,21 @@ def test_cholesky_breakdown_exits_three(tmp_path, monkeypatch):
 
     monkeypatch.setattr("ottocircle.geodesics.cho_factor", broken)
     assert run_cli(["geodesic", "--out", str(tmp_path / "out")]) == 3
+
+
+def test_nonpositive_rk4_density_exits_three(tmp_path, monkeypatch, capsys):
+    # a mass-preserving drift that takes rho = 1 + 8.5 t cos x just below zero
+    # at the path time t = 0.125, while the Gram matrix stays positive definite
+    monkeypatch.setattr("ottocircle.geodesics._continuity_rhs",
+                        lambda rho, dpsi, grid: 8.5 * np.cos(grid.nodes))
+    assert run_cli(["geodesic", "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: hj route" in err
+    assert "t = 0.125" in err
+    coeffs = np.zeros(16)
+    coeffs[0] = 0.1
+    with pytest.raises(NumericalError, match=r"christoffel route: .* t = 0\.125"):
+        geodesic_christoffel(uniform_density(make_grid(256)), coeffs, np.linspace(0.0, 1.0, 17))
 
 
 def test_bracket_report_carries_both_routes(tmp_path):
