@@ -113,13 +113,20 @@ def load_config(args) -> dict:
         value = getattr(args, flag)
         if value is not None:
             config[flag] = value
-    if not isinstance(config["n"], int) or not isinstance(config["N"], int):
+    if not _is_int(config["n"]) or not _is_int(config["N"]):
         raise ConfigError("n and N must be integers")
     if config["N"] < 1 or 4 * config["N"] >= config["n"]:
         raise ConfigError("need 1 <= N and 4N < n")
-    if not isinstance(config["seed"], int) or config["seed"] < 0:
+    if not _is_int(config["seed"]) or config["seed"] < 0:
         raise ConfigError("seed must be a nonnegative integer")
+    if not _is_int(config["atoms"]):
+        raise ConfigError("atoms must be an integer")
     return config
+
+
+def _is_int(value) -> bool:
+    """True for a JSON integer; bool subclasses int but is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def config_sha256(config: dict) -> str:
@@ -186,9 +193,11 @@ def build_potential(spec: dict, grid: GridSpec) -> ScalarField:
 def time_grid(config: dict) -> np.ndarray:
     times = config["times"]
     t_max = float(times.get("t_max", 1.0))
-    count = int(times.get("count", 17))
-    if t_max <= 0.0 or count < 2:
-        raise ConfigError("times need t_max > 0 and count >= 2")
+    count = times.get("count", 17)
+    if not np.isfinite(t_max) or t_max <= 0.0:
+        raise ConfigError(f"times.t_max must be finite and > 0, got {t_max!r}")
+    if not _is_int(count) or count < 2:
+        raise ConfigError("times.count must be an integer >= 2")
     return np.linspace(0.0, t_max, count)
 
 
@@ -382,7 +391,7 @@ def run_distance(config: dict, out_dir: str) -> dict:
     grid = GridSpec(config["n"])
     mu = build_density(config["density"], grid)
     nu = build_density(config["density_b"], grid)
-    m = int(config["atoms"])
+    m = config["atoms"]
     if not 2 <= m <= 256:
         raise ConfigError("atoms must lie in [2, 256]")
     solver = CircleDistanceSolver()

@@ -70,7 +70,7 @@ def test_config_hash_tracks_flags(tmp_path):
         != read_report(out_b, "metric")["config_sha256"]
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert run_cli(["metric", "--config", str(tmp_path / "missing.json"), "--out", out]) == 2
     bad_json = tmp_path / "bad.json"
@@ -92,6 +92,18 @@ def test_usage_errors_exit_two(tmp_path):
     aliased = write_config(tmp_path, {"potential": {"family": "cosine", "amplitude": 0.1,
                                                     "mode": 250}}, "alias_p.json")
     assert run_cli(["geodesic", "--config", aliased, "--out", out]) == 2
+    # integer fields take JSON integers only: no truncated float, no bool
+    for name, payload, sub in (("atoms", {"atoms": 64.9}, "distance"),
+                               ("count", {"times": {"count": 17.9}}, "geodesic"),
+                               ("seed", {"seed": True}, "metric")):
+        path = write_config(tmp_path, payload, f"int_{name}.json")
+        assert run_cli([sub, "--config", path, "--out", out]) == 2, name
+    # json writes these as the NaN and Infinity literals, which it also reads
+    capsys.readouterr()
+    for t_max in (float("nan"), float("inf")):
+        path = write_config(tmp_path, {"times": {"t_max": t_max}}, "t_max.json")
+        assert run_cli(["geodesic", "--config", path, "--out", out]) == 2, t_max
+        assert "t_max must be finite and > 0" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_two():

@@ -20,7 +20,7 @@ from ottocircle import (
     w2_circle_exact,
     w2_lp,
 )
-from ottocircle.ot_oracle import _QuantileTable, _SpectralCDF
+from ottocircle.ot_oracle import QUANTILE_MIDPOINTS, _QuantileTable, _SpectralCDF
 
 GRID = make_grid(256)
 VOL = uniform_density(GRID)
@@ -141,14 +141,53 @@ def test_table_off_grid_matches_direct_quantile(name):
     elif name == "cosine_mode2":
         mu = cosine_density(GRID, 0.45, mode=2)
     else:
-        psi = ScalarField(GRID, 0.1 * np.cos(GRID.nodes))
-        mu = flow_constant_field(psi, cosine_density(GRID, 0.3), 3.0)
+        mu = _flow_density()
     table = CircleDistanceSolver().table(mu)
     # off-grid points across three turns, none on a midpoint or a turn boundary
     u = np.linspace(-1.0, 2.0, 401) + 1e-4 * np.pi
     turns = np.floor(u)
     direct = _SpectralCDF(mu).quantile(u - turns) + 2.0 * np.pi * turns
     np.testing.assert_allclose(table.unrolled(u), direct, rtol=0.0, atol=1e-10)
+
+
+def _flow_density():
+    # the t = 3 density of criterion 7's flow path: 1 + 0.3 cos x pushed
+    # along grad(0.1 cos x), which keeps all 128 modes at n = 256
+    psi = ScalarField(GRID, 0.1 * np.cos(GRID.nodes))
+    return flow_constant_field(psi, cosine_density(GRID, 0.3), 3.0)
+
+
+def test_quantile_evaluates_only_unconverged_points(monkeypatch):
+    cdf = _SpectralCDF(_flow_density())
+    assert cdf.k.size == 128
+    real = _SpectralCDF._cdf_pdf
+    points = []
+
+    def counting(self, x):
+        points.append(x.size)
+        return real(self, x)
+
+    monkeypatch.setattr(_SpectralCDF, "_cdf_pdf", counting)
+    m = QUANTILE_MIDPOINTS
+    cdf.quantile((np.arange(m) + 0.5) / m)
+    # the seeded start needs one Newton step; converged points are frozen
+    assert sum(points) <= 3 * m
+
+
+def test_quantile_meets_the_stopping_rule_at_every_midpoint():
+    cdf = _SpectralCDF(_flow_density())
+    m = QUANTILE_MIDPOINTS
+    s = (np.arange(m) + 0.5) / m
+    assert np.abs(cdf.cdf(cdf.quantile(s)) - s).max() < 1e-14
+
+
+@pytest.mark.parametrize("name", ["uniform", "cosine", "flow_pushforward"])
+def test_quantile_pins_the_exact_endpoints(name):
+    mu = {"uniform": VOL, "cosine": cosine_density(GRID, 0.3),
+          "flow_pushforward": _flow_density()}[name]
+    q = _SpectralCDF(mu).quantile(np.array([0.0, 1.0]))
+    assert q[0] == 0.0
+    assert q[1] == 2.0 * np.pi
 
 
 def test_quantile_non_convergence_names_index_and_residual(monkeypatch):
