@@ -51,7 +51,6 @@ from .operators import (
     project_exact,
 )
 from .tangent import (
-    GramMatrix,
     TangentVector,
     flow_constant_field,
     flow_map,

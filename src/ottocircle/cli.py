@@ -129,6 +129,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number (integer or float), never a bool or a string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(spec: dict, key: str, default: float, what: str) -> float:
+    value = spec.get(key, default)
+    if not _is_number(value):
+        raise ConfigError(f"{what}.{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def config_sha256(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -143,7 +155,9 @@ def _known_keys(spec: dict, allowed: set[str], what: str) -> None:
 def _mode(spec: dict, grid: GridSpec, what: str) -> int:
     """The spec's mode, which must be resolved by the grid (an aliased mode
     would silently stand for a lower one)."""
-    k = int(spec.get("mode", 1))
+    k = spec.get("mode", 1)
+    if not _is_int(k):
+        raise ConfigError(f"{what} mode must be an integer, got {k!r}")
     if not 1 <= k <= grid.n // 2 - 1:
         raise AliasingError(f"{what} mode {k} outside resolved range "
                             f"[1, {grid.n // 2 - 1}] for n={grid.n}")
@@ -159,9 +173,9 @@ def build_density(spec: dict, grid: GridSpec) -> Density:
         return uniform_density(grid)
     if family == "cosine":
         _known_keys(spec, {"family", "amplitude", "mode", "phase"}, "density")
-        return cosine_density(grid, float(spec.get("amplitude", 0.3)),
+        return cosine_density(grid, _number(spec, "amplitude", 0.3, "density"),
                               mode=_mode(spec, grid, "density"),
-                              phase=float(spec.get("phase", 0.0)))
+                              phase=_number(spec, "phase", 0.0, "density"))
     if family == "custom":
         _known_keys(spec, {"family", "path"}, "density")
         if "path" not in spec:
@@ -176,23 +190,25 @@ def build_potential(spec: dict, grid: GridSpec) -> ScalarField:
     family = spec["family"]
     if family in ("cosine", "sine"):
         _known_keys(spec, {"family", "amplitude", "mode", "phase"}, "potential")
-        a = float(spec.get("amplitude", 0.1))
+        a = _number(spec, "amplitude", 0.1, "potential")
         k = _mode(spec, grid, "potential")
-        phase = float(spec.get("phase", 0.0))
+        phase = _number(spec, "phase", 0.0, "potential")
         fn = np.cos if family == "cosine" else np.sin
         return ScalarField(grid, a * fn(k * (grid.nodes - phase)))
     if family == "coefficients":
         _known_keys(spec, {"family", "values"}, "potential")
-        values = np.asarray(spec.get("values", []), dtype=np.float64)
-        if values.ndim != 1 or values.size == 0 or values.size % 2:
+        values = spec.get("values", [])
+        if not isinstance(values, list) or not values or len(values) % 2:
             raise ConfigError("coefficient potential needs an even-length list")
-        return field_from_coeffs(grid, values)
+        if not all(_is_number(v) for v in values):
+            raise ConfigError("coefficient potential values must all be numbers")
+        return field_from_coeffs(grid, np.asarray(values, dtype=np.float64))
     raise ConfigError(f"unknown potential family {family!r}")
 
 
 def time_grid(config: dict) -> np.ndarray:
     times = config["times"]
-    t_max = float(times.get("t_max", 1.0))
+    t_max = _number(times, "t_max", 1.0, "times")
     count = times.get("count", 17)
     if not np.isfinite(t_max) or t_max <= 0.0:
         raise ConfigError(f"times.t_max must be finite and > 0, got {t_max!r}")
@@ -240,13 +256,11 @@ def write_csv(out_dir: str, name: str, header: list[str], rows) -> None:
 def run_metric(config: dict, out_dir: str) -> dict:
     grid = GridSpec(config["n"])
     mu = build_density(config["density"], grid)
-    gram = metric_gram(mu, config["N"])
+    gram = metric_gram(mu, config["N"]).gram
     write_csv(out_dir, "gram.csv", ["i", "j", "value"],
-              ((i, j, gram.matrix[i, j])
-               for i in range(gram.matrix.shape[0])
-               for j in range(gram.matrix.shape[1])))
-    sym = float(np.abs(gram.matrix - gram.matrix.T).max())
-    eigs = np.linalg.eigvalsh(gram.matrix)
+              ((i, j, gram[i, j]) for i in range(gram.shape[0]) for j in range(gram.shape[1])))
+    sym = float(np.abs(gram - gram.T).max())
+    eigs = np.linalg.eigvalsh(gram)
     results = {
         "min_eigenvalue": float(eigs[0]),
         "max_eigenvalue": float(eigs[-1]),
@@ -355,8 +369,8 @@ def run_curvature(config: dict, out_dir: str) -> dict:
         c2 = np.zeros(2 * N)
         c1[: 2 * half] = rng.standard_normal(2 * half)
         c2[: 2 * half] = rng.standard_normal(2 * half)
-        samples.append(sectional(ScalarField(grid, c1 @ ctx.basis0),
-                                 ScalarField(grid, c2 @ ctx.basis0), ctx))
+        samples.append(sectional(ScalarField(grid, ctx.potential_values(c1)),
+                                 ScalarField(grid, ctx.potential_values(c2)), ctx))
     min_sec = np.min(samples)
     write_csv(out_dir, "sectional_samples.csv", ["sample", "value"],
               ((i, v) for i, v in enumerate(samples)))

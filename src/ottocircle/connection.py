@@ -29,18 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import cho_factor, cho_solve
 
 from .density import Density
 from .errors import DomainError
-from .grid import ScalarField, basis_matrix, check_same_grid, deriv, rk4_step
-from .operators import (
-    WeightedOperatorContext,
-    assemble_gram,
-    div_mu,
-    green_mu_coeffs,
-    laplace_mu,
-)
+from .grid import ScalarField, check_same_grid, deriv, rk4
+from .operators import WeightedOperatorContext, div_mu, green_mu_coeffs, laplace_mu
 from .tangent import TangentVector, as_potential
 
 
@@ -117,15 +110,9 @@ class ChristoffelTensor:
         return float(np.abs(self.gamma - self.gamma.transpose(0, 2, 1)).max())
 
 
-def _triple_products(ctx: WeightedOperatorContext) -> np.ndarray:
-    """c[i, j, l] = int phi_i' phi_j'' phi_l' dmu over the 2N basis."""
-    weights = ctx.mu.rho / ctx.grid.n
-    return np.einsum("ix,jx,lx,x->ijl", ctx.basis1, ctx.basis2, ctx.basis1, weights, optimize=True)
-
-
 def christoffel(ctx: WeightedOperatorContext) -> ChristoffelTensor:
     """Assemble Gamma^k_ij from Gram * Gamma^._ij = int phi_i' phi_j'' phi_l' dmu."""
-    c = _triple_products(ctx)
+    c = ctx.triple_products()
     d = 2 * ctx.N
     # Solve over the last axis for every (i, j) pair.
     gamma = ctx.gram_solve(c.reshape(d * d, d).T).reshape(d, d, d)
@@ -135,7 +122,7 @@ def christoffel(ctx: WeightedOperatorContext) -> ChristoffelTensor:
 def christoffel_residual(tensor: ChristoffelTensor, ctx: WeightedOperatorContext) -> float:
     """Max |Gram * Gamma^._ij - c_ij.| over all (i, j): solver self-consistency."""
     recon = np.einsum("lk,kij->ijl", ctx.gram, tensor.gamma)
-    return float(np.abs(recon - _triple_products(ctx)).max())
+    return float(np.abs(recon - ctx.triple_products()).max())
 
 
 def parallel_transport(v0: TangentVector, path, substeps: int = 4) -> list[TangentVector]:
@@ -144,35 +131,26 @@ def parallel_transport(v0: TangentVector, path, substeps: int = 4) -> list[Tange
     Integrates d(eta)/dt = -Gram(mu_t)^{-1} b(t), b_l = int psi_t' eta''
     phi_l' dmu_t (the coefficient form of nabla_{V_psi} V_eta = 0), with RK4
     whose stage data comes from cubic-in-time interpolation of the stored
-    densities and potentials.  A geodesic's own velocity solves the same
-    equation as its Christoffel ODE, so it is self-parallel.
+    densities and potentials.  Each stage is one projection at the
+    interpolated density through the context built at the path's first
+    density (operators.project_at).  A geodesic's own velocity solves the
+    same equation as its Christoffel ODE, so it is self-parallel.
     """
     times = np.asarray(path.times, dtype=np.float64)
     if times.size < 2:
         raise DomainError("path must have at least two times for transport")
-    grid = path.grid
-    N = v0.N
     if not np.array_equal(v0.base.rho, path.densities[0].rho):
         raise DomainError("v0 must be based at the path's initial density")
-    b1 = basis_matrix(grid, N, order=1)
-    b2 = basis_matrix(grid, N, order=2)
+    ctx = WeightedOperatorContext(path.densities[0], v0.N)
     rho_spline = CubicSpline(times, np.stack([d.rho for d in path.densities]), axis=0)
     dpsi_spline = CubicSpline(times, np.stack([deriv(p).values for p in path.potentials]), axis=0)
 
     def rhs(t, eta):
-        rho = rho_spline(t)
-        dpsi = dpsi_spline(t)
-        gram = assemble_gram(b1, rho)
-        b = b1 @ (dpsi * (eta @ b2) * rho) / grid.n
-        return -cho_solve(cho_factor(gram), b)
+        return -ctx.project_at(rho_spline(t), dpsi_spline(t) * ctx.potential_values(eta, 2))
 
     eta = v0.coeffs.copy()
     out = [TangentVector(eta, path.densities[0])]
     for idx in range(times.size - 1):
-        h = (times[idx + 1] - times[idx]) / substeps
-        t = times[idx]
-        for _ in range(substeps):
-            eta = rk4_step(rhs, t, eta, h)
-            t += h
+        eta = rk4(rhs, times[idx], times[idx + 1], eta, substeps)
         out.append(TangentVector(eta, path.densities[idx + 1]))
     return out

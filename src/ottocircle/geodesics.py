@@ -14,8 +14,9 @@ as long as the characteristics x0 + t*psi0'(x0) do not cross (equivalently
     equation with spectral space derivatives.
   * geodesic_christoffel: basis-coefficient ODE d(Psi_k)/dt = -Gram^{-1}_k
     [int psi' psi'' phi_l' dmu_t], the Galerkin contraction of the
-    Christoffel symbols recomputed at every stage, with rho co-evolved by the
-    same continuity stepper.
+    Christoffel symbols at the moving density, with rho co-evolved by the
+    same continuity stepper.  Each RK4 stage is one projection at rho_t
+    through the operator context built at mu0 (operators.project_at).
   * displacement_interpolation: pushforward of mu0 by the displacement
     t * psi0' through the exact Jacobian formula.
 
@@ -28,21 +29,11 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .density import Density, make_density, pushforward_monotone
 from .errors import CausticError, ConfigError, DomainError, NumericalError
-from .grid import (
-    TWO_PI,
-    GridSpec,
-    ScalarField,
-    basis_matrix,
-    check_same_grid,
-    deriv,
-    eval_trig,
-    rk4_step,
-)
-from .operators import assemble_gram
+from .grid import TWO_PI, GridSpec, ScalarField, check_same_grid, deriv, eval_trig, rk4
+from .operators import WeightedOperatorContext
 from .tangent import TangentVector
 
 
@@ -159,12 +150,8 @@ def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int 
     densities = [mu0]
     potentials = [_demeaned(psi0.values, mu0.rho, grid)]
     for idx in range(times.size - 1):
-        h = (times[idx + 1] - times[idx]) / steps_per_interval
-        t = times[idx]
-        for _ in range(steps_per_interval):
-            rho = rk4_step(rhs, t, rho, h)
-            t += h
         t_out = times[idx + 1]
+        rho = rk4(rhs, times[idx], t_out, rho, steps_per_interval)
         mu_t = _stepped_density(rho, grid, t_out, "hj")
         rho = mu_t.rho.copy()
         feet = feet_at(t_out)
@@ -183,7 +170,8 @@ def geodesic_christoffel(mu0: Density, psi0_coeffs, times, N: int | None = None,
     psi0_coeffs may be a coefficient array or a TangentVector at mu0.  The
     per-stage right-hand side Gram^{-1} [int psi' psi'' phi_l' dmu] is the
     contraction Gamma^k_ij Psi_i Psi_j with the Christoffel symbols of the
-    current density, evaluated without materializing the full tensor.
+    current density, evaluated without materializing the full tensor: one
+    projection of psi' psi'' dx at rho_t through the context built at mu0.
     """
     if isinstance(psi0_coeffs, TangentVector):
         psi0_coeffs = psi0_coeffs.coeffs
@@ -196,32 +184,24 @@ def geodesic_christoffel(mu0: Density, psi0_coeffs, times, N: int | None = None,
     if times[0] != 0.0:
         raise ConfigError("geodesic time grids start at t = 0")
     grid = mu0.grid
-    b0 = basis_matrix(grid, N, order=0)
-    b1 = basis_matrix(grid, N, order=1)
-    b2 = basis_matrix(grid, N, order=2)
+    ctx = WeightedOperatorContext(mu0, N)
 
     def rhs(_t, state):  # autonomous: the stage time is unused
         psi_c = state[: 2 * N]
         rho = state[2 * N :]
-        dpsi = psi_c @ b1
-        ddpsi = psi_c @ b2
-        gram = assemble_gram(b1, rho)
-        moment = b1 @ (dpsi * ddpsi * rho) / grid.n
-        dcoeffs = -cho_solve(cho_factor(gram), moment)
-        drho = _continuity_rhs(rho, dpsi, grid)
-        return np.concatenate([dcoeffs, drho])
+        dpsi = ctx.potential_values(psi_c, 1)
+        dcoeffs = -ctx.project_at(rho, dpsi * ctx.potential_values(psi_c, 2))
+        return np.concatenate([dcoeffs, _continuity_rhs(rho, dpsi, grid)])
 
     state = np.concatenate([coeffs, mu0.rho])
     densities = [mu0]
-    potentials = [_demeaned(coeffs @ b0, mu0.rho, grid)]
+    potentials = [_demeaned(ctx.potential_values(coeffs), mu0.rho, grid)]
     for idx in range(times.size - 1):
-        h = (times[idx + 1] - times[idx]) / steps_per_interval
-        for _ in range(steps_per_interval):
-            state = rk4_step(rhs, 0.0, state, h)
+        state = rk4(rhs, times[idx], times[idx + 1], state, steps_per_interval)
         mu_t = _stepped_density(state[2 * N :], grid, times[idx + 1], "christoffel")
         state[2 * N :] = mu_t.rho
         densities.append(mu_t)
-        potentials.append(_demeaned(state[: 2 * N] @ b0, mu_t.rho, grid))
+        potentials.append(_demeaned(ctx.potential_values(state[: 2 * N]), mu_t.rho, grid))
     return GeodesicPath(grid, times, densities, potentials, route="christoffel")
 
 

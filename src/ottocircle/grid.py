@@ -182,13 +182,20 @@ def eval_trig(f: ScalarField, points: np.ndarray, order: int = 0) -> np.ndarray:
     return out
 
 
-def rk4_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical Runge-Kutta step of dy/dt = f(t, y) from (t, y) with step h."""
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4(f, t0: float, t1: float, y: np.ndarray, steps: int) -> np.ndarray:
+    """Classical RK4 for dy/dt = f(t, y) from (t0, y) to t1 in `steps` steps.
+    The step start accumulates as t += h, so the stage times t, t + h/2, t + h
+    repeat bitwise from one step to the next (callers may cache on them)."""
+    h = (t1 - t0) / steps
+    t = t0
+    for _ in range(steps):
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+    return y
 
 
 def field_from_coeffs(grid: GridSpec, coeffs: np.ndarray, order: int = 0) -> ScalarField:

@@ -8,15 +8,21 @@ semidefinite:
 
 The Green operator inverts L_mu on mean-zero data by a Galerkin solve in the
 2N-mode trig span (constants excluded); the same Gram system drives the
-L^2(mu) projection of one-forms onto exact forms d(theta).  The context
-precomputes the basis value/derivative matrices and the Cholesky factor of
-the Gram matrix; it is treated as immutable after construction.
+L^2(mu) projection of one-forms onto exact forms d(theta).
+
+WeightedOperatorContext owns every quadrature of basis tables against a
+density: Gram matrices and their Cholesky factors, weighted moments, triple
+products, and the projection at a moving density that the geodesic and
+transport ODEs solve at every RK4 stage.  It is fixed at construction, except
+that its Gram matrix is factored on the first solve (a metric-only context
+never factors).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -39,7 +45,6 @@ class WeightedOperatorContext:
     basis1: np.ndarray = field(init=False, repr=False)
     basis2: np.ndarray = field(init=False, repr=False)
     gram: np.ndarray = field(init=False, repr=False)
-    _cho: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.N < 1:
@@ -50,11 +55,14 @@ class WeightedOperatorContext:
         self.basis2 = basis_matrix(grid, self.N, order=2)
         self.gram = assemble_gram(self.basis1, self.mu.rho)
         check_gram(self.gram)
-        self._cho = cho_factor(self.gram)
 
     @property
     def grid(self):
         return self.mu.grid
+
+    @cached_property
+    def _cho(self) -> tuple:
+        return cho_factor(self.gram)
 
     def gram_solve(self, rhs: np.ndarray) -> np.ndarray:
         return cho_solve(self._cho, rhs)
@@ -69,6 +77,19 @@ class WeightedOperatorContext:
         w dx in L^2(mu), and the pointwise residual values."""
         coeffs = self.gram_solve(self.weighted_moment(w_values, 1))
         return coeffs, w_values - coeffs @ self.basis1
+
+    def project_at(self, rho: np.ndarray, w_values: np.ndarray) -> np.ndarray:
+        """Gram(rho)^{-1} [int w phi_l' rho dvol]: the coefficients of
+        project_gradient_coeffs at the density rho instead of mu.  The Gram
+        matrix at rho is factored afresh; a breakdown raises LinAlgError."""
+        gram = assemble_gram(self.basis1, rho)
+        return cho_solve(cho_factor(gram), self.basis1 @ (w_values * rho) / self.grid.n)
+
+    def triple_products(self) -> np.ndarray:
+        """c[i, j, l] = int phi_i' phi_j'' phi_l' dmu over the 2N basis."""
+        weights = self.mu.rho / self.grid.n
+        return np.einsum("ix,jx,lx,x->ijl", self.basis1, self.basis2, self.basis1, weights,
+                         optimize=True)
 
     def potential_values(self, coeffs: np.ndarray, order: int = 0) -> np.ndarray:
         table = (self.basis0, self.basis1, self.basis2)[order]

@@ -292,18 +292,10 @@ def transport_lp(locations_a, weights_a, locations_b, weights_b) -> TransportPla
 
     # row marginals then column marginals; the last column constraint is
     # implied by the rest and dropped to keep the system full rank
-    rows = []
-    cols = []
-    for i in range(na):
-        rows.append(np.full(nb, i))
-        cols.append(i * nb + np.arange(nb))
-    for j in range(nb - 1):
-        rows.append(np.full(na, na + j))
-        cols.append(j + nb * np.arange(na))
-    a_eq = coo_matrix(
-        (np.ones(na * nb + na * (nb - 1)), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(na + nb - 1, na * nb),
-    )
+    col_j = np.repeat(np.arange(nb - 1), na)
+    rows = np.concatenate([np.repeat(np.arange(na), nb), na + col_j])
+    cols = np.concatenate([np.arange(na * nb), col_j + np.tile(nb * np.arange(na), nb - 1)])
+    a_eq = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(na + nb - 1, na * nb))
     b_eq = np.concatenate([wa, wb[:-1]])
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None),
                   method="highs")
@@ -353,9 +345,6 @@ def plan_to_csv(plan: TransportPlan, file_path) -> None:
         writer = csv.writer(handle)
         writer.writerow(["source_index", "target_index", "source_location",
                          "target_location", "mass"])
-        for i in range(plan.coupling.shape[0]):
-            for j in range(plan.coupling.shape[1]):
-                mass = plan.coupling[i, j]
-                if mass > 1e-15:
-                    writer.writerow([i, j, repr(float(plan.locations_a[i])),
-                                     repr(float(plan.locations_b[j])), repr(float(mass))])
+        for i, j in zip(*np.nonzero(plan.coupling > 1e-15)):
+            writer.writerow([i, j, repr(float(plan.locations_a[i])),
+                             repr(float(plan.locations_b[j])), repr(float(plan.coupling[i, j]))])

@@ -3,7 +3,8 @@
 A tangent vector at mu is V_psi = -div(mu * grad(psi)) identified with its
 potential psi, here truncated to coefficients in the 2N-mode trig basis.  The
 Otto inner product is <V_phi, V_psi>_mu = int phi' psi' dmu, whose basis Gram
-matrix at the uniform density is diag(1, 1, 4, 4, ..., N^2, N^2).
+matrix at the uniform density is diag(1, 1, 4, 4, ..., N^2, N^2).  The Gram
+matrix is the one of the operator context at the base density (ctx.gram).
 """
 
 from __future__ import annotations
@@ -14,31 +15,13 @@ import numpy as np
 
 from .density import Density, pushforward_monotone
 from .errors import DomainError, StiffnessError
-from .grid import ScalarField, basis_matrix, check_same_grid, deriv, eval_trig, rk4_step
-from .operators import WeightedOperatorContext, assemble_gram, check_gram
+from .grid import ScalarField, check_same_grid, deriv, eval_trig, rk4
+from .operators import WeightedOperatorContext
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Otto-metric Gram matrix of the 2N-mode basis at a base density."""
-
-    matrix: np.ndarray
-    base: Density
-    N: int
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.shape != (2 * self.N, 2 * self.N):
-            raise DomainError(f"Gram matrix shape {m.shape} does not match N={self.N}")
-        check_gram(m)
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-
-def metric_gram(mu: Density, N: int) -> GramMatrix:
-    basis1 = basis_matrix(mu.grid, N, order=1)
-    return GramMatrix(assemble_gram(basis1, mu.rho), mu, N)
+def metric_gram(mu: Density, N: int) -> WeightedOperatorContext:
+    """The operator context at mu, whose .gram is the Otto-metric Gram matrix."""
+    return WeightedOperatorContext(mu, N)
 
 
 @dataclass(frozen=True)
@@ -82,16 +65,16 @@ def _check_same_base(v1: TangentVector, v2: TangentVector) -> None:
         raise DomainError(f"truncation mismatch: N={v1.N} vs N={v2.N}")
 
 
-def otto_inner(v1: TangentVector, v2: TangentVector, gram: GramMatrix) -> float:
-    """<V_1, V_2>_mu through the cached Gram matrix."""
+def otto_inner(v1: TangentVector, v2: TangentVector, ctx: WeightedOperatorContext) -> float:
+    """<V_1, V_2>_mu through the context's cached Gram matrix."""
     _check_same_base(v1, v2)
-    if gram.N != v1.N or not np.array_equal(gram.base.rho, v1.base.rho):
+    if ctx.N != v1.N or not np.array_equal(ctx.mu.rho, v1.base.rho):
         raise DomainError("Gram matrix does not belong to the vectors' base density")
-    return float(v1.coeffs @ gram.matrix @ v2.coeffs)
+    return float(v1.coeffs @ ctx.gram @ v2.coeffs)
 
 
-def otto_norm(v: TangentVector, gram: GramMatrix) -> float:
-    return float(np.sqrt(max(0.0, otto_inner(v, v, gram))))
+def otto_norm(v: TangentVector, ctx: WeightedOperatorContext) -> float:
+    return float(np.sqrt(max(0.0, otto_inner(v, v, ctx))))
 
 
 def vector_from_potential(psi: ScalarField, ctx: WeightedOperatorContext) -> TangentVector:
@@ -107,10 +90,8 @@ def flow_map(psi: ScalarField, t: float, steps: int | None = None) -> np.ndarray
     x = psi.grid.nodes.copy()
     if t == 0.0 or np.allclose(deriv(psi).values, 0.0):
         return x
-    h = t / steps
-    for _ in range(steps):
-        # autonomous: the stage time is unused
-        x = rk4_step(lambda _t, y: eval_trig(psi, y, order=1), 0.0, x, h)
+    # autonomous: the stage time is unused
+    x = rk4(lambda _t, y: eval_trig(psi, y, order=1), 0.0, t, x, steps)
     if not np.all(np.isfinite(x)):
         raise StiffnessError("flow integration produced non-finite node positions")
     return x

@@ -98,6 +98,18 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                                ("seed", {"seed": True}, "metric")):
         path = write_config(tmp_path, payload, f"int_{name}.json")
         assert run_cli([sub, "--config", path, "--out", out]) == 2, name
+    # number fields take JSON numbers only: no string, no bool; modes take
+    # JSON integers only (1.9 and true would both run as mode 1)
+    for name, payload, sub in (
+            ("mode_float", {"density": {"family": "cosine", "mode": 1.9}}, "metric"),
+            ("mode_bool", {"potential": {"family": "sine", "mode": True}}, "geodesic"),
+            ("amplitude", {"density": {"family": "cosine", "amplitude": "0.3"}}, "metric"),
+            ("t_max", {"times": {"t_max": True}}, "geodesic"),
+            ("phase", {"potential": {"family": "cosine", "phase": False}}, "bracket"),
+            ("values", {"potential": {"family": "coefficients", "values": [0.1, "0"]}},
+             "bracket")):
+        path = write_config(tmp_path, payload, f"num_{name}.json")
+        assert run_cli([sub, "--config", path, "--out", out]) == 2, name
     # json writes these as the NaN and Infinity literals, which it also reads
     capsys.readouterr()
     for t_max in (float("nan"), float("inf")):
@@ -148,12 +160,27 @@ def test_unconverged_characteristics_exit_three(tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
-def test_cholesky_breakdown_exits_three(tmp_path, monkeypatch):
+def test_cholesky_breakdown_exits_three(tmp_path, monkeypatch, capsys):
+    # break only the factorizations of the RK4 stage solves; every context's
+    # own factorization at its base density still succeeds
+    import ottocircle.operators as operators
+
+    real = operators.cho_factor
+    stage_calls = []
+
     def broken(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name != "project_at":
+            return real(*args, **kwargs)
+        stage_calls.append(1)
         raise np.linalg.LinAlgError("not positive definite")
 
-    monkeypatch.setattr("ottocircle.geodesics.cho_factor", broken)
-    assert run_cli(["geodesic", "--out", str(tmp_path / "out")]) == 3
+    monkeypatch.setattr(operators, "cho_factor", broken)
+    for sub in ("geodesic", "transport"):
+        capsys.readouterr()
+        stage_calls.clear()
+        assert run_cli([sub, "--out", str(tmp_path / "out")]) == 3, sub
+        assert stage_calls == [1], sub
+        assert "numerical failure: not positive definite" in capsys.readouterr().err
 
 
 def test_nonpositive_rk4_density_exits_three(tmp_path, monkeypatch, capsys):

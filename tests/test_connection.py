@@ -122,6 +122,17 @@ def test_covariant_derivative_weak_form(ctx_weighted):
     assert otto_inner(nabla, v3, gram) == pytest.approx(direct, abs=1e-12)
 
 
+def test_stage_projection_is_the_covariant_derivative(ctx_weighted):
+    # the geodesic and transport ODE right-hand side at the base density is
+    # minus the covariant derivative nabla_{V_psi} V_eta
+    rng = np.random.default_rng(61)
+    psi, eta = band_limited_pair(rng, ctx_weighted)
+    w = deriv(psi).values * deriv(eta, 2).values
+    np.testing.assert_allclose(-ctx_weighted.project_at(ctx_weighted.mu.rho, w),
+                               -covariant_derivative(psi, eta, ctx_weighted).coeffs,
+                               rtol=0.0, atol=1e-13)
+
+
 def test_half_sum_identity(ctx_weighted):
     # nabla_{V1} V2 = (1/2) V_{phi1' phi2'} + (1/2) [V1, V2]
     rng = np.random.default_rng(59)

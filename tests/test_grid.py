@@ -18,7 +18,7 @@ from ottocircle import (
     make_grid,
     trig_coefficients,
 )
-from ottocircle.grid import check_same_grid
+from ottocircle.grid import check_same_grid, rk4
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +119,27 @@ def test_field_from_coeffs_matches_basis(grid):
     f = field_from_coeffs(grid, coeffs)
     expected = basis(grid, 1, "cos").values - 2.0 * basis(grid, 2, "sin").values
     np.testing.assert_allclose(f.values, expected, atol=1e-15)
+
+
+def test_rk4_is_fourth_order():
+    # dy/dt = y from y(0) = 1: halving the step cuts the error at t = 1 by ~16x
+    errors = [abs(rk4(lambda _t, y: y, 0.0, 1.0, np.ones(1), steps)[0] - np.e)
+              for steps in (8, 16)]
+    assert errors[0] / errors[1] >= 15.0
+
+
+def test_rk4_stage_times_accumulate():
+    # stage times are t, t + h/2 and t + h with t advanced by t += h, so the
+    # end of one step keys the same cache entry as the start of the next
+    seen = []
+    rk4(lambda t, y: seen.append(t) or y, 0.3, 1.0, np.ones(1), 3)
+    h = (1.0 - 0.3) / 3
+    expected, t = [], 0.3
+    for _ in range(3):
+        expected += [t, t + 0.5 * h, t + 0.5 * h, t + h]
+        t += h
+    assert seen == expected
+    assert seen[3] == seen[4] and seen[7] == seen[8]
 
 
 def test_grid_mismatch_checks(grid):

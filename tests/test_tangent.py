@@ -45,9 +45,9 @@ def unit_vector(index, base=VOL):
 
 
 def test_gram_diagonal_at_uniform():
-    gram = metric_gram(VOL, N_MODES)
+    ctx = metric_gram(VOL, N_MODES)
     expected = np.diag(np.repeat(np.arange(1, N_MODES + 1), 2) ** 2).astype(float)
-    np.testing.assert_allclose(gram.matrix, expected, atol=1e-13)
+    np.testing.assert_allclose(ctx.gram, expected, atol=1e-13)
 
 
 def test_otto_inner_frozen_values():
