@@ -24,13 +24,11 @@ from .grid import (
     GridSpec,
     OneForm,
     ScalarField,
-    basis,
     basis_matrix,
     deriv,
     eval_trig,
     field_from_coeffs,
     integrate,
-    make_grid,
     trig_coefficients,
 )
 from .density import (
@@ -72,7 +70,6 @@ from .geodesics import (
     action,
     constant_speed_report,
     continuity_residual,
-    displacement_interpolation,
     displacement_path,
     first_caustic_time,
     flow_path,
@@ -95,7 +92,6 @@ from .ot_oracle import (
     circular_distance,
     density_atoms,
     transport_lp,
-    w2_circle_exact,
     w2_lp,
 )
 from .validation import ValidationSession, format_record, run_all

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, basis, field_from_coeffs
+from .grid import GridSpec, ScalarField, field_from_coeffs
 from .density import (
     Density,
     cosine_density,
@@ -103,7 +103,7 @@ def load_config(args) -> dict:
     if args.config is not None:
         try:
             with open(args.config) as handle:
-                user = json.load(handle)
+                user = json.load(handle, parse_float=_finite, parse_constant=_finite)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
@@ -124,6 +124,15 @@ def load_config(args) -> dict:
     return config
 
 
+def _finite(text: str) -> float:
+    """A JSON number that is finite: rejects the NaN and Infinity literals that
+    json reads by default, and a float such as 1e400 that overflows."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ConfigError(f"config holds the non-finite number {text}")
+    return value
+
+
 def _is_int(value) -> bool:
     """True for a JSON integer; bool subclasses int but is not one."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -136,8 +145,9 @@ def _is_number(value) -> bool:
 
 def _number(spec: dict, key: str, default: float, what: str) -> float:
     value = spec.get(key, default)
-    if not _is_number(value):
-        raise ConfigError(f"{what}.{key} must be a number, got {value!r}")
+    # an integer literal past the float range passes json's parse_float hook
+    if not _is_number(value) or abs(value) > sys.float_info.max:
+        raise ConfigError(f"{what}.{key} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -180,7 +190,10 @@ def build_density(spec: dict, grid: GridSpec) -> Density:
         _known_keys(spec, {"family", "path"}, "density")
         if "path" not in spec:
             raise ConfigError("custom density spec needs a 'path' key")
-        return density_from_csv(spec["path"], grid)
+        try:
+            return density_from_csv(spec["path"], grid)
+        except OSError as exc:
+            raise ConfigError(f"cannot read custom density {spec['path']!r}: {exc.strerror}")
     raise ConfigError(f"unknown density family {family!r}")
 
 
@@ -210,8 +223,8 @@ def time_grid(config: dict) -> np.ndarray:
     times = config["times"]
     t_max = _number(times, "t_max", 1.0, "times")
     count = times.get("count", 17)
-    if not np.isfinite(t_max) or t_max <= 0.0:
-        raise ConfigError(f"times.t_max must be finite and > 0, got {t_max!r}")
+    if t_max <= 0.0:
+        raise ConfigError(f"times.t_max must be > 0, got {t_max!r}")
     if not _is_int(count) or count < 2:
         raise ConfigError("times.count must be an integer >= 2")
     return np.linspace(0.0, t_max, count)
@@ -281,9 +294,8 @@ def run_bracket(config: dict, out_dir: str) -> dict:
     f2 = build_potential(config["potential_b"], grid)
     hess = lie_bracket(f1, f2, ctx, route="hessian")
     lap = lie_bracket(f1, f2, ctx, route="laplacian")
-    theta = hess.potential(ctx)
     write_csv(out_dir, "bracket.csv", ["node", "value"],
-              zip(grid.nodes, theta.values))
+              zip(grid.nodes, ctx.potential_values(hess.coeffs)))
     gap = float(np.abs(hess.coeffs - lap.coeffs).max())
     results = {
         "coefficients_hessian_route": [float(c) for c in hess.coeffs],
@@ -358,9 +370,7 @@ def run_curvature(config: dict, out_dir: str) -> dict:
     ctx = WeightedOperatorContext(mu, N)
     rng = np.random.default_rng(config["seed"])
 
-    b_cos = basis(grid, 1, "cos")
-    b_sin = basis(grid, 1, "sin")
-    sec_base = sectional(b_cos, b_sin, ctx)
+    sec_base = sectional(ScalarField(grid, ctx.basis0[0]), ScalarField(grid, ctx.basis0[1]), ctx)
 
     half = max(N // 2, 1)
     samples = []
@@ -490,6 +500,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args)
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ConfigError(f"--out {args.out!r} exists and is not a directory")
         report = SUBCOMMANDS[args.subcommand](config, args.out)
     # LinAlgError (a Cholesky breakdown) subclasses ValueError: catch it first
     except (NumericalError, np.linalg.LinAlgError) as exc:

@@ -30,15 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .density import Density
 from .errors import DomainError
 from .grid import ScalarField, check_same_grid, deriv, rk4
 from .operators import WeightedOperatorContext, div_mu, green_mu_coeffs, laplace_mu
-from .tangent import TangentVector, as_potential
+from .tangent import TangentVector
 
 
-def lie_bracket(phi1, phi2, ctx: WeightedOperatorContext, route: str = "hessian",
-                laplace_sign: float = 1.0) -> TangentVector:
+def lie_bracket(phi1: ScalarField, phi2: ScalarField, ctx: WeightedOperatorContext,
+                route: str = "hessian", laplace_sign: float = 1.0) -> TangentVector:
     """Potential coefficients of [V_phi1, V_phi2] at ctx.mu.
 
     route="hessian" projects the field phi1' phi2'' - phi1'' phi2' onto exact
@@ -47,34 +46,31 @@ def lie_bracket(phi1, phi2, ctx: WeightedOperatorContext, route: str = "hessian"
     divergence; laplace_sign flips the sign convention of both Laplacian
     occurrences at once, which must not change the result.
     """
-    f1 = as_potential(phi1, ctx)
-    f2 = as_potential(phi2, ctx)
-    check_same_grid(f1, f2)
-    check_same_grid(f1, ctx.mu.field())
+    check_same_grid(phi1, phi2)
+    check_same_grid(phi1, ctx.mu.field())
     if route == "hessian":
-        d1, d2 = deriv(f1).values, deriv(f2).values
-        h1, h2 = deriv(f1, 2).values, deriv(f2, 2).values
+        d1, d2 = deriv(phi1).values, deriv(phi2).values
+        h1, h2 = deriv(phi1, 2).values, deriv(phi2, 2).values
         coeffs, _ = ctx.project_gradient_coeffs(d1 * h2 - h1 * d2)
         return TangentVector(coeffs, ctx.mu)
     if route == "laplacian":
         if laplace_sign not in (1.0, -1.0):
             raise DomainError(f"laplace_sign must be +1 or -1, got {laplace_sign}")
-        lap1 = laplace_sign * laplace_mu(f1, ctx).values
-        lap2 = laplace_sign * laplace_mu(f2, ctx).values
-        field = ScalarField(f1.grid, deriv(f1).values * lap2 - deriv(f2).values * lap1)
+        lap1 = laplace_sign * laplace_mu(phi1, ctx).values
+        lap2 = laplace_sign * laplace_mu(phi2, ctx).values
+        field = ScalarField(phi1.grid, deriv(phi1).values * lap2 - deriv(phi2).values * lap1)
         rhs = div_mu(field, ctx)
         coeffs = laplace_sign * green_mu_coeffs(rhs, ctx)
         return TangentVector(coeffs, ctx.mu)
     raise DomainError(f"unknown bracket route {route!r}")
 
 
-def covariant_derivative(phi1, phi2, ctx: WeightedOperatorContext) -> TangentVector:
+def covariant_derivative(phi1: ScalarField, phi2: ScalarField,
+                         ctx: WeightedOperatorContext) -> TangentVector:
     """nabla_{V_phi1} V_phi2 for constant potentials, as a projection."""
-    f1 = as_potential(phi1, ctx)
-    f2 = as_potential(phi2, ctx)
-    check_same_grid(f1, f2)
-    check_same_grid(f1, ctx.mu.field())
-    w = deriv(f1).values * deriv(f2, 2).values
+    check_same_grid(phi1, phi2)
+    check_same_grid(phi1, ctx.mu.field())
+    w = deriv(phi1).values * deriv(phi2, 2).values
     coeffs, _ = ctx.project_gradient_coeffs(w)
     return TangentVector(coeffs, ctx.mu)
 
@@ -86,25 +82,23 @@ class ChristoffelTensor:
     gamma[k, i, j] multiplies coefficients as (nabla_{V_i} V_j)^k; indices
     follow the cos1, sin1, cos2, ... ordering.  The frame is not a coordinate
     frame, so gamma is generally not symmetric in (i, j); the antisymmetric
-    part encodes the bracket structure constants.
+    part encodes the bracket structure constants.  rhs[i, j, l] holds the
+    triple products int phi_i' phi_j'' phi_l' dmu that gamma solves for.
     """
 
     gamma: np.ndarray
-    base: Density
+    rhs: np.ndarray
     N: int
 
     def __post_init__(self):
         g = np.asarray(self.gamma, dtype=np.float64)
         d = 2 * self.N
-        if g.shape != (d, d, d):
-            raise DomainError(f"Christoffel tensor shape {g.shape} does not match N={self.N}")
+        if g.shape != (d, d, d) or np.shape(self.rhs) != (d, d, d):
+            raise DomainError(f"Christoffel tensor shapes {g.shape} and {np.shape(self.rhs)} "
+                              f"do not match N={self.N}")
         g = g.copy()
         g.flags.writeable = False
         object.__setattr__(self, "gamma", g)
-
-    def contract(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Coefficients of Gamma(a, b): out^k = sum_ij a_i b_j gamma[k,i,j]."""
-        return np.einsum("kij,i,j->k", self.gamma, a, b)
 
     def max_ij_asymmetry(self) -> float:
         return float(np.abs(self.gamma - self.gamma.transpose(0, 2, 1)).max())
@@ -116,13 +110,15 @@ def christoffel(ctx: WeightedOperatorContext) -> ChristoffelTensor:
     d = 2 * ctx.N
     # Solve over the last axis for every (i, j) pair.
     gamma = ctx.gram_solve(c.reshape(d * d, d).T).reshape(d, d, d)
-    return ChristoffelTensor(gamma, ctx.mu, ctx.N)
+    return ChristoffelTensor(gamma, c, ctx.N)
 
 
 def christoffel_residual(tensor: ChristoffelTensor, ctx: WeightedOperatorContext) -> float:
     """Max |Gram * Gamma^._ij - c_ij.| over all (i, j): solver self-consistency."""
     recon = np.einsum("lk,kij->ijl", ctx.gram, tensor.gamma)
-    return float(np.abs(recon - ctx.triple_products()).max())
+    # in place: a d^3 temporary per step raises the peak memory at large N
+    recon -= tensor.rhs
+    return float(np.abs(recon, out=recon).max())
 
 
 def parallel_transport(v0: TangentVector, path, substeps: int = 4) -> list[TangentVector]:

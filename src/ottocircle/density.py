@@ -152,7 +152,7 @@ def density_to_csv(mu: Density, path) -> None:
 def density_from_csv(path, grid: GridSpec | None = None) -> Density:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, [])  # an empty file has no header either
         if [h.strip() for h in header] != ["node", "value"]:
             raise DomainError(f"density CSV must have header 'node,value', got {header}")
         rows = [(float(a), float(b)) for a, b in reader]

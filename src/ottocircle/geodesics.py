@@ -17,8 +17,8 @@ as long as the characteristics x0 + t*psi0'(x0) do not cross (equivalently
     Christoffel symbols at the moving density, with rho co-evolved by the
     same continuity stepper.  Each RK4 stage is one projection at rho_t
     through the operator context built at mu0 (operators.project_at).
-  * displacement_interpolation: pushforward of mu0 by the displacement
-    t * psi0' through the exact Jacobian formula.
+  * displacement_path: pushforward of mu0 by the displacement t * psi0'
+    through the exact Jacobian formula, with the characteristic potentials.
 
 All stored potentials are de-meaned against their own mu_t.
 """
@@ -26,7 +26,7 @@ All stored potentials are de-meaned against their own mu_t.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class GeodesicPath:
     times: np.ndarray
     densities: list[Density]
     potentials: list[ScalarField]
-    route: str = field(default="unknown", compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
@@ -160,7 +159,7 @@ def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int 
         psi_t = p0 + 0.5 * t_out * dp0**2
         densities.append(mu_t)
         potentials.append(_demeaned(psi_t, mu_t.rho, grid))
-    return GeodesicPath(grid, times, densities, potentials, route="hj")
+    return GeodesicPath(grid, times, densities, potentials)
 
 
 def geodesic_christoffel(mu0: Density, psi0_coeffs, times, N: int | None = None,
@@ -202,34 +201,30 @@ def geodesic_christoffel(mu0: Density, psi0_coeffs, times, N: int | None = None,
         state[2 * N :] = mu_t.rho
         densities.append(mu_t)
         potentials.append(_demeaned(ctx.potential_values(state[: 2 * N]), mu_t.rho, grid))
-    return GeodesicPath(grid, times, densities, potentials, route="christoffel")
-
-
-def displacement_interpolation(mu0: Density, psi0: ScalarField, t: float) -> Density:
-    """Pushforward of mu0 by x -> x + t*psi0'(x) (exact Jacobian + resample)."""
-    check_same_grid(psi0, mu0.field())
-    _check_caustic_free(psi0, max(t, 0.0))
-    displacement = ScalarField(mu0.grid, t * deriv(psi0).values)
-    return pushforward_monotone(mu0, displacement)
+    return GeodesicPath(grid, times, densities, potentials)
 
 
 def displacement_path(mu0: Density, psi0: ScalarField, times) -> GeodesicPath:
-    """Displacement interpolation sampled on a time grid, with characteristic
-    potentials attached so the path supports action and transport."""
+    """Displacement interpolation sampled on a time grid: mu_t is the pushforward
+    of mu0 by x -> x + t*psi0'(x) (exact Jacobian + resample), with
+    characteristic potentials attached so the path supports action and
+    transport."""
+    check_same_grid(psi0, mu0.field())
     times = np.asarray(times, dtype=np.float64)
     if times[0] != 0.0:
         raise ConfigError("geodesic time grids start at t = 0")
     _check_caustic_free(psi0, float(times[-1]))
     grid = mu0.grid
+    dpsi0 = deriv(psi0).values
     densities = [mu0]
     potentials = [_demeaned(psi0.values, mu0.rho, grid)]
     for t in times[1:]:
-        mu_t = displacement_interpolation(mu0, psi0, float(t))
+        mu_t = pushforward_monotone(mu0, ScalarField(grid, float(t) * dpsi0))
         feet = _characteristic_feet(psi0, float(t), grid.nodes)
         psi_t = eval_trig(psi0, feet) + 0.5 * float(t) * eval_trig(psi0, feet, order=1) ** 2
         densities.append(mu_t)
         potentials.append(_demeaned(psi_t, mu_t.rho, grid))
-    return GeodesicPath(grid, times, densities, potentials, route="displacement")
+    return GeodesicPath(grid, times, densities, potentials)
 
 
 def flow_path(mu0: Density, psi: ScalarField, times) -> GeodesicPath:
@@ -245,7 +240,7 @@ def flow_path(mu0: Density, psi: ScalarField, times) -> GeodesicPath:
         mu_t = mu0 if t == 0.0 else flow_constant_field(psi, mu0, float(t))
         densities.append(mu_t)
         potentials.append(_demeaned(psi.values, mu_t.rho, grid))
-    return GeodesicPath(grid, times, densities, potentials, route="flow")
+    return GeodesicPath(grid, times, densities, potentials)
 
 
 def action(path: GeodesicPath) -> float:

@@ -45,10 +45,6 @@ class GridSpec:
         return TWO_PI / self.n
 
 
-def make_grid(n: int) -> GridSpec:
-    return GridSpec(n)
-
-
 @dataclass(frozen=True)
 class _NodeValues:
     """Float64 values at the grid nodes, one per node."""
@@ -108,19 +104,6 @@ def deriv(f: ScalarField, order: int = 1) -> ScalarField:
     if order % 2 == 1:
         fh[-1] = 0.0
     return ScalarField(f.grid, np.fft.irfft(fh, n))
-
-
-def basis(grid: GridSpec, k: int, kind: str) -> ScalarField:
-    """Orthonormal trig basis element sqrt(2)*cos(kx) or sqrt(2)*sin(kx)."""
-    if not 1 <= k <= grid.n // 2 - 1:
-        raise AliasingError(
-            f"mode k={k} outside resolved range [1, {grid.n // 2 - 1}] for n={grid.n}"
-        )
-    if kind == "cos":
-        return ScalarField(grid, SQRT2 * np.cos(k * grid.nodes))
-    if kind == "sin":
-        return ScalarField(grid, SQRT2 * np.sin(k * grid.nodes))
-    raise ConfigError(f"basis kind must be 'cos' or 'sin', got {kind!r}")
 
 
 def basis_matrix(grid: GridSpec, N: int, order: int = 0) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Two deliberately separate routes to the quadratic Wasserstein distance:
 
-  * w2_circle_exact: the circular one-dimensional formula.  The squared
+  * CircleDistanceSolver.distance: the circular one-dimensional formula,
+    with one quantile table per density kept for reuse.  The squared
     distance is the minimum over a cut offset c of the quantile mismatch
 
         int_0^1 (Fmu^{-1}(s) - Gnu^{-1}(s + c))^2 ds,
@@ -10,13 +11,14 @@ Two deliberately separate routes to the quadratic Wasserstein distance:
     with the target quantile unrolled periodically,
     Gnu^{-1}(u + 1) = Gnu^{-1}(u) + 2*pi.  CDFs are integrated termwise from
     the trigonometric interpolant of the density, and quantiles come from
-    safeguarded Newton at the m midpoints of the integral.  Newton starts
-    from a CDF table on a fine uniform grid, evaluated by one inverse FFT and
-    inverted by linear interpolation, and steps only the points that have
-    not yet converged, so a table costs about two CDF evaluations.  The cut is
-    bracketed by a ternary search over grid-aligned offsets j/m, where the
-    target quantile is an index shift of the midpoint values, and polished by
-    bounded scalar minimization on a periodic spline through those values.
+    safeguarded Newton at the m = QUANTILE_MIDPOINTS midpoints of the
+    integral.  Newton starts from a CDF table on a fine uniform grid,
+    evaluated by one inverse FFT and inverted by linear interpolation, and
+    steps only the points that have not yet converged, so a table costs
+    about two CDF evaluations.  The cut is bracketed by a ternary search over
+    grid-aligned offsets j/m in [-1, 1], where the target quantile is an
+    index shift of the midpoint values, and polished by bounded scalar
+    minimization (xatol 1e-10) on a periodic spline through those values.
   * transport_lp: a linear program on explicit atoms with squared circular
     distance cost, solved by scipy's HiGHS backend.  w2_lp discretizes a pair
     of densities onto m atoms and calls it.
@@ -237,17 +239,6 @@ class CircleDistanceSolver:
             w2_squared=squared,
             shift=shift,
         )
-
-
-def w2_circle_exact(mu: Density, nu: Density) -> TransportResult:
-    """Quadratic Wasserstein distance between two circle densities.
-
-    The quantile mismatch integral uses the midpoint rule on
-    m = QUANTILE_MIDPOINTS points; the cut offset is bracketed by a ternary
-    search over multiples of 1/m in [-1, 1] and then polished by bounded
-    minimization to xatol 1e-10.
-    """
-    return CircleDistanceSolver().distance(mu, nu)
 
 
 # -- linear-program route ----------------------------------------------------

@@ -43,20 +43,6 @@ class TangentVector:
     def N(self) -> int:
         return self.coeffs.size // 2
 
-    def potential(self, ctx: WeightedOperatorContext) -> ScalarField:
-        if ctx.N != self.N:
-            raise DomainError(f"context N={ctx.N} does not match vector N={self.N}")
-        return ScalarField(self.base.grid, ctx.potential_values(self.coeffs))
-
-
-def as_potential(phi, ctx: WeightedOperatorContext) -> ScalarField:
-    """Node values of a potential given as a ScalarField or a TangentVector."""
-    if isinstance(phi, TangentVector):
-        return phi.potential(ctx)
-    if isinstance(phi, ScalarField):
-        return phi
-    raise DomainError(f"expected ScalarField or TangentVector, got {type(phi).__name__}")
-
 
 def _check_same_base(v1: TangentVector, v2: TangentVector) -> None:
     if v1.base.grid.n != v2.base.grid.n or not np.array_equal(v1.base.rho, v2.base.rho):

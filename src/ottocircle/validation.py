@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, OneForm, basis, deriv
+from .grid import GridSpec, ScalarField, OneForm, deriv
 from .density import Density, uniform_density, cosine_density, weighted_inner
 from .operators import WeightedOperatorContext
 from .tangent import TangentVector, otto_norm, vector_from_potential
@@ -113,8 +113,8 @@ def transport_checks(path, v0: TangentVector,
 
 
 def fd_oracle_check(cases) -> tuple[dict, list[tuple[float, float]]]:
-    """Worst relative gap between the finite-difference frame oracle (h = 1e-3)
-    and the T-tensor route over (ctx, basis quad) cases.
+    """Worst relative gap between the finite-difference frame oracle and the
+    T-tensor route over (ctx, basis quad) cases.
 
     Returns the check and the (oracle, T-route) value pair of every case.
     """
@@ -122,7 +122,7 @@ def fd_oracle_check(cases) -> tuple[dict, list[tuple[float, float]]]:
     for ctx, quad in cases:
         fields = [ScalarField(ctx.grid, ctx.basis0[q]) for q in quad]
         reference = riemann(*fields, ctx)
-        values.append((riemann_fd_oracle(*quad, ctx, h=1e-3), reference))
+        values.append((riemann_fd_oracle(*quad, ctx), reference))
     worst = np.max([abs(fd - reference) / abs(reference) for fd, reference in values])
     return check("fd_oracle_relative", worst, 1e-3), values
 
@@ -314,10 +314,9 @@ def criterion_7_nongeodesic(session: ValidationSession) -> dict:
 def criterion_8_curvature(session: ValidationSession) -> dict:
     """Sectional value at the first harmonic pair, tensor symmetries, first
     Bianchi, nonnegativity, and the finite-difference frame oracle."""
-    grid = session.grid
     ctx = session.ctx_vol
-    b_cos = basis(grid, 1, "cos")
-    b_sin = basis(grid, 1, "sin")
+    b_cos = ScalarField(ctx.grid, ctx.basis0[0])
+    b_sin = ScalarField(ctx.grid, ctx.basis0[1])
     sec_err = abs(sectional(b_cos, b_sin, ctx) - 3.0)
 
     rng = session.rng(8)

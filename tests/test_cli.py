@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from ottocircle import (
+    GridSpec,
     NumericalError,
     cosine_density,
     density_to_csv,
     geodesic_christoffel,
-    make_grid,
     uniform_density,
 )
 from ottocircle.cli import main
@@ -110,12 +110,41 @@ def test_usage_errors_exit_two(tmp_path, capsys):
              "bracket")):
         path = write_config(tmp_path, payload, f"num_{name}.json")
         assert run_cli([sub, "--config", path, "--out", out]) == 2, name
-    # json writes these as the NaN and Infinity literals, which it also reads
+    # unreadable inputs and an unwritable --out are usage problems, not tracebacks
     capsys.readouterr()
-    for t_max in (float("nan"), float("inf")):
-        path = write_config(tmp_path, {"times": {"t_max": t_max}}, "t_max.json")
-        assert run_cli(["geodesic", "--config", path, "--out", out]) == 2, t_max
-        assert "t_max must be finite and > 0" in capsys.readouterr().err
+    missing = write_config(tmp_path, {"density": {"family": "custom",
+                                                  "path": str(tmp_path / "none.csv")}}, "miss.json")
+    (tmp_path / "empty.csv").write_text("")
+    empty = write_config(tmp_path, {"density": {"family": "custom",
+                                                "path": str(tmp_path / "empty.csv")}}, "empty.json")
+    for path in (missing, empty):
+        assert run_cli(["metric", "--config", path, "--out", out]) == 2, path
+    (tmp_path / "taken").write_text("")
+    assert run_cli(["metric", "--out", str(tmp_path / "taken")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error:") == 3 and err.count("\n") == 3
+
+
+def test_non_finite_config_numbers_exit_two(tmp_path, capsys):
+    # json reads the NaN and Infinity literals, and 1e400 overflows to inf;
+    # each is rejected when the config is parsed, before any subcommand runs
+    out = str(tmp_path / "out")
+    cases = (("curvature", '{"potential": {"family": "cosine", "amplitude": NaN}}'),
+             ("geodesic", '{"times": {"t_max": Infinity}}'),
+             ("geodesic", '{"times": {"t_max": -Infinity}}'),
+             ("distance", '{"density_b": {"family": "cosine", "amplitude": 1e400}}'))
+    for idx, (sub, text) in enumerate(cases):
+        path = tmp_path / f"nonfinite_{idx}.json"
+        path.write_text(text)
+        capsys.readouterr()
+        assert run_cli([sub, "--config", str(path), "--out", out]) == 2, text
+        assert "config holds the non-finite number" in capsys.readouterr().err
+    # an integer literal past the float range is caught where it is read
+    path = tmp_path / "big_int.json"
+    path.write_text('{"density": {"family": "cosine", "amplitude": 1%s}}' % ("0" * 400))
+    assert run_cli(["metric", "--config", str(path), "--out", out]) == 2
+    assert "density.amplitude must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_subcommand_exits_two():
@@ -195,7 +224,7 @@ def test_nonpositive_rk4_density_exits_three(tmp_path, monkeypatch, capsys):
     coeffs = np.zeros(16)
     coeffs[0] = 0.1
     with pytest.raises(NumericalError, match=r"christoffel route: .* t = 0\.125"):
-        geodesic_christoffel(uniform_density(make_grid(256)), coeffs, np.linspace(0.0, 1.0, 17))
+        geodesic_christoffel(uniform_density(GridSpec(256)), coeffs, np.linspace(0.0, 1.0, 17))
 
 
 def test_bracket_report_carries_both_routes(tmp_path):
@@ -259,7 +288,7 @@ def test_nan_sectional_sample_fails_curvature(tmp_path, monkeypatch):
 
 
 def test_custom_density_from_csv(tmp_path):
-    grid = make_grid(256)
+    grid = GridSpec(256)
     csv_path = tmp_path / "profile.csv"
     density_to_csv(cosine_density(grid, 0.2, mode=2), csv_path)
     config = write_config(tmp_path, {"density": {"family": "custom", "path": str(csv_path)}})

@@ -11,6 +11,7 @@ import pytest
 from ottocircle import (
     ChristoffelTensor,
     DomainError,
+    GridSpec,
     ScalarField,
     TangentVector,
     WeightedOperatorContext,
@@ -21,7 +22,6 @@ from ottocircle import (
     deriv,
     geodesic_hj,
     lie_bracket,
-    make_grid,
     metric_gram,
     otto_inner,
     otto_norm,
@@ -30,7 +30,7 @@ from ottocircle import (
     vector_from_potential,
 )
 
-GRID = make_grid(256)
+GRID = GridSpec(256)
 VOL = uniform_density(GRID)
 WEIGHTED = cosine_density(GRID, 0.3)
 N_MODES = 8
@@ -183,7 +183,8 @@ def test_christoffel_contract_matches_covariant_derivative(ctx_weighted):
     fa = ScalarField(GRID, a @ ctx_weighted.basis0)
     fb = ScalarField(GRID, b @ ctx_weighted.basis0)
     direct = covariant_derivative(fa, fb, ctx_weighted)
-    np.testing.assert_allclose(tensor.contract(a, b), direct.coeffs, atol=1e-10)
+    np.testing.assert_allclose(np.einsum("kij,i,j->k", tensor.gamma, a, b), direct.coeffs,
+                               atol=1e-10)
 
 
 def test_christoffel_frozen_entry_at_uniform(ctx_vol):
@@ -232,7 +233,9 @@ def test_christoffel_residual_small(ctx_weighted):
 
 def test_christoffel_tensor_shape_validation():
     with pytest.raises(DomainError):
-        ChristoffelTensor(np.zeros((4, 4, 2)), VOL, 2)
+        ChristoffelTensor(np.zeros((4, 4, 2)), np.zeros((4, 4, 4)), 2)
+    with pytest.raises(DomainError):
+        ChristoffelTensor(np.zeros((4, 4, 4)), np.zeros((4, 4, 2)), 2)
 
 
 @pytest.fixture(scope="module")

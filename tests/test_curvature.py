@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from ottocircle import (
-    ConditioningWarning,
     ConfigError,
     DomainError,
+    GridSpec,
     ScalarField,
     WeightedOperatorContext,
-    basis,
+    basis_matrix,
     cosine_density,
-    make_grid,
     riemann,
     riemann_fd_oracle,
     sectional,
@@ -19,8 +18,10 @@ from ottocircle import (
     uniform_density,
     weighted_inner,
 )
+from ottocircle import curvature
 
-GRID = make_grid(256)
+GRID = GridSpec(256)
+C1, S1 = (ScalarField(GRID, row) for row in basis_matrix(GRID, 1))
 VOL = uniform_density(GRID)
 WEIGHTED = cosine_density(GRID, 0.3)
 N_MODES = 8
@@ -49,33 +50,25 @@ def band_limited(rng, ctx, count):
 def test_t_tensor_frozen_values(ctx_vol):
     # cos/sin first harmonics: phi' psi'' dx = (1 - cos 2x) dx, whose
     # non-gradient part is the unit harmonic form with squared norm 1
-    c1 = basis(GRID, 1, "cos")
-    s1 = basis(GRID, 1, "sin")
-    t_cs = t_tensor(c1, s1, ctx_vol)
+    t_cs = t_tensor(C1, S1, ctx_vol)
     assert t_cs.norm2 == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(t_cs.residual.values, 1.0, atol=1e-12)
     # same potential twice: the product is a pure gradient, residual vanishes
-    assert t_tensor(c1, c1, ctx_vol).norm2 == pytest.approx(0.0, abs=1e-20)
+    assert t_tensor(C1, C1, ctx_vol).norm2 == pytest.approx(0.0, abs=1e-20)
 
 
 def test_t_pairing_is_bilinear_pairing(ctx_vol):
-    c1 = basis(GRID, 1, "cos")
-    s1 = basis(GRID, 1, "sin")
-    t_cs = t_tensor(c1, s1, ctx_vol)
-    t_sc = t_tensor(s1, c1, ctx_vol)
+    t_cs = t_tensor(C1, S1, ctx_vol)
+    t_sc = t_tensor(S1, C1, ctx_vol)
     assert weighted_inner(t_cs.residual, t_sc.residual, VOL) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_riemann_frozen_value(ctx_vol):
-    c1 = basis(GRID, 1, "cos")
-    s1 = basis(GRID, 1, "sin")
-    assert riemann(c1, s1, c1, s1, ctx_vol) == pytest.approx(-3.0, abs=1e-12)
+    assert riemann(C1, S1, C1, S1, ctx_vol) == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_sectional_frozen_value(ctx_vol):
-    c1 = basis(GRID, 1, "cos")
-    s1 = basis(GRID, 1, "sin")
-    assert sectional(c1, s1, ctx_vol) == pytest.approx(3.0, abs=1e-12)
+    assert sectional(C1, S1, ctx_vol) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_sectional_plane_invariance(ctx_weighted):
@@ -88,10 +81,9 @@ def test_sectional_plane_invariance(ctx_weighted):
 
 
 def test_sectional_degenerate_plane(ctx_weighted):
-    f = basis(GRID, 1, "cos")
-    doubled = ScalarField(GRID, 2.0 * f.values)
+    doubled = ScalarField(GRID, 2.0 * C1.values)
     with pytest.raises(DomainError):
-        sectional(f, doubled, ctx_weighted)
+        sectional(C1, doubled, ctx_weighted)
 
 
 def test_riemann_symmetries(ctx_weighted):
@@ -131,23 +123,18 @@ def test_fd_oracle_matches_t_route():
         assert fd == pytest.approx(reference, rel=1e-3)
 
 
-def test_fd_oracle_second_order_in_h():
+def test_fd_oracle_second_order_in_h(monkeypatch):
     ctx4 = WeightedOperatorContext(WEIGHTED, 4)
     c1 = ScalarField(GRID, ctx4.basis0[0])
     s1 = ScalarField(GRID, ctx4.basis0[1])
     reference = riemann(c1, s1, c1, s1, ctx4)
-    err_coarse = abs(riemann_fd_oracle(0, 1, 0, 1, ctx4, h=4e-3) - reference)
-    err_fine = abs(riemann_fd_oracle(0, 1, 0, 1, ctx4, h=1e-3) - reference)
+    err_fine = abs(riemann_fd_oracle(0, 1, 0, 1, ctx4) - reference)
+    monkeypatch.setattr(curvature, "FD_STEP", 4.0 * curvature.FD_STEP)
+    err_coarse = abs(riemann_fd_oracle(0, 1, 0, 1, ctx4) - reference)
     assert err_coarse / err_fine > 8.0  # a 4x step refinement gains ~16x
 
 
 def test_fd_oracle_step_validation():
     ctx4 = WeightedOperatorContext(VOL, 4)
     with pytest.raises(ConfigError):
-        riemann_fd_oracle(0, 1, 0, 1, ctx4, h=1e-5)
-    with pytest.raises(ConfigError):
-        riemann_fd_oracle(0, 1, 0, 1, ctx4, h=0.5)
-    with pytest.raises(ConfigError):
         riemann_fd_oracle(0, 9, 0, 1, ctx4)
-    with pytest.warns(ConditioningWarning):
-        riemann_fd_oracle(0, 1, 0, 1, ctx4, h=1.5e-4)

@@ -8,6 +8,7 @@ from ottocircle import (
     DomainError,
     FoldError,
     GridMismatchError,
+    GridSpec,
     OneForm,
     ScalarField,
     cosine_density,
@@ -15,7 +16,6 @@ from ottocircle import (
     density_to_csv,
     integrate,
     make_density,
-    make_grid,
     pushforward_monotone,
     uniform_density,
     weighted_inner,
@@ -24,7 +24,7 @@ from ottocircle import (
 
 @pytest.fixture(scope="module")
 def grid():
-    return make_grid(128)
+    return GridSpec(128)
 
 
 def test_uniform_density(grid):

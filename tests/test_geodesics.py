@@ -8,25 +8,24 @@ from ottocircle import (
     CircleDistanceSolver,
     ConfigError,
     GeodesicPath,
+    GridSpec,
     ScalarField,
     action,
     constant_speed_report,
     continuity_residual,
     cosine_density,
-    displacement_interpolation,
     displacement_path,
     first_caustic_time,
     flow_path,
     geodesic_christoffel,
     geodesic_hj,
     integrate,
-    make_grid,
     path_to_csv,
     speed_squared_series,
     uniform_density,
 )
 
-GRID = make_grid(256)
+GRID = GridSpec(256)
 VOL = uniform_density(GRID)
 WEIGHTED = cosine_density(GRID, 0.3)
 PSI0 = ScalarField(GRID, 0.1 * np.cos(GRID.nodes))
@@ -53,7 +52,7 @@ def test_caustic_error_carries_crossing_time():
         geodesic_hj(VOL, steep, np.linspace(0.0, 1.0, 5))
     assert excinfo.value.first_crossing == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(CausticError):
-        displacement_interpolation(VOL, steep, 0.7)
+        displacement_path(VOL, steep, np.array([0.0, 0.7]))
 
 
 def test_time_grid_validation():
@@ -84,7 +83,6 @@ def test_routes_agree(hj_path):
     rho_di = np.stack([d.rho for d in di.densities])
     assert np.abs(rho_hj - rho_ch).max() < 1e-8
     assert np.abs(rho_hj - rho_di).max() < 1e-6
-    assert hj_path.route == "hj" and ch.route == "christoffel" and di.route == "displacement"
 
 
 def test_christoffel_route_accepts_tangent_vector():

@@ -9,13 +9,11 @@ from ottocircle import (
     GridMismatchError,
     GridSpec,
     ScalarField,
-    basis,
     basis_matrix,
     deriv,
     eval_trig,
     field_from_coeffs,
     integrate,
-    make_grid,
     trig_coefficients,
 )
 from ottocircle.grid import check_same_grid, rk4
@@ -23,7 +21,7 @@ from ottocircle.grid import check_same_grid, rk4
 
 @pytest.fixture(scope="module")
 def grid():
-    return make_grid(64)
+    return GridSpec(64)
 
 
 def test_grid_nodes_and_spacing(grid):
@@ -72,13 +70,6 @@ def test_basis_orthonormal(grid):
     np.testing.assert_allclose(gram, np.eye(12), atol=1e-14)
 
 
-def test_basis_mode_range(grid):
-    with pytest.raises(AliasingError):
-        basis(grid, grid.n // 2, "cos")
-    with pytest.raises(ConfigError):
-        basis(grid, 1, "tan")
-
-
 def test_basis_matrix_antialiasing(grid):
     with pytest.raises(AliasingError):
         basis_matrix(grid, grid.n // 4)
@@ -117,7 +108,7 @@ def test_eval_trig_off_grid(grid):
 def test_field_from_coeffs_matches_basis(grid):
     coeffs = np.array([1.0, 0.0, 0.0, -2.0])
     f = field_from_coeffs(grid, coeffs)
-    expected = basis(grid, 1, "cos").values - 2.0 * basis(grid, 2, "sin").values
+    expected = np.sqrt(2.0) * np.cos(grid.nodes) - 2.0 * np.sqrt(2.0) * np.sin(2 * grid.nodes)
     np.testing.assert_allclose(f.values, expected, atol=1e-15)
 
 
@@ -143,7 +134,7 @@ def test_rk4_stage_times_accumulate():
 
 
 def test_grid_mismatch_checks(grid):
-    other = make_grid(32)
+    other = GridSpec(32)
     f = ScalarField(grid, np.zeros(grid.n))
     g = ScalarField(other, np.zeros(other.n))
     with pytest.raises(GridMismatchError):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ottocircle import (
     CompatibilityError,
     ConfigError,
+    GridSpec,
     OneForm,
     ScalarField,
     WeightedOperatorContext,
@@ -17,14 +18,13 @@ from ottocircle import (
     field_from_coeffs,
     green_mu_coeffs,
     laplace_mu,
-    make_grid,
     project_exact,
     uniform_density,
     weighted_inner,
 )
 
 N_MODES = 6
-GRID = make_grid(128)
+GRID = GridSpec(128)
 VOL_CTX = WeightedOperatorContext(uniform_density(GRID), N_MODES)
 WEIGHTED_CTX = WeightedOperatorContext(cosine_density(GRID, 0.3), N_MODES)
 

@@ -8,21 +8,20 @@ from hypothesis import strategies as st
 from ottocircle import (
     CircleDistanceSolver,
     ConfigError,
+    GridSpec,
     NumericalError,
     ScalarField,
     circular_distance,
     cosine_density,
     density_atoms,
     flow_constant_field,
-    make_grid,
     transport_lp,
     uniform_density,
-    w2_circle_exact,
     w2_lp,
 )
 from ottocircle.ot_oracle import QUANTILE_MIDPOINTS, _QuantileTable, _SpectralCDF
 
-GRID = make_grid(256)
+GRID = GridSpec(256)
 VOL = uniform_density(GRID)
 
 
@@ -36,8 +35,8 @@ def test_circular_distance_frozen():
 
 def test_w2_identity_is_zero():
     mu = cosine_density(GRID, 0.3)
-    assert w2_circle_exact(mu, mu).w2 == pytest.approx(0.0, abs=1e-12)
-    assert w2_circle_exact(VOL, VOL).w2 == 0.0
+    assert CircleDistanceSolver().distance(mu, mu).w2 == pytest.approx(0.0, abs=1e-12)
+    assert CircleDistanceSolver().distance(VOL, VOL).w2 == 0.0
 
 
 def test_w2_mode_one_cosine_is_analytic():
@@ -45,7 +44,7 @@ def test_w2_mode_one_cosine_is_analytic():
     # W2(vol, mu_eps) = eps / sqrt(2) with no higher-order correction
     for eps in (0.01, 0.05, 0.3):
         mu = cosine_density(GRID, eps)
-        assert w2_circle_exact(VOL, mu).w2 == pytest.approx(eps / np.sqrt(2.0), abs=1e-12)
+        assert CircleDistanceSolver().distance(VOL, mu).w2 == pytest.approx(eps / np.sqrt(2.0), abs=1e-12)
 
 
 def test_w2_symmetry_and_triangle():
@@ -71,8 +70,8 @@ def test_w2_rotation_equivariance():
     b = cosine_density(GRID, 0.4, mode=2, phase=1.0)
     a_rot = cosine_density(GRID, 0.25, phase=0.3 + delta)
     b_rot = cosine_density(GRID, 0.4, mode=2, phase=1.0 + 2.0 * delta)
-    d = w2_circle_exact(a, b).w2
-    d_rot = w2_circle_exact(a_rot, b_rot).w2
+    d = CircleDistanceSolver().distance(a, b).w2
+    d_rot = CircleDistanceSolver().distance(a_rot, b_rot).w2
     assert d_rot == pytest.approx(d, abs=1e-10)
 
 
@@ -81,7 +80,7 @@ def test_w2_bounded_by_rigid_rotation():
     mu = cosine_density(GRID, 0.3)
     delta = 0.4
     nu = cosine_density(GRID, 0.3, phase=delta)
-    w = w2_circle_exact(mu, nu).w2
+    w = CircleDistanceSolver().distance(mu, nu).w2
     assert w <= delta + 1e-12
     # and a rigid rotation of a non-uniform profile is not optimal transport
     assert w < 0.6 * delta
@@ -95,8 +94,8 @@ def test_w2_bounded_by_rigid_rotation():
 )
 def test_w2_nonnegative_and_symmetric(amp, phase, mode):
     mu = cosine_density(GRID, amp, mode=mode, phase=phase)
-    fwd = w2_circle_exact(VOL, mu).w2
-    rev = w2_circle_exact(mu, VOL).w2
+    fwd = CircleDistanceSolver().distance(VOL, mu).w2
+    rev = CircleDistanceSolver().distance(mu, VOL).w2
     assert fwd >= 0.0
     assert fwd == pytest.approx(rev, abs=1e-10)
 
@@ -265,7 +264,7 @@ def test_density_atoms_masses():
 def test_lp_converges_to_quantile_route():
     mu = cosine_density(GRID, 0.3)
     nu = cosine_density(GRID, 0.3, phase=2.0)
-    exact = w2_circle_exact(mu, nu).w2
+    exact = CircleDistanceSolver().distance(mu, nu).w2
     errors = [abs(w2_lp(mu, nu, m=m).w2 - exact) / exact for m in (16, 32, 64)]
     assert errors[0] > errors[1] > errors[2]
     assert errors[0] / errors[2] > 8.0  # quadratic in the atom spacing

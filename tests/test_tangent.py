@@ -7,14 +7,14 @@ from ottocircle import (
     DomainError,
     ScalarField,
     TangentVector,
+    GridSpec,
     WeightedOperatorContext,
-    basis,
+    basis_matrix,
     cosine_density,
     deriv,
     flow_constant_field,
     flow_map,
     integrate,
-    make_grid,
     metric_gram,
     otto_inner,
     otto_norm,
@@ -22,7 +22,7 @@ from ottocircle import (
     vector_from_potential,
 )
 
-GRID = make_grid(128)
+GRID = GridSpec(128)
 VOL = uniform_density(GRID)
 WEIGHTED = cosine_density(GRID, 0.3)
 N_MODES = 6
@@ -84,10 +84,8 @@ def test_vector_from_potential_recovers_band_limited(ctx_weighted):
 
 def test_potential_roundtrip(ctx_vol):
     v = unit_vector(2)
-    psi = v.potential(ctx_vol)
-    np.testing.assert_allclose(psi.values, basis(GRID, 2, "cos").values, atol=1e-15)
-    with pytest.raises(DomainError):
-        v.potential(WeightedOperatorContext(VOL, N_MODES + 1))
+    psi = ctx_vol.potential_values(v.coeffs)
+    np.testing.assert_allclose(psi, basis_matrix(GRID, 2)[2], atol=1e-15)
 
 
 def test_observable_frozen_value(ctx_weighted, ctx_vol):
