@@ -1,8 +1,9 @@
 """Batch front door: configured runs of the geometry stack with file reports.
 
-Every subcommand reads one RunConfig (JSON file merged over defaults, then
-flag overrides), writes a JSON report plus CSV data into the output
-directory, and exits with the shared code contract:
+Every subcommand reads one config (JSON file merged over defaults, then flag
+overrides; all of its inputs are built before the subcommand runs), writes a
+JSON report plus CSV data into the output directory, and exits with the
+shared code contract:
 
     0  everything ran and every checked tolerance held
     1  a tolerance check failed
@@ -23,6 +24,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,8 +121,8 @@ def load_config(args) -> dict:
         raise ConfigError("need 1 <= N and 4N < n")
     if not _is_int(config["seed"]) or config["seed"] < 0:
         raise ConfigError("seed must be a nonnegative integer")
-    if not _is_int(config["atoms"]):
-        raise ConfigError("atoms must be an integer")
+    if not _is_int(config["atoms"]) or not 2 <= config["atoms"] <= 256:
+        raise ConfigError("atoms must be an integer in [2, 256]")
     return config
 
 
@@ -219,15 +221,36 @@ def build_potential(spec: dict, grid: GridSpec) -> ScalarField:
     raise ConfigError(f"unknown potential family {family!r}")
 
 
-def time_grid(config: dict) -> np.ndarray:
-    times = config["times"]
-    t_max = _number(times, "t_max", 1.0, "times")
-    count = times.get("count", 17)
+@dataclass(frozen=True)
+class RunInputs:
+    """Every input a subcommand reads, built (and so checked) before it runs."""
+
+    config: dict
+    grid: GridSpec
+    density: Density
+    density_b: Density
+    potential: ScalarField
+    potential_b: ScalarField
+    times: np.ndarray
+
+
+def build_inputs(config: dict) -> RunInputs:
+    t_max = _number(config["times"], "t_max", 1.0, "times")
+    count = config["times"].get("count", 17)
     if t_max <= 0.0:
         raise ConfigError(f"times.t_max must be > 0, got {t_max!r}")
     if not _is_int(count) or count < 2:
         raise ConfigError("times.count must be an integer >= 2")
-    return np.linspace(0.0, t_max, count)
+    grid = GridSpec(config["n"])
+    return RunInputs(
+        config=config,
+        grid=grid,
+        density=build_density(config["density"], grid),
+        density_b=build_density(config["density_b"], grid),
+        potential=build_potential(config["potential"], grid),
+        potential_b=build_potential(config["potential_b"], grid),
+        times=np.linspace(0.0, t_max, count),
+    )
 
 
 # -- report plumbing ---------------------------------------------------------
@@ -266,10 +289,8 @@ def write_csv(out_dir: str, name: str, header: list[str], rows) -> None:
 # -- subcommands -------------------------------------------------------------
 
 
-def run_metric(config: dict, out_dir: str) -> dict:
-    grid = GridSpec(config["n"])
-    mu = build_density(config["density"], grid)
-    gram = metric_gram(mu, config["N"]).gram
+def run_metric(run: RunInputs, out_dir: str) -> dict:
+    gram = metric_gram(run.density, run.config["N"]).gram
     write_csv(out_dir, "gram.csv", ["i", "j", "value"],
               ((i, j, gram[i, j]) for i in range(gram.shape[0]) for j in range(gram.shape[1])))
     sym = float(np.abs(gram - gram.T).max())
@@ -283,32 +304,26 @@ def run_metric(config: dict, out_dir: str) -> dict:
         check("gram_symmetry", sym, 1e-12),
         check("positive_definite", float(eigs[0]), 0.0, op=">"),
     ]
-    return write_report(out_dir, "metric", config, results, checks)
+    return write_report(out_dir, "metric", run.config, results, checks)
 
 
-def run_bracket(config: dict, out_dir: str) -> dict:
-    grid = GridSpec(config["n"])
-    mu = build_density(config["density"], grid)
-    ctx = WeightedOperatorContext(mu, config["N"])
-    f1 = build_potential(config["potential"], grid)
-    f2 = build_potential(config["potential_b"], grid)
-    hess = lie_bracket(f1, f2, ctx, route="hessian")
-    lap = lie_bracket(f1, f2, ctx, route="laplacian")
+def run_bracket(run: RunInputs, out_dir: str) -> dict:
+    ctx = WeightedOperatorContext(run.density, run.config["N"])
+    hess = lie_bracket(run.potential, run.potential_b, ctx, route="hessian")
+    lap = lie_bracket(run.potential, run.potential_b, ctx, route="laplacian")
     write_csv(out_dir, "bracket.csv", ["node", "value"],
-              zip(grid.nodes, ctx.potential_values(hess.coeffs)))
+              zip(run.grid.nodes, ctx.potential_values(hess.coeffs)))
     gap = float(np.abs(hess.coeffs - lap.coeffs).max())
     results = {
         "coefficients_hessian_route": [float(c) for c in hess.coeffs],
         "coefficients_laplacian_route": [float(c) for c in lap.coeffs],
     }
     checks = [check("route_agreement", gap, BRACKET_ROUTE_TOL)]
-    return write_report(out_dir, "bracket", config, results, checks)
+    return write_report(out_dir, "bracket", run.config, results, checks)
 
 
-def run_christoffel(config: dict, out_dir: str) -> dict:
-    grid = GridSpec(config["n"])
-    mu = build_density(config["density"], grid)
-    ctx = WeightedOperatorContext(mu, config["N"])
+def run_christoffel(run: RunInputs, out_dir: str) -> dict:
+    ctx = WeightedOperatorContext(run.density, run.config["N"])
     tensor = christoffel(ctx)
     d = tensor.gamma.shape[0]
     write_csv(out_dir, "christoffel.csv", ["k", "i", "j", "value"],
@@ -320,15 +335,14 @@ def run_christoffel(config: dict, out_dir: str) -> dict:
         "max_ij_asymmetry": float(tensor.max_ij_asymmetry()),
     }
     checks = [check("assembly_residual", residual, 1e-8)]
-    return write_report(out_dir, "christoffel", config, results, checks)
+    return write_report(out_dir, "christoffel", run.config, results, checks)
 
 
-def run_geodesic(config: dict, out_dir: str) -> dict:
-    grid = GridSpec(config["n"])
-    mu0 = build_density(config["density"], grid)
-    psi0 = build_potential(config["potential"], grid)
-    times = time_grid(config)
-    N = config["N"]
+def run_geodesic(run: RunInputs, out_dir: str) -> dict:
+    # the continuity residual's 5-point stencil; checked before any route runs
+    if run.times.size < 5:
+        raise ConfigError(f"geodesic needs times.count >= 5, got {run.times.size}")
+    mu0, psi0, times, N = run.density, run.potential, run.times, run.config["N"]
     ctx = WeightedOperatorContext(mu0, N)
     v0 = vector_from_potential(psi0, ctx)
 
@@ -343,32 +357,26 @@ def run_geodesic(config: dict, out_dir: str) -> dict:
     results = {f"action_{name}": action(path) for name, path in paths.items()}
     results["times"] = [float(t) for t in times]
     checks = geodesic_route_checks(paths)
-    return write_report(out_dir, "geodesic", config, results, checks)
+    return write_report(out_dir, "geodesic", run.config, results, checks)
 
 
-def run_transport(config: dict, out_dir: str) -> dict:
-    grid = GridSpec(config["n"])
-    mu0 = build_density(config["density"], grid)
-    psi0 = build_potential(config["potential"], grid)
-    times = time_grid(config)
-    N = config["N"]
-    path = geodesic_hj(mu0, psi0, times)
-    rng = np.random.default_rng(config["seed"])
-    v0 = TangentVector(rng.standard_normal(2 * N), mu0)
-    moved, norms, checks = transport_checks(path, v0, psi0)
+def run_transport(run: RunInputs, out_dir: str) -> dict:
+    times, N = run.times, run.config["N"]
+    path = geodesic_hj(run.density, run.potential, times)
+    rng = np.random.default_rng(run.config["seed"])
+    v0 = TangentVector(rng.standard_normal(2 * N), run.density)
+    moved, norms, checks = transport_checks(path, v0, run.potential)
     write_csv(out_dir, "transport.csv", ["time", "index", "coefficient"],
               ((float(t), idx, moved[i].coeffs[idx])
                for i, t in enumerate(times) for idx in range(2 * N)))
     results = {"norms_along_path": [float(nm) for nm in norms]}
-    return write_report(out_dir, "transport", config, results, checks)
+    return write_report(out_dir, "transport", run.config, results, checks)
 
 
-def run_curvature(config: dict, out_dir: str) -> dict:
-    grid = GridSpec(config["n"])
-    mu = build_density(config["density"], grid)
-    N = config["N"]
+def run_curvature(run: RunInputs, out_dir: str) -> dict:
+    grid, mu, N = run.grid, run.density, run.config["N"]
     ctx = WeightedOperatorContext(mu, N)
-    rng = np.random.default_rng(config["seed"])
+    rng = np.random.default_rng(run.config["seed"])
 
     sec_base = sectional(ScalarField(grid, ctx.basis0[0]), ScalarField(grid, ctx.basis0[1]), ctx)
 
@@ -405,19 +413,14 @@ def run_curvature(config: dict, out_dir: str) -> dict:
         fd_check,
         check("min_sampled_sectional", float(min_sec), SECTIONAL_FLOOR, op=">="),
     ]
-    if config["density"].get("family") == "uniform":
+    if run.config["density"]["family"] == "uniform":
         checks.insert(0, check("sectional_first_harmonics_error", abs(sec_base - 3.0),
                                FIRST_HARMONIC_SECTIONAL_TOL))
-    return write_report(out_dir, "curvature", config, results, checks)
+    return write_report(out_dir, "curvature", run.config, results, checks)
 
 
-def run_distance(config: dict, out_dir: str) -> dict:
-    grid = GridSpec(config["n"])
-    mu = build_density(config["density"], grid)
-    nu = build_density(config["density_b"], grid)
-    m = config["atoms"]
-    if not 2 <= m <= 256:
-        raise ConfigError("atoms must lie in [2, 256]")
+def run_distance(run: RunInputs, out_dir: str) -> dict:
+    mu, nu, m = run.density, run.density_b, run.config["atoms"]
     solver = CircleDistanceSolver()
     exact = solver.distance(mu, nu)
     plan = w2_lp(mu, nu, m=m)
@@ -437,11 +440,11 @@ def run_distance(config: dict, out_dir: str) -> dict:
         check("lp_vs_circle_relative", rel, LP_RELATIVE_TOL),
         check("coupling_marginal_violation", max(row_err, col_err), MARGINAL_TOL),
     ]
-    return write_report(out_dir, "distance", config, results, checks)
+    return write_report(out_dir, "distance", run.config, results, checks)
 
 
-def run_validate(config: dict, out_dir: str) -> dict:
-    outcome = run_all(n=config["n"], N=config["N"], seed=config["seed"])
+def run_validate(run: RunInputs, out_dir: str) -> dict:
+    outcome = run_all(n=run.config["n"], N=run.config["N"], seed=run.config["seed"])
     for record in outcome["records"]:
         print(format_record(record))
     write_csv(out_dir, "validate_summary.csv",
@@ -452,7 +455,7 @@ def run_validate(config: dict, out_dir: str) -> dict:
     results = {"records": outcome["records"]}
     checks = [check(f"criterion_{r['index']:02d}_{r['name']}", 1.0 if r["passed"] else 0.0,
                     0.5, op=">=") for r in outcome["records"]]
-    return write_report(out_dir, "validate", config, results, checks)
+    return write_report(out_dir, "validate", run.config, results, checks)
 
 
 SUBCOMMANDS = {
@@ -499,10 +502,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args)
+        run = build_inputs(load_config(args))
         if os.path.exists(args.out) and not os.path.isdir(args.out):
             raise ConfigError(f"--out {args.out!r} exists and is not a directory")
-        report = SUBCOMMANDS[args.subcommand](config, args.out)
+        report = SUBCOMMANDS[args.subcommand](run, args.out)
     # LinAlgError (a Cholesky breakdown) subclasses ValueError: catch it first
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -15,10 +15,11 @@ Two deliberately separate routes to the quadratic Wasserstein distance:
     integral.  Newton starts from a CDF table on a fine uniform grid,
     evaluated by one inverse FFT and inverted by linear interpolation, and
     steps only the points that have not yet converged, so a table costs
-    about two CDF evaluations.  The cut is bracketed by a ternary search over
-    grid-aligned offsets j/m in [-1, 1], where the target quantile is an
-    index shift of the midpoint values, and polished by bounded scalar
-    minimization (xatol 1e-10) on a periodic spline through those values.
+    about two CDF evaluations.  One FFT correlation scans the costs of all
+    grid-aligned cuts c = j/m in [-1, 1] (Delon, Salomon & Sobolevski 2010);
+    the best of the exact costs at its argmin and neighbours brackets a
+    bounded minimization (xatol 1e-10) on a periodic spline through those
+    values.
   * transport_lp: a linear program on explicit atoms with squared circular
     distance cost, solved by scipy's HiGHS backend.  w2_lp discretizes a pair
     of densities onto m atoms and calls it.
@@ -194,43 +195,33 @@ class CircleDistanceSolver:
     def distance(self, mu: Density, nu: Density) -> TransportResult:
         check_same_grid(mu.field(), nu.field())
         m = QUANTILE_MIDPOINTS
-        F = self.table(mu)
+        qF = self.table(mu).q_mid
         G = self.table(nu)
         s = (np.arange(m) + 0.5) / m
-        qF = F.q_mid
-        qG = G.q_mid
-        base = np.arange(m)
 
-        # grid-aligned cut u = s + j/m lands back on the s-grid, so the
-        # target quantile is an index shift plus a whole number of turns
-        def cost_at_index(j: int) -> float:
-            k = base + j
-            diff = qF - TWO_PI * np.floor_divide(k, m) - qG[np.mod(k, m)]
+        def cost(target) -> float:
+            diff = qF - target
             return float(np.mean(diff * diff))
 
-        # the cut objective is convex, so ternary search over grid cuts
-        # brackets the minimizer; ties shrink both ends
-        lo_j, hi_j = -m, m
-        while hi_j - lo_j > 2:
-            third = (hi_j - lo_j) // 3
-            m1, m2 = lo_j + max(third, 1), hi_j - max(third, 1)
-            c1, c2 = cost_at_index(m1), cost_at_index(m2)
-            if c1 < c2:
-                hi_j = m2
-            elif c2 < c1:
-                lo_j = m1
-            else:
-                lo_j, hi_j = m1, m2
-        window = range(lo_j, hi_j + 1)
-        costs = [cost_at_index(j) for j in window]
+        # the grid-aligned cut u = s + j/m lands back on the s-grid: its
+        # target quantiles are turns[j + m : j + 2m]
+        turns = np.concatenate((G.q_mid - TWO_PI, G.q_mid, G.q_mid + TWO_PI))
+        # mean (qF - window)^2 over every window at once: sum qF^2, minus twice
+        # the correlation of qF with turns (no wrap at FFT length 3m), plus a
+        # running sum of turns^2
+        size = 3 * m
+        cross = np.fft.irfft(np.fft.rfft(turns, size) * np.conj(np.fft.rfft(qF, size)), size)
+        squares = np.concatenate(([0.0], np.cumsum(turns * turns)))
+        scan = (qF @ qF - 2.0 * cross[: 2 * m + 1] + squares[m:] - squares[: 2 * m + 1]) / m
+        # the scan carries ~1e-13 of roundoff, so exact costs at its argmin
+        # and the two neighbours pick the bracket
+        centre = int(np.argmin(scan)) - m
+        window = range(max(centre - 1, -m), min(centre + 1, m) + 1)
+        costs = [cost(turns[j + m: j + 2 * m]) for j in window]
         best = window[int(np.argmin(costs))]
         best_cost = min(costs)
-
-        def cost(alpha: float) -> float:
-            diff = qF - G.unrolled(s + alpha)
-            return float(np.mean(diff * diff))
-
-        res = minimize_scalar(cost, bounds=((best - 1) / m, (best + 1) / m),
+        res = minimize_scalar(lambda alpha: cost(G.unrolled(s + alpha)),
+                              bounds=((best - 1) / m, (best + 1) / m),
                               method="bounded", options={"xatol": 1e-10})
         squared = float(min(res.fun, best_cost))
         shift = float(res.x) if res.fun <= best_cost else best / m

@@ -110,6 +110,14 @@ def test_usage_errors_exit_two(tmp_path, capsys):
              "bracket")):
         path = write_config(tmp_path, payload, f"num_{name}.json")
         assert run_cli([sub, "--config", path, "--out", out]) == 2, name
+    # geodesic's continuity residual needs 5 path times: checked before any
+    # route runs; transport takes any count >= 2
+    capsys.readouterr()
+    short = write_config(tmp_path, {"times": {"count": 4}}, "short.json")
+    assert run_cli(["geodesic", "--config", short, "--out", out]) == 2
+    assert "times.count" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert run_cli(["transport", "--config", short, "--out", out]) == 0
     # unreadable inputs and an unwritable --out are usage problems, not tracebacks
     capsys.readouterr()
     missing = write_config(tmp_path, {"density": {"family": "custom",
@@ -123,6 +131,25 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert run_cli(["metric", "--out", str(tmp_path / "taken")]) == 2
     err = capsys.readouterr().err
     assert err.count("config error:") == 3 and err.count("\n") == 3
+
+
+@pytest.mark.parametrize("section", [
+    {"potential": {"family": "bogus"}},
+    {"times": {"t_max": -1}},
+    {"atoms": 100000},
+    {"density_b": {"family": "cosine", "amplitude": 5.0}},
+])
+def test_every_config_section_is_checked_before_dispatch(tmp_path, capsys, section):
+    # each section is built for every subcommand, also those that never read it
+    path = write_config(tmp_path, section)
+    out = str(tmp_path / "out")
+    for sub in ("metric", "bracket", "christoffel", "geodesic", "transport",
+                "curvature", "distance", "validate"):
+        capsys.readouterr()
+        assert run_cli([sub, "--config", path, "--out", out]) == 2, sub
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, (sub, err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_config_numbers_exit_two(tmp_path, capsys):

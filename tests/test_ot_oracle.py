@@ -1,5 +1,8 @@
 """Circular optimal transport: quantile route, LP route, and their agreement."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +101,67 @@ def test_w2_nonnegative_and_symmetric(amp, phase, mode):
     rev = CircleDistanceSolver().distance(mu, VOL).w2
     assert fwd >= 0.0
     assert fwd == pytest.approx(rev, abs=1e-10)
+
+
+def _scan_pair(name):
+    if name == "phase_half_pi":  # optimal cut ~0.196, about 400 cells from 0
+        return cosine_density(GRID, 0.9), cosine_density(GRID, 0.9, phase=np.pi / 2)
+    if name == "phase_pi":  # grid costs symmetric about j = 0
+        return cosine_density(GRID, 0.9), cosine_density(GRID, 0.9, phase=np.pi)
+    if name == "mode2_mode3":
+        return (cosine_density(GRID, 0.3, mode=2, phase=0.4),
+                cosine_density(GRID, 0.6, mode=3, phase=2.0))
+    if name == "flow_pushforward":
+        return cosine_density(GRID, 0.3), _flow_density()
+    return cosine_density(GRID, 0.3), cosine_density(GRID, 0.3)
+
+
+@pytest.mark.parametrize("name", ["phase_half_pi", "phase_pi", "mode2_mode3",
+                                  "flow_pushforward", "identical"])
+def test_cut_scan_finds_the_exhaustive_grid_minimum(name):
+    mu, nu = _scan_pair(name)
+    solver = CircleDistanceSolver()
+    result = solver.distance(mu, nu)
+    m = QUANTILE_MIDPOINTS
+    qF, qG = solver.table(mu).q_mid, solver.table(nu).q_mid
+    # every grid cut j/m in [-1, 1], one at a time
+    costs = []
+    for j in range(-m, m + 1):
+        turn, k = divmod(j + np.arange(m), m)
+        costs.append(np.mean((qF - qG[k] - 2.0 * np.pi * turn) ** 2))
+    j_star = int(np.argmin(costs)) - m
+    assert abs(result.shift - j_star / m) <= 1.0 / m
+    assert result.w2_squared <= min(costs)
+
+
+@pytest.mark.parametrize("name, w2, shift", [
+    ("phase_half_pi", 0.8916000899889918, 0.19584723919508296),
+    ("mode2_mode3", 0.176091511027785, 0.019605742130928142),
+    ("flow_pushforward", 0.20876817557197277, -5.246416147413516e-10),
+])
+def test_distance_values_are_pinned(name, w2, shift):
+    result = CircleDistanceSolver().distance(*_scan_pair(name))
+    assert abs(result.w2 - w2) <= 1e-12
+    assert abs(result.shift - shift) <= 1e-9
+
+
+def test_oracle_imports_no_geometry_module():
+    # the oracle is an independent check on the geometry: of the package it
+    # may import only the density type, the errors and the grid
+    path = Path(__file__).resolve().parents[1] / "src" / "ottocircle" / "ot_oracle.py"
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("ottocircle" + (f".{node.module}" if node.module else "")
+                    if node.level else node.module)
+            names = [f"{base}.{a.name}" for a in node.names] if base == "ottocircle" else [base]
+        else:
+            continue
+        modules.update(name.split(".")[1] if "." in name else name
+                       for name in names if name.split(".")[0] == "ottocircle")
+    assert modules and modules <= {"density", "errors", "grid"}, modules
 
 
 def test_solver_caches_tables():
