@@ -12,9 +12,10 @@ shared code contract:
        breakdown, an RK4 density that turns nonpositive)
 
 Reports are deterministic for a given (config, seed): keys are sorted, no
-timestamps are embedded, and the config hash covers everything except the
-output directory.  The config chooses inputs only: every check threshold is
-a fixed constant, so no config can loosen one.
+timestamps are embedded, and the config hash covers everything the
+subcommand reads (validate reads only n, N and seed).  The config chooses
+inputs only: every check threshold is a fixed constant, so no config can
+loosen one.
 """
 
 from __future__ import annotations
@@ -444,7 +445,10 @@ def run_distance(run: RunInputs, out_dir: str) -> dict:
 
 
 def run_validate(run: RunInputs, out_dir: str) -> dict:
-    outcome = run_all(n=run.config["n"], N=run.config["N"], seed=run.config["seed"])
+    # run_all builds its own inputs from these three keys, so the report
+    # echoes and hashes only them; the other sections were checked already
+    config = {key: run.config[key] for key in ("n", "N", "seed")}
+    outcome = run_all(**config)
     for record in outcome["records"]:
         print(format_record(record))
     write_csv(out_dir, "validate_summary.csv",
@@ -455,7 +459,7 @@ def run_validate(run: RunInputs, out_dir: str) -> dict:
     results = {"records": outcome["records"]}
     checks = [check(f"criterion_{r['index']:02d}_{r['name']}", 1.0 if r["passed"] else 0.0,
                     0.5, op=">=") for r in outcome["records"]]
-    return write_report(out_dir, "validate", run.config, results, checks)
+    return write_report(out_dir, "validate", config, results, checks)
 
 
 SUBCOMMANDS = {

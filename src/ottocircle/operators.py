@@ -10,16 +10,25 @@ The Green operator inverts L_mu on mean-zero data by a Galerkin solve in the
 2N-mode trig span (constants excluded); the same Gram system drives the
 L^2(mu) projection of one-forms onto exact forms d(theta).
 
-WeightedOperatorContext owns every quadrature of basis tables against a
-density: Gram matrices and their Cholesky factors, weighted moments, triple
-products, and the projection at a moving density that the geodesic and
-transport ODEs solve at every RK4 stage.  It is fixed at construction, except
-that its Gram matrix is factored on the first solve (a metric-only context
-never factors).
+WeightedOperatorContext owns every integral of the basis against a density:
+Gram matrices and their Cholesky factors, weighted moments, triple products,
+and the projection at a moving density that the geodesic and transport ODEs
+solve at every RK4 stage.  It is fixed at construction, except that its Gram
+matrix is factored on the first solve (a metric-only context never factors).
+
+In the trig basis these integrals are Fourier data of rho: the node
+quadrature of a product of basis rows against rho is a sum of DFT bins of rho
+at the sums and differences of the row modes.  The stage Gram matrix
+(assemble_gram, bins up to 2N) and the triple products (bins up to 3N) are
+assembled from those bins.  The context's own Gram matrix, the weighted
+moments and the syntheses of potentials from coefficients stay quadratures
+of the node tables basis0/1/2, so the base Gram matrix and the moments it
+solves against agree to a few ulps.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,10 +38,16 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .density import Density
 from .errors import CompatibilityError, ConditioningWarning, ConfigError, DomainError
-from .grid import OneForm, ScalarField, basis_matrix, check_same_grid, deriv
+from .grid import SQRT2, OneForm, ScalarField, basis_matrix, check_same_grid, deriv
 
 GRAM_CONDITION_LIMIT = 1e12
 MEAN_ZERO_TOL = 1e-8
+# On e^{ikx}, phi_k' is k/sqrt(2) times i^p with p = 1 (cos row) or 0 (sin
+# row), and phi_k'' is k^2/sqrt(2) times i^2 or i^1; e^{-ikx} carries i^-p.
+_FIRST_POWER = (1, 0)
+_SECOND_POWER = (2, 1)
+# Re(i^q (C + i S)) for q mod 4 = 0, 1, 2, 3: +C, -S, -C, +S as (use_sin, op)
+_REAL_PART = ((False, np.add), (True, np.subtract), (False, np.subtract), (True, np.add))
 
 
 @dataclass
@@ -53,7 +68,10 @@ class WeightedOperatorContext:
         self.basis0 = basis_matrix(grid, self.N, order=0)
         self.basis1 = basis_matrix(grid, self.N, order=1)
         self.basis2 = basis_matrix(grid, self.N, order=2)
-        self.gram = assemble_gram(self.basis1, self.mu.rho)
+        # the base Gram stays a quadrature of the basis tables, which pairs it
+        # with weighted_moment to a few ulps (project_exact's orthogonality)
+        gram = (self.basis1 * (self.mu.rho / grid.n)) @ self.basis1.T
+        self.gram = 0.5 * (gram + gram.T)
         check_gram(self.gram)
 
     @property
@@ -82,14 +100,39 @@ class WeightedOperatorContext:
         """Gram(rho)^{-1} [int w phi_l' rho dvol]: the coefficients of
         project_gradient_coeffs at the density rho instead of mu.  The Gram
         matrix at rho is factored afresh; a breakdown raises LinAlgError."""
-        gram = assemble_gram(self.basis1, rho)
+        gram = assemble_gram(rho, self.N)
         return cho_solve(cho_factor(gram), self.basis1 @ (w_values * rho) / self.grid.n)
 
     def triple_products(self) -> np.ndarray:
-        """c[i, j, l] = int phi_i' phi_j'' phi_l' dmu over the 2N basis."""
-        weights = self.mu.rho / self.grid.n
-        return np.einsum("ix,jx,lx,x->ijl", self.basis1, self.basis2, self.basis1, weights,
-                         optimize=True)
+        """c[i, j, l] = int phi_i' phi_j'' phi_l' dmu over the 2N basis.
+
+        With the rows written as exponentials (_FIRST_POWER, _SECOND_POWER),
+        each entry is 2 Re of four products with the bins
+        int e^{imx} dmu = C_m + i S_m at m = k +- j +- l, one per sign
+        pattern.  Each pattern is gathered at mode level and added into the
+        8 cos/sin blocks; 2 (1/sqrt(2))^3 k j^2 l scales the sum."""
+        N = self.N
+        bins = np.fft.fft(self.mu.rho) / self.grid.n
+        cos_bins, sin_bins = bins.real, -bins.imag  # int cos(mx) dmu, int sin(mx) dmu
+        j = np.arange(1, N + 1)
+        patterns = [(sj, sl, sj * j[:, None] + sl * j[None, :])
+                    for sj, sl in itertools.product((1, -1), repeat=2)]
+        scale = (SQRT2 / 2.0) * (j[:, None] ** 2 * j[None, :]).astype(np.float64)
+        out = np.zeros((N, 2, N, 2, N, 2))
+        # one k at a time keeps the temporaries at O(N^2)
+        for k in range(1, N + 1):
+            row = out[k - 1]
+            for sj, sl, offset in patterns:
+                # |m| <= 3N < n, so a negative m indexes its own bin from the end
+                m = k + offset
+                gathered = (cos_bins[m], sin_bins[m])
+                for ti, tj, tl in itertools.product((0, 1), repeat=3):
+                    q = _FIRST_POWER[ti] + sj * _SECOND_POWER[tj] + sl * _FIRST_POWER[tl]
+                    use_sin, accumulate = _REAL_PART[q % 4]
+                    block = row[ti, :, tj, :, tl]
+                    accumulate(block, gathered[use_sin], out=block)
+            row *= k * scale[None, :, None, :, None]
+        return out.reshape(2 * N, 2 * N, 2 * N)
 
     def potential_values(self, coeffs: np.ndarray, order: int = 0) -> np.ndarray:
         table = (self.basis0, self.basis1, self.basis2)[order]
@@ -115,12 +158,28 @@ def check_gram(matrix: np.ndarray) -> None:
         )
 
 
-def assemble_gram(basis1: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Otto-metric Gram matrix int phi_i' phi_j' dmu for the given basis rows."""
-    n = rho.size
-    weighted = basis1 * (rho / n)
-    gram = weighted @ basis1.T
-    return 0.5 * (gram + gram.T)
+def assemble_gram(rho: np.ndarray, N: int) -> np.ndarray:
+    """Otto-metric Gram matrix int phi_i' phi_j' dmu over the 2N basis, from
+    the bins C_m = int cos(mx) dmu and S_m = int sin(mx) dmu, m <= 2N:
+
+        (cos k, cos l) = k l (C_|k-l| - C_{k+l})
+        (sin k, sin l) = k l (C_|k-l| + C_{k+l})
+        (cos k, sin l) = -k l (S_{k+l} + sgn(k-l) S_|k-l|)
+
+    These bins are the node quadrature itself, so the matrix equals the
+    quadrature of the basis tables up to roundoff, in O(n log n + N^2)."""
+    bins = np.fft.rfft(rho)[: 2 * N + 1] / rho.size
+    cos_bins, sin_bins = bins.real, -bins.imag
+    k = np.arange(1, N + 1)
+    diff, total = np.subtract.outer(k, k), np.add.outer(k, k)
+    kl = np.multiply.outer(k, k).astype(np.float64)
+    cross = -kl * (sin_bins[total] + np.sign(diff) * sin_bins[np.abs(diff)])
+    gram = np.empty((2 * N, 2 * N))
+    gram[0::2, 0::2] = kl * (cos_bins[np.abs(diff)] - cos_bins[total])
+    gram[1::2, 1::2] = kl * (cos_bins[np.abs(diff)] + cos_bins[total])
+    gram[0::2, 1::2] = cross
+    gram[1::2, 0::2] = cross.T
+    return gram
 
 
 def div_mu(xi: ScalarField, ctx: WeightedOperatorContext) -> ScalarField:

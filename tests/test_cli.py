@@ -152,6 +152,27 @@ def test_every_config_section_is_checked_before_dispatch(tmp_path, capsys, secti
     assert not (tmp_path / "out").exists()
 
 
+def test_validate_hashes_only_what_it_reads(tmp_path, monkeypatch):
+    # validate reads n, N and seed; a change to any other section leaves its
+    # echoed config and hash alone (the criteria are stubbed: only the
+    # report plumbing is under test)
+    import ottocircle.cli as cli
+
+    monkeypatch.setattr(cli, "run_all", lambda **kwargs: {"records": []})
+    reports = []
+    for atoms in (32, 128):
+        path = write_config(tmp_path, {"atoms": atoms, "seed": 3}, name=f"atoms_{atoms}.json")
+        out = tmp_path / f"out_{atoms}"
+        assert run_cli(["validate", "--config", path, "--out", str(out)]) == 0
+        reports.append(read_report(out, "validate"))
+    assert reports[0]["config"] == {"n": 256, "N": 8, "seed": 3}
+    assert reports[0]["config_sha256"] == reports[1]["config_sha256"]
+    path = write_config(tmp_path, {"seed": 4}, name="seed_4.json")
+    assert run_cli(["validate", "--config", path, "--out", str(tmp_path / "seed_4")]) == 0
+    assert read_report(tmp_path / "seed_4", "validate")["config_sha256"] \
+        != reports[0]["config_sha256"]
+
+
 def test_non_finite_config_numbers_exit_two(tmp_path, capsys):
     # json reads the NaN and Infinity literals, and 1e400 overflows to inf;
     # each is rejected when the config is parsed, before any subcommand runs

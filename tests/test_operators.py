@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from ottocircle import (
     CompatibilityError,
     ConfigError,
+    Density,
     GridSpec,
     OneForm,
     ScalarField,
@@ -22,6 +24,7 @@ from ottocircle import (
     uniform_density,
     weighted_inner,
 )
+from ottocircle.operators import assemble_gram
 
 N_MODES = 6
 GRID = GridSpec(128)
@@ -136,3 +139,56 @@ def test_weighted_moment_orders():
     expected = np.zeros(2 * N_MODES)
     expected[0] = np.sqrt(2.0) / 2.0
     np.testing.assert_allclose(m0, expected, atol=1e-14)
+
+
+def full_spectrum_density(grid, seed):
+    """rho = 1 + sum_k a_k cos(kx + p_k) / k^2 over every mode below Nyquist,
+    with random phases p_k, so every DFT bin is nonzero and both the cos and
+    the sin parts of each bin carry weight (|rho - 1| <= 0.3 * pi^2/6 < 1/2)."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(1, grid.n // 2)[:, None]
+    amps = rng.uniform(-0.3, 0.3, k.shape) / k**2
+    phases = rng.uniform(0.0, 2.0 * np.pi, k.shape)
+    return Density(grid, 1.0 + (amps * np.cos(k * grid.nodes + phases)).sum(0))
+
+
+def table_gram(ctx, rho):
+    """Node quadrature of the derivative table against rho: the oracle for
+    the Fourier-bin Gram assembly."""
+    gram = (ctx.basis1 * (rho / ctx.grid.n)) @ ctx.basis1.T
+    return 0.5 * (gram + gram.T)
+
+
+def table_triple_products(ctx):
+    """Node quadrature of phi_i' phi_j'' phi_l' against rho: the oracle for
+    the Fourier-bin triple products."""
+    return np.einsum("ix,jx,lx,x->ijl", ctx.basis1, ctx.basis2, ctx.basis1,
+                     ctx.mu.rho / ctx.grid.n, optimize=True)
+
+
+@pytest.mark.parametrize("n, N", [(256, 8), (512, 32), (1024, 64)])
+def test_fourier_assembly_matches_node_quadrature(n, N):
+    grid = GridSpec(n)
+    ctx = WeightedOperatorContext(full_spectrum_density(grid, n + N), N)
+    expected = table_gram(ctx, ctx.mu.rho)
+    # the cos/sin cross blocks are nonzero, so a sign slip there shows
+    assert np.abs(expected[0::2, 1::2]).max() > 1e-3 * np.abs(expected).max()
+    gram = assemble_gram(ctx.mu.rho, N)
+    assert np.abs(gram - expected).max() <= 1e-13 * np.abs(expected).max()
+    expected = table_triple_products(ctx)
+    triple = ctx.triple_products()
+    assert np.abs(triple - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_stage_projection_at_a_moved_density():
+    # project_at solves against the Gram matrix of its own rho, not the base's
+    grid = GridSpec(256)
+    ctx = WeightedOperatorContext(cosine_density(grid, 0.3, phase=0.4), 16)
+    rho = full_spectrum_density(grid, 7).rho
+    w = np.cos(3 * grid.nodes) ** 2 + np.sin(grid.nodes + 0.2)
+    moment = ctx.basis1 @ (w * rho) / grid.n
+    expected = cho_solve(cho_factor(table_gram(ctx, rho)), moment)
+    solved = ctx.project_at(rho, w)
+    assert np.abs(solved - expected).max() <= 1e-12 * np.abs(expected).max()
+    base = cho_solve(cho_factor(ctx.gram), moment)
+    assert np.abs(base - expected).max() > 1e-3 * np.abs(expected).max()
