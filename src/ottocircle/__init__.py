@@ -29,7 +29,7 @@ from .grid import (
     eval_trig,
     field_from_coeffs,
     integrate,
-    trig_coefficients,
+    trig_series,
 )
 from .density import (
     Density,

@@ -115,9 +115,9 @@ def christoffel(ctx: WeightedOperatorContext) -> ChristoffelTensor:
 
 def christoffel_residual(tensor: ChristoffelTensor, ctx: WeightedOperatorContext) -> float:
     """Max |Gram * Gamma^._ij - c_ij.| over all (i, j): solver self-consistency."""
-    recon = np.einsum("lk,kij->ijl", ctx.gram, tensor.gamma)
-    # in place: a d^3 temporary per step raises the peak memory at large N
-    recon -= tensor.rhs
+    # one GEMM into rows l, columns (i, j), then in place: no second d^3 temporary
+    recon = ctx.gram @ tensor.gamma.reshape(len(ctx.gram), -1)
+    recon -= np.reshape(tensor.rhs, (recon.shape[1], -1)).T
     return float(np.abs(recon, out=recon).max())
 
 

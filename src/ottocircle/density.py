@@ -26,6 +26,7 @@ from .grid import (
     check_same_grid,
     eval_trig,
     integrate,
+    trig_series,
 )
 
 MASS_TOL = 1e-10
@@ -122,13 +123,12 @@ def pushforward_monotone(mu: Density, displacement: ScalarField) -> Density:
     the defect kept in Density.mass_drift.
     """
     check_same_grid(mu.field(), displacement)
-    n_fine = 4 * mu.grid.n
-    x_fine = TWO_PI * np.arange(n_fine) / n_fine
-    t_fine = eval_trig(displacement, x_fine)
-    jac_fine = 1.0 + eval_trig(displacement, x_fine, order=1)
+    x_fine = GridSpec(4 * mu.grid.n).nodes
+    t_fine, dt_fine = eval_trig(trig_series(displacement), x_fine, (0, 1))
+    jac_fine = 1.0 + dt_fine
     if jac_fine.min() <= 0.0:
         raise FoldError(f"map folds: min(1 + T') = {jac_fine.min():.3e} <= 0")
-    rho_fine = eval_trig(mu.field(), x_fine)
+    rho_fine = eval_trig(trig_series(mu.field()), x_fine)[0]
     y = np.mod(x_fine + t_fine, TWO_PI)
     v = rho_fine / jac_fine
     resampled = periodic_monotone_resample(y, v, mu.grid)

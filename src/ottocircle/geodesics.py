@@ -32,9 +32,10 @@ import numpy as np
 
 from .density import Density, make_density, pushforward_monotone
 from .errors import CausticError, ConfigError, DomainError, NumericalError
-from .grid import TWO_PI, GridSpec, ScalarField, check_same_grid, deriv, eval_trig, rk4
+from .grid import (GridSpec, ScalarField, TrigSeries, check_same_grid, deriv, eval_trig, rk4,
+                   trig_series)
 from .operators import WeightedOperatorContext
-from .tangent import TangentVector
+from .tangent import TangentVector, flow_constant_field
 
 
 @dataclass(frozen=True)
@@ -48,32 +49,36 @@ class GeodesicPath:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
-        if times.ndim != 1 or times.size < 1:
-            raise ConfigError("path needs a one-dimensional, nonempty time grid")
+        if times.ndim != 1 or times.size < 1 or not np.all(np.diff(times) > 0.0):
+            raise ConfigError("path times must be a nonempty, strictly increasing 1-d grid")
         if times.size != len(self.densities) or times.size != len(self.potentials):
             raise ConfigError("times, densities, potentials must have equal length")
-        if np.any(np.diff(times) <= 0.0):
-            raise ConfigError("path times must be strictly increasing")
         times = times.copy()
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
 
 
 def first_caustic_time(psi0: ScalarField) -> float:
-    """Earliest t > 0 with 1 + t*psi0'' = 0 (inf if characteristics never cross).
-
-    The second derivative is scanned on a 4x finer grid.
-    """
-    n_fine = 4 * psi0.grid.n
-    x_fine = TWO_PI * np.arange(n_fine) / n_fine
-    curv_min = float(eval_trig(psi0, x_fine, order=2).min())
-    if curv_min >= 0.0:
-        return float("inf")
-    return -1.0 / curv_min
+    """Earliest t > 0 with 1 + t*psi0'' = 0 (inf if characteristics never cross)."""
+    return _caustic_time(trig_series(psi0))
 
 
-def _check_caustic_free(psi0: ScalarField, t_max: float) -> None:
-    t_star = first_caustic_time(psi0)
+def _caustic_time(series: TrigSeries) -> float:
+    """first_caustic_time from psi0's spectrum; psi0'' is scanned on a 4x finer grid."""
+    curv_min = float(eval_trig(series, GridSpec(4 * series.n).nodes, (2,)).min())
+    return float("inf") if curv_min >= 0.0 else -1.0 / curv_min
+
+
+def _time_grid(times) -> np.ndarray:
+    """A route's time grid, checked before any work."""
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or times.size < 1 or times[0] != 0.0 or not np.all(np.diff(times) > 0.0):
+        raise ConfigError("geodesic time grids start at t = 0 and increase strictly")
+    return times
+
+
+def _check_caustic_free(series: TrigSeries, t_max: float) -> None:
+    t_star = _caustic_time(series)
     if t_star <= t_max:
         raise CausticError(
             f"characteristics cross at t = {t_star:.6f} <= requested {t_max:.6f}",
@@ -100,7 +105,7 @@ def _stepped_density(rho: np.ndarray, grid: GridSpec, t: float, route: str) -> D
                              f"is not a density ({exc})") from exc
 
 
-def _characteristic_feet(psi0: ScalarField, t: float, targets: np.ndarray) -> np.ndarray:
+def _characteristic_feet(series: TrigSeries, t: float, targets: np.ndarray) -> np.ndarray:
     """Solve x0 + t*psi0'(x0) = target for each target by vectorized Newton.
 
     Raises NumericalError, naming t and the worst residual, when the Newton
@@ -108,13 +113,12 @@ def _characteristic_feet(psi0: ScalarField, t: float, targets: np.ndarray) -> np
     """
     x = targets.copy()
     for _ in range(60):
-        f = x + t * eval_trig(psi0, x, order=1) - targets
-        fp = 1.0 + t * eval_trig(psi0, x, order=2)
-        step = f / fp
+        d1, d2 = eval_trig(series, x, (1, 2))
+        step = (x + t * d1 - targets) / (1.0 + t * d2)
         x = x - step
         if np.abs(step).max() < 1e-14:
             return x
-    residual = np.abs(x + t * eval_trig(psi0, x, order=1) - targets).max()
+    residual = np.abs(x + t * eval_trig(series, x, (1,))[0] - targets).max()
     raise NumericalError(
         f"characteristic Newton solve at t = {t:.6g} did not converge in 60 "
         f"iterations (worst residual {residual:.3e})"
@@ -124,10 +128,9 @@ def _characteristic_feet(psi0: ScalarField, t: float, targets: np.ndarray) -> np
 def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int = 4) -> GeodesicPath:
     """Characteristic Hamilton-Jacobi potential with RK4 continuity density."""
     check_same_grid(psi0, mu0.field())
-    times = np.asarray(times, dtype=np.float64)
-    if times[0] != 0.0:
-        raise ConfigError("geodesic time grids start at t = 0")
-    _check_caustic_free(psi0, float(times[-1]))
+    times = _time_grid(times)
+    series = trig_series(psi0)
+    _check_caustic_free(series, float(times[-1]))
     grid = mu0.grid
     nodes = grid.nodes
 
@@ -137,12 +140,12 @@ def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int 
 
     def feet_at(t: float) -> np.ndarray:
         if t not in feet_cache:
-            feet_cache[t] = _characteristic_feet(psi0, t, nodes)
+            feet_cache[t] = _characteristic_feet(series, t, nodes)
         return feet_cache[t]
 
     def rhs(t: float, rho: np.ndarray) -> np.ndarray:
         if t not in dpsi_cache:
-            dpsi_cache[t] = eval_trig(psi0, nodes if t == 0.0 else feet_at(t), order=1)
+            dpsi_cache[t] = eval_trig(series, nodes if t == 0.0 else feet_at(t), (1,))[0]
         return _continuity_rhs(rho, dpsi_cache[t], grid)
 
     rho = mu0.rho.copy()
@@ -153,9 +156,7 @@ def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int 
         rho = rk4(rhs, times[idx], t_out, rho, steps_per_interval)
         mu_t = _stepped_density(rho, grid, t_out, "hj")
         rho = mu_t.rho.copy()
-        feet = feet_at(t_out)
-        p0 = eval_trig(psi0, feet)
-        dp0 = eval_trig(psi0, feet, order=1)
+        p0, dp0 = eval_trig(series, feet_at(t_out), (0, 1))
         psi_t = p0 + 0.5 * t_out * dp0**2
         densities.append(mu_t)
         potentials.append(_demeaned(psi_t, mu_t.rho, grid))
@@ -179,9 +180,7 @@ def geodesic_christoffel(mu0: Density, psi0_coeffs, times, N: int | None = None,
         N = coeffs.size // 2
     if coeffs.size != 2 * N:
         raise ConfigError(f"expected {2 * N} coefficients, got {coeffs.size}")
-    times = np.asarray(times, dtype=np.float64)
-    if times[0] != 0.0:
-        raise ConfigError("geodesic time grids start at t = 0")
+    times = _time_grid(times)
     grid = mu0.grid
     ctx = WeightedOperatorContext(mu0, N)
 
@@ -210,18 +209,17 @@ def displacement_path(mu0: Density, psi0: ScalarField, times) -> GeodesicPath:
     characteristic potentials attached so the path supports action and
     transport."""
     check_same_grid(psi0, mu0.field())
-    times = np.asarray(times, dtype=np.float64)
-    if times[0] != 0.0:
-        raise ConfigError("geodesic time grids start at t = 0")
-    _check_caustic_free(psi0, float(times[-1]))
+    times = _time_grid(times)
+    series = trig_series(psi0)
+    _check_caustic_free(series, float(times[-1]))
     grid = mu0.grid
     dpsi0 = deriv(psi0).values
     densities = [mu0]
     potentials = [_demeaned(psi0.values, mu0.rho, grid)]
     for t in times[1:]:
         mu_t = pushforward_monotone(mu0, ScalarField(grid, float(t) * dpsi0))
-        feet = _characteristic_feet(psi0, float(t), grid.nodes)
-        psi_t = eval_trig(psi0, feet) + 0.5 * float(t) * eval_trig(psi0, feet, order=1) ** 2
+        p0, dp0 = eval_trig(series, _characteristic_feet(series, float(t), grid.nodes), (0, 1))
+        psi_t = p0 + 0.5 * float(t) * dp0**2
         densities.append(mu_t)
         potentials.append(_demeaned(psi_t, mu_t.rho, grid))
     return GeodesicPath(grid, times, densities, potentials)
@@ -230,8 +228,6 @@ def displacement_path(mu0: Density, psi0: ScalarField, times) -> GeodesicPath:
 def flow_path(mu0: Density, psi: ScalarField, times) -> GeodesicPath:
     """Curve pushed along the fixed field grad(psi); velocity potential is psi
     at every time (it is not a geodesic)."""
-    from .tangent import flow_constant_field
-
     times = np.asarray(times, dtype=np.float64)
     grid = mu0.grid
     densities = []

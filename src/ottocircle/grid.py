@@ -12,6 +12,10 @@ basis used throughout is
 
 orthonormal in L^2(dvol); constants are excluded because potentials are only
 meaningful modulo constants.
+
+All off-grid evaluation goes through one evaluator: trig_series takes a
+field's spectrum once, and eval_trig evaluates any set of derivative orders
+of it, and the antiderivative as order -1, from one phase table.
 """
 
 from __future__ import annotations
@@ -126,43 +130,48 @@ def basis_matrix(grid: GridSpec, N: int, order: int = 0) -> np.ndarray:
     return out
 
 
-def trig_coefficients(f: ScalarField) -> tuple[float, np.ndarray, np.ndarray]:
-    """(mean, cosine coeffs a_k, sine coeffs b_k) of the trig interpolant.
+@dataclass(frozen=True)
+class TrigSeries:
+    """f(x) = mean + Re sum_k c_k e^{ikx}, c_k = a_k - i b_k, over the kept
+    wavenumbers k of an n-node interpolant (the Nyquist row is not doubled)."""
 
-    f(x) = mean + sum_k a_k cos(kx) + b_k sin(kx), k = 1 .. n/2 (the Nyquist
-    row sits in a_{n/2} with b_{n/2} = 0).
-    """
+    n: int
+    mean: float
+    k: np.ndarray
+    c: np.ndarray
+
+
+def trig_series(f: ScalarField) -> TrigSeries:
+    """The spectrum of f, taken once for any number of off-grid evaluations.
+    Modes with |a_k| + |b_k| <= 1e-15 * max(1, largest such sum) are dropped,
+    so evaluation cost tracks the band-limit of f, not the grid size."""
     n = f.grid.n
     c = np.fft.rfft(f.values) / n
-    a = 2.0 * c[1:].real
-    b = -2.0 * c[1:].imag
-    a[-1] *= 0.5  # Nyquist bin is not doubled
-    b[-1] = 0.0
-    return float(c[0].real), a, b
+    mean = float(c[0].real)
+    c = 2.0 * c[1:]
+    c[-1] = 0.5 * c[-1].real
+    amp = np.abs(c.real) + np.abs(c.imag)
+    keep = amp > 1e-15 * max(1.0, amp.max())
+    return TrigSeries(n, mean, np.arange(1, n // 2 + 1, dtype=np.float64)[keep], c[keep])
 
 
-def eval_trig(f: ScalarField, points: np.ndarray, order: int = 0) -> np.ndarray:
-    """Evaluate the trig interpolant of f (or a derivative) at arbitrary points.
-
-    Modes with negligible amplitude are dropped, so evaluation cost tracks the
-    actual band-limit of f rather than the grid size.  Odd orders drop the
-    Nyquist mode, matching deriv().
-    """
+def eval_trig(series: TrigSeries, points: np.ndarray, orders=(0,)) -> np.ndarray:
+    """One row per requested derivative order at arbitrary points, all from
+    one phase table.  Order -1 is int_0^x (f - mean).  Positive odd orders
+    drop the Nyquist mode, matching deriv(); the other orders keep it."""
     points = np.asarray(points, dtype=np.float64)
-    mean, a, b = trig_coefficients(f)
-    k = np.arange(1, f.grid.n // 2 + 1, dtype=np.float64)
-    amp = np.abs(a) + np.abs(b)
-    keep = amp > 1e-15 * max(1.0, amp.max() if amp.size else 0.0)
-    if order % 2 == 1:
-        keep[-1] = False
-    k, a, b = k[keep], a[keep], b[keep]
-    shift = order * np.pi / 2.0
-    scale = k**order
-    phases = np.multiply.outer(k, points) + shift
-    out = (scale * a) @ np.cos(phases) + (scale * b) @ np.sin(phases)
-    if order == 0:
-        out = out + mean
-    return out
+    k = series.k
+    # d/dx multiplies c_k by ik; Re(d e^{ikx}) = Re(d) cos(kx) - Im(d) sin(kx)
+    rows = np.array([series.c * ((1, 1j, -1, -1j)[p % 4] * k**p) for p in orders])
+    rows[np.ix_([p > 0 and p % 2 == 1 for p in orders], k == series.n // 2)] = 0.0
+    phases = np.multiply.outer(k, points.ravel())
+    out = rows.real @ np.cos(phases) - rows.imag @ np.sin(phases)
+    for row, p, value_at_0 in zip(out, orders, rows.real.sum(axis=1)):
+        if p == 0:
+            row += series.mean
+        elif p == -1:
+            row -= value_at_0
+    return out.reshape((len(orders),) + points.shape)
 
 
 def rk4(f, t0: float, t1: float, y: np.ndarray, steps: int) -> np.ndarray:

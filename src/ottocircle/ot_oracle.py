@@ -9,23 +9,23 @@ Two deliberately separate routes to the quadratic Wasserstein distance:
         int_0^1 (Fmu^{-1}(s) - Gnu^{-1}(s + c))^2 ds,
 
     with the target quantile unrolled periodically,
-    Gnu^{-1}(u + 1) = Gnu^{-1}(u) + 2*pi.  CDFs are integrated termwise from
-    the trigonometric interpolant of the density, and quantiles come from
-    safeguarded Newton at the m = QUANTILE_MIDPOINTS midpoints of the
-    integral.  Newton starts from a CDF table on a fine uniform grid,
-    evaluated by one inverse FFT and inverted by linear interpolation, and
-    steps only the points that have not yet converged, so a table costs
-    about two CDF evaluations.  One FFT correlation scans the costs of all
-    grid-aligned cuts c = j/m in [-1, 1] (Delon, Salomon & Sobolevski 2010);
-    the best of the exact costs at its argmin and neighbours brackets a
-    bounded minimization (xatol 1e-10) on a periodic spline through those
-    values.
+    Gnu^{-1}(u + 1) = Gnu^{-1}(u) + 2*pi.  The CDF is order -1 (the termwise
+    antiderivative) of grid.eval_trig on the density's spectrum, and
+    quantiles come from safeguarded Newton at the m = QUANTILE_MIDPOINTS
+    midpoints of the integral.  Newton starts from a CDF table on a fine
+    uniform grid, evaluated by one inverse FFT of the same spectrum and
+    inverted by linear interpolation, and steps only the points that have
+    not yet converged, so a table costs about two CDF evaluations.  One FFT
+    correlation scans the costs of all grid-aligned cuts c = j/m in [-1, 1]
+    (Delon, Salomon & Sobolevski 2010); the best of the exact costs at its
+    argmin and neighbours brackets a bounded minimization (xatol 1e-10) on
+    a periodic spline through those values.
   * transport_lp: a linear program on explicit atoms with squared circular
     distance cost, solved by scipy's HiGHS backend.  w2_lp discretizes a pair
     of densities onto m atoms and calls it.
 
-Neither route shares code with the geometry modules; they exist to check the
-metric side of the package against classical transport.
+Neither route shares physics with the geometry modules, only grid's spectral
+plumbing; they exist to check the metric side against classical transport.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from scipy.sparse import coo_matrix
 
 from .density import Density
 from .errors import ConfigError, NumericalError
-from .grid import TWO_PI, check_same_grid, trig_coefficients
+from .grid import TWO_PI, check_same_grid, eval_trig, trig_series
 
 # midpoint-rule resolution of the quantile mismatch integral
 QUANTILE_MIDPOINTS = 2048
@@ -65,23 +65,16 @@ class _SpectralCDF:
     """Termwise antiderivative of a density's trigonometric interpolant."""
 
     def __init__(self, mu: Density):
-        mean, a, b = trig_coefficients(mu.field())
-        keep = np.maximum(np.abs(a), np.abs(b)) > 1e-15 * max(1.0, np.abs(mean))
-        self.k = (np.nonzero(keep)[0] + 1).astype(np.float64)
-        self.a = a[keep]
-        self.b = b[keep]
+        self.series = trig_series(mu.field())
+        self.k = self.series.k
 
     def cdf(self, x):
         return self._cdf_pdf(np.asarray(x, dtype=np.float64))[0]
 
     def _cdf_pdf(self, x):
-        if self.k.size == 0:
-            return x / TWO_PI, np.full(x.shape, 1.0 / TWO_PI)
-        kx = np.multiply.outer(x, self.k)
-        sin_kx = np.sin(kx)
-        cos_kx = np.cos(kx)
-        series = sin_kx @ (self.a / self.k) - (cos_kx - 1.0) @ (self.b / self.k)
-        return (x + series) / TWO_PI, (1.0 + cos_kx @ self.a + sin_kx @ self.b) / TWO_PI
+        # the unit mean integrates to x; order -1 is the rest of int_0^x rho
+        wobble, pdf = eval_trig(self.series, x, (-1, 0))
+        return (x + wobble) / TWO_PI, pdf / TWO_PI
 
     def _seed(self, s):
         """Newton start x0 and bracket [lo, hi] for each target s.
@@ -94,8 +87,9 @@ class _SpectralCDF:
         """
         cells = SEED_CELLS
         spectrum = np.zeros(cells // 2 + 1, dtype=np.complex128)
-        spectrum[0] = cells * np.sum(self.b / self.k)
-        spectrum[self.k.astype(np.intp)] = 0.5 * cells * (-self.b - 1j * self.a) / self.k
+        # c_k e^{ikx} integrates to c_k e^{ikx} / (ik); the constant pins F(0) = 0
+        spectrum[self.k.astype(np.intp)] = 0.5 * cells * self.series.c / (1j * self.k)
+        spectrum[0] = -2.0 * spectrum[1:].real.sum()
         nodes = TWO_PI * np.arange(cells + 1) / cells
         table = np.empty(cells + 1)
         table[:-1] = (nodes[:-1] + np.fft.irfft(spectrum, cells)) / TWO_PI

@@ -15,7 +15,7 @@ import numpy as np
 
 from .density import Density, pushforward_monotone
 from .errors import DomainError, StiffnessError
-from .grid import ScalarField, check_same_grid, deriv, eval_trig, rk4
+from .grid import ScalarField, check_same_grid, deriv, eval_trig, rk4, trig_series
 from .operators import WeightedOperatorContext
 
 
@@ -76,8 +76,9 @@ def flow_map(psi: ScalarField, t: float, steps: int | None = None) -> np.ndarray
     x = psi.grid.nodes.copy()
     if t == 0.0 or np.allclose(deriv(psi).values, 0.0):
         return x
+    series = trig_series(psi)
     # autonomous: the stage time is unused
-    x = rk4(lambda _t, y: eval_trig(psi, y, order=1), 0.0, t, x, steps)
+    x = rk4(lambda _t, y: eval_trig(series, y, (1,))[0], 0.0, t, x, steps)
     if not np.all(np.isfinite(x)):
         raise StiffnessError("flow integration produced non-finite node positions")
     return x

@@ -16,6 +16,7 @@ from ottocircle import (
     cosine_density,
     displacement_path,
     first_caustic_time,
+    flow_map,
     flow_path,
     geodesic_christoffel,
     geodesic_hj,
@@ -62,6 +63,58 @@ def test_time_grid_validation():
         geodesic_christoffel(VOL, np.zeros(16), np.linspace(0.5, 1.0, 5))
     with pytest.raises(ConfigError):
         displacement_path(VOL, PSI0, np.linspace(0.5, 1.0, 5))
+
+
+def test_time_grid_order_is_checked_before_any_work():
+    # psi = 0.5 cos x reaches its caustic at t = 2: a grid that ends at 1.5
+    # but passes t = 3 on the way must not start integrating
+    psi = ScalarField(GRID, 0.5 * np.cos(GRID.nodes))
+    coeffs = np.zeros(32)
+    coeffs[0] = 0.5 / np.sqrt(2.0)
+    times = np.array([0.0, 3.0, 1.5])
+    for route, potential in ((geodesic_hj, psi), (geodesic_christoffel, coeffs),
+                             (displacement_path, psi)):
+        with pytest.raises(ConfigError, match="increase strictly"):
+            route(VOL, potential, times)
+
+
+def _count_spectra(monkeypatch) -> list:
+    """Record every trig_series call made through any ottocircle module."""
+    import sys
+
+    from ottocircle import grid
+
+    real = grid.trig_series
+    calls = []
+
+    def counting(f):
+        calls.append(f.grid.n)
+        return real(f)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ottocircle" and getattr(module, "trig_series", None) is real:
+            monkeypatch.setattr(module, "trig_series", counting)
+    return calls
+
+
+def test_routes_take_each_spectrum_once(monkeypatch):
+    # more path times or a steeper potential mean more Newton iterations and
+    # RK4 stages, never more spectra
+    calls = _count_spectra(monkeypatch)
+    for scale, count in ((1.0, 3), (4.0, 9)):
+        psi = ScalarField(GRID, scale * PSI0.values)
+        times = np.linspace(0.0, 1.0, count)
+        calls.clear()
+        geodesic_hj(WEIGHTED, psi, times)
+        assert len(calls) == 1
+        calls.clear()
+        displacement_path(WEIGHTED, psi, times)
+        # psi0 once, then the displacement and the density of each pushforward
+        assert len(calls) == 1 + 2 * (count - 1)
+    for steps in (8, 64):
+        calls.clear()
+        flow_map(PSI0, 1.0, steps)
+        assert len(calls) == 1
 
 
 def test_path_container_validation():

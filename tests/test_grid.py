@@ -14,7 +14,7 @@ from ottocircle import (
     eval_trig,
     field_from_coeffs,
     integrate,
-    trig_coefficients,
+    trig_series,
 )
 from ottocircle.grid import check_same_grid, rk4
 
@@ -83,26 +83,64 @@ def test_basis_matrix_derivative_rows(grid):
         np.testing.assert_allclose(b1[row], expected, atol=1e-12)
 
 
-def test_trig_coefficients_roundtrip(grid):
+def test_trig_series_roundtrip(grid):
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal(8)
     f = ScalarField(grid, 0.7 + field_from_coeffs(grid, coeffs).values)
-    mean, a, b = trig_coefficients(f)
-    assert mean == pytest.approx(0.7, abs=1e-14)
-    rebuilt = mean + sum(
-        a[k - 1] * np.cos(k * grid.nodes) + b[k - 1] * np.sin(k * grid.nodes)
-        for k in range(1, grid.n // 2 + 1)
+    series = trig_series(f)
+    assert series.mean == pytest.approx(0.7, abs=1e-14)
+    # the negligible modes above the band-limit are dropped
+    np.testing.assert_array_equal(series.k, np.arange(1, 5))
+    rebuilt = series.mean + sum(
+        c.real * np.cos(k * grid.nodes) - c.imag * np.sin(k * grid.nodes)
+        for k, c in zip(series.k, series.c)
     )
     np.testing.assert_allclose(rebuilt, f.values, atol=1e-13)
 
 
 def test_eval_trig_off_grid(grid):
-    f = ScalarField(grid, 0.3 * np.cos(2 * grid.nodes))
+    series = trig_series(ScalarField(grid, 0.3 * np.cos(2 * grid.nodes)))
     points = np.array([0.1, 1.7, 4.2, 6.1])
-    np.testing.assert_allclose(eval_trig(f, points), 0.3 * np.cos(2 * points), atol=1e-14)
-    np.testing.assert_allclose(
-        eval_trig(f, points, order=1), -0.6 * np.sin(2 * points), atol=1e-14
-    )
+    value, slope = eval_trig(series, points, (0, 1))
+    np.testing.assert_allclose(value, 0.3 * np.cos(2 * points), atol=1e-14)
+    np.testing.assert_allclose(slope, -0.6 * np.sin(2 * points), atol=1e-14)
+
+
+def _close(actual, expected):
+    scale = np.abs(expected).max()
+    assert np.abs(actual - expected).max() <= 1e-12 * scale
+
+
+def test_eval_trig_orders_in_one_call(grid):
+    # full spectrum, Nyquist row included, evaluated on the nodes of the 2n
+    # grid: the even ones are the n grid's nodes, and the order -1 row (whose
+    # Nyquist term is a sine) is differentiated there without aliasing
+    rng = np.random.default_rng(5)
+    values = 0.4 + rng.standard_normal(grid.n)
+    values += 0.8 * np.cos(grid.n // 2 * grid.nodes)
+    f = ScalarField(grid, values)
+    series = trig_series(f)
+    assert series.k.size == grid.n // 2
+    assert abs(series.c[-1]) > 0.5
+    fine = GridSpec(2 * grid.n)
+    rows = eval_trig(series, fine.nodes, (-1, 0, 1, 2, 3))
+    assert rows.shape == (5, fine.n)
+    _close(deriv(ScalarField(fine, rows[0])).values[::2], values - np.mean(values))
+    _close(rows[1][::2], values)
+    for order in (1, 2, 3):
+        _close(rows[order + 1][::2], deriv(f, order).values)
+
+
+def test_eval_trig_nyquist_rule(grid):
+    # positive odd orders drop the Nyquist mode, even orders keep it
+    half = grid.n // 2
+    series = trig_series(ScalarField(grid, np.cos(half * grid.nodes)))
+    points = np.array([0.1, 1.7, 4.2, 6.1])
+    rows = eval_trig(series, points, (0, 1, 2, 3))
+    _close(rows[0], np.cos(half * points))
+    _close(rows[2], -half**2 * np.cos(half * points))
+    np.testing.assert_array_equal(rows[1], 0.0)
+    np.testing.assert_array_equal(rows[3], 0.0)
 
 
 def test_field_from_coeffs_matches_basis(grid):
