@@ -50,7 +50,6 @@ from .operators import (
 )
 from .tangent import (
     TangentVector,
-    flow_constant_field,
     flow_map,
     metric_gram,
     otto_inner,

@@ -107,8 +107,8 @@ def load_config(args) -> dict:
         try:
             with open(args.config) as handle:
                 user = json.load(handle, parse_float=_finite, parse_constant=_finite)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {args.config!r}: {exc.strerror}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
         config = _merge(config, user)
@@ -375,6 +375,9 @@ def run_transport(run: RunInputs, out_dir: str) -> dict:
 
 
 def run_curvature(run: RunInputs, out_dir: str) -> dict:
+    # the finite-difference oracle runs at N = 4; checked before any work
+    if run.grid.n <= 16:
+        raise ConfigError(f"curvature needs n > 16 for its N = 4 oracle, got n={run.grid.n}")
     grid, mu, N = run.grid, run.density, run.config["N"]
     ctx = WeightedOperatorContext(mu, N)
     rng = np.random.default_rng(run.config["seed"])
@@ -448,6 +451,11 @@ def run_validate(run: RunInputs, out_dir: str) -> dict:
     # run_all builds its own inputs from these three keys, so the report
     # echoes and hashes only them; the other sections were checked already
     config = {key: run.config[key] for key in ("n", "N", "seed")}
+    # its geodesic scenario runs at N = 16 and its band-limited sweeps use
+    # modes up to N // 2; checked before any criterion runs
+    if config["n"] <= 64 or config["N"] < 2:
+        raise ConfigError(f"validate needs n > 64 and N >= 2, "
+                          f"got n={config['n']}, N={config['N']}")
     outcome = run_all(**config)
     for record in outcome["records"]:
         print(format_record(record))
@@ -507,6 +515,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         run = build_inputs(load_config(args))
+        if not args.out:
+            raise ConfigError("--out must name a directory, got ''")
         if os.path.exists(args.out) and not os.path.isdir(args.out):
             raise ConfigError(f"--out {args.out!r} exists and is not a directory")
         report = SUBCOMMANDS[args.subcommand](run, args.out)

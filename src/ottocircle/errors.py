@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Configuration problems raise ConfigError (CLI exit code 2).  Numerical
-failures that invalidate a run (caustics, folds, ill-conditioning, step-size
-breakdown) raise NumericalError subclasses (CLI exit code 3).  Everything
+failures that invalidate a run (caustics, folds, non-converged solves,
+step-size breakdown) raise NumericalError subclasses (CLI exit code 3); an
+ill-conditioned Gram matrix only warns with ConditioningWarning.  Everything
 else is an ordinary ValueError describing misuse of an operator.
 """
 
@@ -45,7 +46,7 @@ class CausticError(NumericalError):
 
 
 class StiffnessError(NumericalError):
-    """Flow integration produced a non-finite or non-injective node map."""
+    """Flow integration produced non-finite node positions."""
 
 
 class ConditioningWarning(UserWarning):

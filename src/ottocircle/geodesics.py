@@ -33,9 +33,9 @@ import numpy as np
 from .density import Density, make_density, pushforward_monotone
 from .errors import CausticError, ConfigError, DomainError, NumericalError
 from .grid import (GridSpec, ScalarField, TrigSeries, check_same_grid, deriv, eval_trig, rk4,
-                   trig_series)
+                   time_grid, trig_series)
 from .operators import WeightedOperatorContext
-from .tangent import TangentVector, flow_constant_field
+from .tangent import TangentVector, flow_map
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,9 @@ class GeodesicPath:
     potentials: list[ScalarField]
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        if times.ndim != 1 or times.size < 1 or not np.all(np.diff(times) > 0.0):
-            raise ConfigError("path times must be a nonempty, strictly increasing 1-d grid")
+        times = time_grid(self.times).copy()
         if times.size != len(self.densities) or times.size != len(self.potentials):
             raise ConfigError("times, densities, potentials must have equal length")
-        times = times.copy()
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
 
@@ -67,14 +64,6 @@ def _caustic_time(series: TrigSeries) -> float:
     """first_caustic_time from psi0's spectrum; psi0'' is scanned on a 4x finer grid."""
     curv_min = float(eval_trig(series, GridSpec(4 * series.n).nodes, (2,)).min())
     return float("inf") if curv_min >= 0.0 else -1.0 / curv_min
-
-
-def _time_grid(times) -> np.ndarray:
-    """A route's time grid, checked before any work."""
-    times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or times.size < 1 or times[0] != 0.0 or not np.all(np.diff(times) > 0.0):
-        raise ConfigError("geodesic time grids start at t = 0 and increase strictly")
-    return times
 
 
 def _check_caustic_free(series: TrigSeries, t_max: float) -> None:
@@ -128,7 +117,7 @@ def _characteristic_feet(series: TrigSeries, t: float, targets: np.ndarray) -> n
 def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int = 4) -> GeodesicPath:
     """Characteristic Hamilton-Jacobi potential with RK4 continuity density."""
     check_same_grid(psi0, mu0.field())
-    times = _time_grid(times)
+    times = time_grid(times)
     series = trig_series(psi0)
     _check_caustic_free(series, float(times[-1]))
     grid = mu0.grid
@@ -180,7 +169,7 @@ def geodesic_christoffel(mu0: Density, psi0_coeffs, times, N: int | None = None,
         N = coeffs.size // 2
     if coeffs.size != 2 * N:
         raise ConfigError(f"expected {2 * N} coefficients, got {coeffs.size}")
-    times = _time_grid(times)
+    times = time_grid(times)
     grid = mu0.grid
     ctx = WeightedOperatorContext(mu0, N)
 
@@ -209,7 +198,7 @@ def displacement_path(mu0: Density, psi0: ScalarField, times) -> GeodesicPath:
     characteristic potentials attached so the path supports action and
     transport."""
     check_same_grid(psi0, mu0.field())
-    times = _time_grid(times)
+    times = time_grid(times)
     series = trig_series(psi0)
     _check_caustic_free(series, float(times[-1]))
     grid = mu0.grid
@@ -226,16 +215,14 @@ def displacement_path(mu0: Density, psi0: ScalarField, times) -> GeodesicPath:
 
 
 def flow_path(mu0: Density, psi: ScalarField, times) -> GeodesicPath:
-    """Curve pushed along the fixed field grad(psi); velocity potential is psi
-    at every time (it is not a geodesic)."""
-    times = np.asarray(times, dtype=np.float64)
+    """mu0 pushed along the fixed field grad(psi) by one flow_map pass.  The
+    velocity potential is psi at every time, but the speed is generally not
+    constant in t: the curve is not a geodesic."""
+    check_same_grid(psi, mu0.field())
     grid = mu0.grid
-    densities = []
-    potentials = []
-    for t in times:
-        mu_t = mu0 if t == 0.0 else flow_constant_field(psi, mu0, float(t))
-        densities.append(mu_t)
-        potentials.append(_demeaned(psi.values, mu_t.rho, grid))
+    densities = [mu0] + [pushforward_monotone(mu0, ScalarField(grid, x - grid.nodes))
+                         for x in flow_map(psi, times)[1:]]
+    potentials = [_demeaned(psi.values, mu_t.rho, grid) for mu_t in densities]
     return GeodesicPath(grid, times, densities, potentials)
 
 

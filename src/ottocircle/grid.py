@@ -174,6 +174,15 @@ def eval_trig(series: TrigSeries, points: np.ndarray, orders=(0,)) -> np.ndarray
     return out.reshape((len(orders),) + points.shape)
 
 
+def time_grid(times) -> np.ndarray:
+    """A path's time grid: 1-d, starting at t = 0 and strictly increasing.
+    Every path builder checks its grid here before any work."""
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or times.size < 1 or times[0] != 0.0 or not np.all(np.diff(times) > 0.0):
+        raise ConfigError("time grids start at t = 0 and increase strictly")
+    return times
+
+
 def rk4(f, t0: float, t1: float, y: np.ndarray, steps: int) -> np.ndarray:
     """Classical RK4 for dy/dt = f(t, y) from (t0, y) to t1 in `steps` steps.
     The step start accumulates as t += h, so the stage times t, t + h/2, t + h

@@ -1,4 +1,4 @@
-"""Tangent vectors at a density, the Otto metric, and constant-field flows.
+"""Tangent vectors at a density, the Otto metric, and the flow of a gradient field.
 
 A tangent vector at mu is V_psi = -div(mu * grad(psi)) identified with its
 potential psi, here truncated to coefficients in the 2N-mode trig basis.  The
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import Density, pushforward_monotone
+from .density import Density
 from .errors import DomainError, StiffnessError
-from .grid import ScalarField, check_same_grid, deriv, eval_trig, rk4, trig_series
+from .grid import ScalarField, deriv, eval_trig, rk4, time_grid, trig_series
 from .operators import WeightedOperatorContext
 
 
@@ -69,28 +69,16 @@ def vector_from_potential(psi: ScalarField, ctx: WeightedOperatorContext) -> Tan
     return TangentVector(coeffs, ctx.mu)
 
 
-def flow_map(psi: ScalarField, t: float, steps: int | None = None) -> np.ndarray:
-    """Node trajectories of dx/dt = psi'(x) integrated with RK4 to time t."""
-    if steps is None:
-        steps = max(8, int(np.ceil(64 * abs(t))))
-    x = psi.grid.nodes.copy()
-    if t == 0.0 or np.allclose(deriv(psi).values, 0.0):
-        return x
+def flow_map(psi: ScalarField, times) -> np.ndarray:
+    """Node positions under dx/dt = psi'(x) at each time of the grid (row 0 is
+    the nodes), from one RK4 pass with max(8, ceil(64 dt)) steps per interval."""
+    times = time_grid(times)
     series = trig_series(psi)
-    # autonomous: the stage time is unused
-    x = rk4(lambda _t, y: eval_trig(series, y, (1,))[0], 0.0, t, x, steps)
-    if not np.all(np.isfinite(x)):
+    rows = [psi.grid.nodes]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        steps = max(8, int(np.ceil(64 * (t1 - t0))))
+        # autonomous: the stage time is unused
+        rows.append(rk4(lambda _t, y: eval_trig(series, y, (1,))[0], t0, t1, rows[-1], steps))
+    if not np.all(np.isfinite(rows[-1])):
         raise StiffnessError("flow integration produced non-finite node positions")
-    return x
-
-
-def flow_constant_field(psi: ScalarField, mu: Density, t: float) -> Density:
-    """Push mu along the flow of the fixed vector field grad(psi) for time t.
-
-    The resulting curve of measures has velocity V_psi at every time, but it
-    is not a geodesic: its speed is generally not constant in t.
-    """
-    check_same_grid(psi, mu.field())
-    x_final = flow_map(psi, t)
-    displacement = ScalarField(psi.grid, x_final - psi.grid.nodes)
-    return pushforward_monotone(mu, displacement)
+    return np.stack(rows)

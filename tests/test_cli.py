@@ -129,8 +129,30 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert run_cli(["metric", "--config", path, "--out", out]) == 2, path
     (tmp_path / "taken").write_text("")
     assert run_cli(["metric", "--out", str(tmp_path / "taken")]) == 2
+    assert run_cli(["metric", "--config", str(tmp_path), "--out", out]) == 2
+    assert run_cli(["metric", "--out", ""]) == 2
     err = capsys.readouterr().err
-    assert err.count("config error:") == 3 and err.count("\n") == 3
+    assert err.count("config error:") == 5 and err.count("\n") == 5
+
+
+@pytest.mark.parametrize("sub, flags", [
+    ("validate", ["--n", "64", "--N", "8"]),
+    ("validate", ["--N", "1"]),
+    ("curvature", ["--n", "16", "--N", "1"]),
+])
+def test_fixed_resolutions_are_checked_before_any_work(tmp_path, capsys, monkeypatch,
+                                                       sub, flags):
+    # validate builds its scenario at N = 16 and sweeps band limits up to N // 2;
+    # curvature runs its finite-difference oracle at N = 4
+    from ottocircle import validation
+
+    ran = []
+    monkeypatch.setattr(validation, "CRITERIA", (lambda session: ran.append(session),))
+    out = tmp_path / "out"
+    assert run_cli([sub, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {sub} needs") and err.count("\n") == 1, err
+    assert ran == [] and not out.exists()
 
 
 @pytest.mark.parametrize("section", [

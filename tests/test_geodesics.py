@@ -63,6 +63,10 @@ def test_time_grid_validation():
         geodesic_christoffel(VOL, np.zeros(16), np.linspace(0.5, 1.0, 5))
     with pytest.raises(ConfigError):
         displacement_path(VOL, PSI0, np.linspace(0.5, 1.0, 5))
+    with pytest.raises(ConfigError):
+        flow_path(VOL, PSI0, [0.5, 1.0])
+    with pytest.raises(ConfigError):
+        flow_map(PSI0, [0.5, 1.0])
 
 
 def test_time_grid_order_is_checked_before_any_work():
@@ -73,7 +77,7 @@ def test_time_grid_order_is_checked_before_any_work():
     coeffs[0] = 0.5 / np.sqrt(2.0)
     times = np.array([0.0, 3.0, 1.5])
     for route, potential in ((geodesic_hj, psi), (geodesic_christoffel, coeffs),
-                             (displacement_path, psi)):
+                             (displacement_path, psi), (flow_path, psi)):
         with pytest.raises(ConfigError, match="increase strictly"):
             route(VOL, potential, times)
 
@@ -111,10 +115,37 @@ def test_routes_take_each_spectrum_once(monkeypatch):
         displacement_path(WEIGHTED, psi, times)
         # psi0 once, then the displacement and the density of each pushforward
         assert len(calls) == 1 + 2 * (count - 1)
-    for steps in (8, 64):
+    for count in (2, 17):
         calls.clear()
-        flow_map(PSI0, 1.0, steps)
+        flow_map(PSI0, np.linspace(0.0, 1.0, count))
         assert len(calls) == 1
+
+
+def test_flow_path_integrates_once_across_its_grid(monkeypatch):
+    # one RK4 pass of 12 steps on each of the 16 intervals of length 3/16,
+    # not a fresh pass from t = 0 for every output time
+    import ottocircle.tangent as tangent
+
+    real = tangent.eval_trig
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tangent, "eval_trig", counting)
+    flow_path(WEIGHTED, PSI0, np.linspace(0.0, 3.0, 17))
+    assert len(calls) == 4 * 16 * 12
+
+
+def test_flow_path_continues_where_a_single_pass_ends():
+    # t_k = 3k/16 is a binary fraction and both grids step by h = 1/64, so
+    # continuing from the previous time replays the same floating-point steps
+    times = np.linspace(0.0, 3.0, 17)
+    path = flow_path(WEIGHTED, PSI0, times)
+    for k in range(1, times.size):
+        alone = flow_path(WEIGHTED, PSI0, [0.0, times[k]]).densities[-1]
+        assert np.array_equal(path.densities[k].rho, alone.rho), k
 
 
 def test_path_container_validation():
@@ -122,6 +153,8 @@ def test_path_container_validation():
         GeodesicPath(GRID, np.array([0.0, 1.0, 0.5]), [VOL] * 3, [PSI0] * 3)
     with pytest.raises(ConfigError):
         GeodesicPath(GRID, np.array([0.0, 1.0]), [VOL] * 3, [PSI0] * 2)
+    with pytest.raises(ConfigError, match="start at t = 0"):
+        GeodesicPath(GRID, np.array([0.5, 1.0]), [VOL] * 2, [PSI0] * 2)
 
 
 def test_routes_agree(hj_path):

@@ -17,7 +17,7 @@ from ottocircle import (
     circular_distance,
     cosine_density,
     density_atoms,
-    flow_constant_field,
+    flow_path,
     transport_lp,
     uniform_density,
     w2_lp,
@@ -217,7 +217,7 @@ def _flow_density():
     # the t = 3 density of criterion 7's flow path: 1 + 0.3 cos x pushed
     # along grad(0.1 cos x), which keeps all 128 modes at n = 256
     psi = ScalarField(GRID, 0.1 * np.cos(GRID.nodes))
-    return flow_constant_field(psi, cosine_density(GRID, 0.3), 3.0)
+    return flow_path(cosine_density(GRID, 0.3), psi, [0.0, 3.0]).densities[-1]
 
 
 def test_quantile_evaluates_only_unconverged_points(monkeypatch):

@@ -1,4 +1,4 @@
-"""Tangent vectors, the Otto metric, linear statistics, and constant-field flows."""
+"""Tangent vectors, the Otto metric, linear statistics, and gradient-field flows."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,8 @@ from ottocircle import (
     basis_matrix,
     cosine_density,
     deriv,
-    flow_constant_field,
     flow_map,
+    flow_path,
     integrate,
     metric_gram,
     otto_inner,
@@ -112,16 +112,17 @@ def test_observable_derivative_matches_linearization(ctx_weighted):
 
 def test_flow_map_fixed_points():
     psi = ScalarField(GRID, np.zeros(GRID.n))
-    np.testing.assert_allclose(flow_map(psi, 1.0), GRID.nodes, atol=1e-15)
-    np.testing.assert_allclose(flow_map(ScalarField(GRID, np.cos(GRID.nodes)), 0.0),
-                               GRID.nodes, atol=1e-15)
+    np.testing.assert_allclose(flow_map(psi, [0.0, 1.0]), [GRID.nodes] * 2, atol=1e-15)
+    np.testing.assert_allclose(flow_map(ScalarField(GRID, np.cos(GRID.nodes)), [0.0]),
+                               [GRID.nodes], atol=1e-15)
 
 
 def test_flow_map_matches_separable_solution():
     # dx/dt = -sin x solves to tan(x/2) e^{-t} = tan(x0/2) on (0, pi)
     psi = ScalarField(GRID, np.cos(GRID.nodes))
     t = 0.4
-    moved = flow_map(psi, t, steps=256)
+    # 32 intervals of 8 steps: the step of a single 256-step pass
+    moved = flow_map(psi, np.linspace(0.0, t, 33))[-1]
     interior = (GRID.nodes > 0.3) & (GRID.nodes < np.pi - 0.3)
     expected = 2.0 * np.arctan(np.tan(GRID.nodes[interior] / 2.0) * np.exp(-t))
     np.testing.assert_allclose(moved[interior], expected, atol=1e-10)
@@ -129,7 +130,7 @@ def test_flow_map_matches_separable_solution():
 
 def test_flow_conserves_mass():
     psi = ScalarField(GRID, 0.2 * np.cos(GRID.nodes))
-    nu = flow_constant_field(psi, WEIGHTED, 0.5)
+    nu = flow_path(WEIGHTED, psi, [0.0, 0.5]).densities[-1]
     assert integrate(nu.field()) == pytest.approx(1.0, abs=1e-12)
     assert nu.rho.min() > 0.0
 
