@@ -62,6 +62,7 @@ from .connection import (
     christoffel_residual,
     covariant_derivative,
     lie_bracket,
+    lie_bracket_laplacian,
     parallel_transport,
 )
 from .geodesics import (
@@ -74,7 +75,6 @@ from .geodesics import (
     flow_path,
     geodesic_christoffel,
     geodesic_hj,
-    path_to_csv,
     speed_squared_series,
 )
 from .curvature import (

@@ -21,6 +21,7 @@ loosen one.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -40,16 +41,10 @@ from .density import (
 from .errors import AliasingError, ConfigError, NumericalError
 from .operators import WeightedOperatorContext
 from .tangent import TangentVector, metric_gram, vector_from_potential
-from .connection import christoffel, christoffel_residual, lie_bracket
+from .connection import christoffel, christoffel_residual, lie_bracket, lie_bracket_laplacian
 from .curvature import riemann, sectional
-from .geodesics import (
-    action,
-    displacement_path,
-    geodesic_christoffel,
-    geodesic_hj,
-    path_to_csv,
-)
-from .ot_oracle import CircleDistanceSolver, plan_to_csv, w2_lp
+from .geodesics import action, displacement_path, geodesic_christoffel, geodesic_hj
+from .ot_oracle import CircleDistanceSolver, w2_lp
 from .validation import (
     BRACKET_ROUTE_TOL,
     FIRST_HARMONIC_SECTIONAL_TOL,
@@ -257,6 +252,12 @@ def build_inputs(config: dict) -> RunInputs:
 # -- report plumbing ---------------------------------------------------------
 
 
+def _out_path(out_dir: str, name: str) -> str:
+    """Path of the report file `name` in out_dir, which is created first."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
 def write_report(out_dir: str, subcommand: str, config: dict, results: dict,
                  checks: list[dict]) -> dict:
     report = {
@@ -268,19 +269,16 @@ def write_report(out_dir: str, subcommand: str, config: dict, results: dict,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, f"{subcommand}_report.json"), "w") as handle:
+    with open(_out_path(out_dir, f"{subcommand}_report.json"), "w") as handle:
         json.dump(report, handle, sort_keys=True, indent=2)
         handle.write("\n")
     return report
 
 
 def write_csv(out_dir: str, name: str, header: list[str], rows) -> None:
-    import csv as csv_module
-
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w", newline="") as handle:
-        writer = csv_module.writer(handle)
+    """One CSV data file; floats are written as repr(float), which round-trips."""
+    with open(_out_path(out_dir, name), "w", newline="") as handle:
+        writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
@@ -310,8 +308,8 @@ def run_metric(run: RunInputs, out_dir: str) -> dict:
 
 def run_bracket(run: RunInputs, out_dir: str) -> dict:
     ctx = WeightedOperatorContext(run.density, run.config["N"])
-    hess = lie_bracket(run.potential, run.potential_b, ctx, route="hessian")
-    lap = lie_bracket(run.potential, run.potential_b, ctx, route="laplacian")
+    hess = lie_bracket(run.potential, run.potential_b, ctx)
+    lap = lie_bracket_laplacian(run.potential, run.potential_b, ctx)
     write_csv(out_dir, "bracket.csv", ["node", "value"],
               zip(run.grid.nodes, ctx.potential_values(hess.coeffs)))
     gap = float(np.abs(hess.coeffs - lap.coeffs).max())
@@ -352,9 +350,11 @@ def run_geodesic(run: RunInputs, out_dir: str) -> dict:
         "christoffel": geodesic_christoffel(mu0, v0, times, N=N),
         "displacement": displacement_path(mu0, psi0, times),
     }
-    os.makedirs(out_dir, exist_ok=True)
     for name, path in paths.items():
-        path_to_csv(path, os.path.join(out_dir, f"geodesic_{name}.csv"))
+        write_csv(out_dir, f"geodesic_{name}.csv", ["time", "node", "density", "potential"],
+                  ((t, x, r, p)
+                   for t, mu_t, psi_t in zip(path.times, path.densities, path.potentials)
+                   for x, r, p in zip(path.grid.nodes, mu_t.rho, psi_t.values)))
     results = {f"action_{name}": action(path) for name, path in paths.items()}
     results["times"] = [float(t) for t in times]
     checks = geodesic_route_checks(paths)
@@ -428,10 +428,13 @@ def run_distance(run: RunInputs, out_dir: str) -> dict:
     solver = CircleDistanceSolver()
     exact = solver.distance(mu, nu)
     plan = w2_lp(mu, nu, m=m)
-    os.makedirs(out_dir, exist_ok=True)
-    plan_to_csv(plan, os.path.join(out_dir, "coupling.csv"))
-    density_to_csv(mu, os.path.join(out_dir, "density_a.csv"))
-    density_to_csv(nu, os.path.join(out_dir, "density_b.csv"))
+    # the coupling's entries above 1e-15, by atom index and location
+    write_csv(out_dir, "coupling.csv",
+              ["source_index", "target_index", "source_location", "target_location", "mass"],
+              ((i, j, plan.locations_a[i], plan.locations_b[j], plan.coupling[i, j])
+               for i, j in zip(*np.nonzero(plan.coupling > 1e-15))))
+    density_to_csv(mu, _out_path(out_dir, "density_a.csv"))
+    density_to_csv(nu, _out_path(out_dir, "density_b.csv"))
     row_err, col_err = plan.marginal_errors()
     rel = abs(plan.w2 - exact.w2) / max(exact.w2, 1e-30)
     results = {
@@ -517,14 +520,19 @@ def main(argv=None) -> int:
         run = build_inputs(load_config(args))
         if not args.out:
             raise ConfigError("--out must name a directory, got ''")
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise ConfigError(f"--out {args.out!r} exists and is not a directory")
+        # --out's nearest existing ancestor must be a directory to hold it
+        ancestor = os.path.abspath(args.out)
+        while not os.path.exists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if not os.path.isdir(ancestor):
+            raise ConfigError(f"--out {args.out!r}: {ancestor!r} is not a directory")
         report = SUBCOMMANDS[args.subcommand](run, args.out)
     # LinAlgError (a Cholesky breakdown) subclasses ValueError: catch it first
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    # an OSError is a report file that --out cannot take
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     status = "ok" if report["passed"] else "TOLERANCE BREACH"

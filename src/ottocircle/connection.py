@@ -15,9 +15,9 @@ antisymmetrized field phi1' phi2'' - phi1'' phi2', and the two identities
 hold at solver precision whenever the quadratic products stay inside the
 Galerkin span (inputs band-limited to N/2).
 
-Two independent code paths compute the bracket: the default forms the
-Hessian combination and projects it; the alternative assembles the same
-field from weighted Laplacians and runs it through div_mu and the Green
+Two independent code paths compute the bracket: lie_bracket forms the
+Hessian combination and projects it; lie_bracket_laplacian assembles the
+same field from weighted Laplacians and runs it through div_mu and the Green
 solve.  Their agreement is a cross-check of the operator stack, and the
 Laplacian path is invariant under flipping the sign convention of the
 weighted Laplacian (both occurrences flip together).
@@ -36,33 +36,34 @@ from .operators import WeightedOperatorContext, div_mu, green_mu_coeffs, laplace
 from .tangent import TangentVector
 
 
-def lie_bracket(phi1: ScalarField, phi2: ScalarField, ctx: WeightedOperatorContext,
-                route: str = "hessian", laplace_sign: float = 1.0) -> TangentVector:
-    """Potential coefficients of [V_phi1, V_phi2] at ctx.mu.
-
-    route="hessian" projects the field phi1' phi2'' - phi1'' phi2' onto exact
-    forms (default: one Gram solve).  route="laplacian" builds the same field
-    from weighted Laplacians and inverts the Laplacian on its weighted
-    divergence; laplace_sign flips the sign convention of both Laplacian
-    occurrences at once, which must not change the result.
-    """
+def lie_bracket(phi1: ScalarField, phi2: ScalarField,
+                ctx: WeightedOperatorContext) -> TangentVector:
+    """Potential coefficients of [V_phi1, V_phi2] at ctx.mu: the field
+    phi1' phi2'' - phi1'' phi2' projected onto exact forms (one Gram solve)."""
     check_same_grid(phi1, phi2)
     check_same_grid(phi1, ctx.mu.field())
-    if route == "hessian":
-        d1, d2 = deriv(phi1).values, deriv(phi2).values
-        h1, h2 = deriv(phi1, 2).values, deriv(phi2, 2).values
-        coeffs, _ = ctx.project_gradient_coeffs(d1 * h2 - h1 * d2)
-        return TangentVector(coeffs, ctx.mu)
-    if route == "laplacian":
-        if laplace_sign not in (1.0, -1.0):
-            raise DomainError(f"laplace_sign must be +1 or -1, got {laplace_sign}")
-        lap1 = laplace_sign * laplace_mu(phi1, ctx).values
-        lap2 = laplace_sign * laplace_mu(phi2, ctx).values
-        field = ScalarField(phi1.grid, deriv(phi1).values * lap2 - deriv(phi2).values * lap1)
-        rhs = div_mu(field, ctx)
-        coeffs = laplace_sign * green_mu_coeffs(rhs, ctx)
-        return TangentVector(coeffs, ctx.mu)
-    raise DomainError(f"unknown bracket route {route!r}")
+    d1, d2 = deriv(phi1).values, deriv(phi2).values
+    h1, h2 = deriv(phi1, 2).values, deriv(phi2, 2).values
+    coeffs, _ = ctx.project_gradient_coeffs(d1 * h2 - h1 * d2)
+    return TangentVector(coeffs, ctx.mu)
+
+
+def lie_bracket_laplacian(phi1: ScalarField, phi2: ScalarField, ctx: WeightedOperatorContext,
+                          laplace_sign: float = 1.0) -> TangentVector:
+    """lie_bracket by the independent route: the same field built from
+    weighted Laplacians, with the Laplacian inverted on its weighted
+    divergence.  laplace_sign flips the sign convention of both Laplacian
+    occurrences at once, which must not change the result.
+    """
+    if laplace_sign not in (1.0, -1.0):
+        raise DomainError(f"laplace_sign must be +1 or -1, got {laplace_sign}")
+    check_same_grid(phi1, phi2)
+    check_same_grid(phi1, ctx.mu.field())
+    lap1 = laplace_sign * laplace_mu(phi1, ctx).values
+    lap2 = laplace_sign * laplace_mu(phi2, ctx).values
+    field = ScalarField(phi1.grid, deriv(phi1).values * lap2 - deriv(phi2).values * lap1)
+    coeffs = laplace_sign * green_mu_coeffs(div_mu(field, ctx), ctx)
+    return TangentVector(coeffs, ctx.mu)
 
 
 def covariant_derivative(phi1: ScalarField, phi2: ScalarField,

@@ -149,7 +149,7 @@ def density_to_csv(mu: Density, path) -> None:
             writer.writerow([repr(float(x)), repr(float(r))])
 
 
-def density_from_csv(path, grid: GridSpec | None = None) -> Density:
+def density_from_csv(path, grid: GridSpec) -> Density:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])  # an empty file has no header either
@@ -157,8 +157,6 @@ def density_from_csv(path, grid: GridSpec | None = None) -> Density:
             raise DomainError(f"density CSV must have header 'node,value', got {header}")
         rows = [(float(a), float(b)) for a, b in reader]
     values = np.array([b for _, b in rows])
-    if grid is None:
-        grid = GridSpec(len(values))
     nodes = np.array([a for a, _ in rows])
     if len(values) != grid.n or not np.allclose(nodes, grid.nodes, atol=1e-12):
         raise GridMismatchError("density CSV nodes do not match the expected grid")

@@ -44,10 +44,6 @@ class GridSpec:
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
 
-    @property
-    def spacing(self) -> float:
-        return TWO_PI / self.n
-
 
 @dataclass(frozen=True)
 class _NodeValues:
@@ -199,10 +195,10 @@ def rk4(f, t0: float, t1: float, y: np.ndarray, steps: int) -> np.ndarray:
     return y
 
 
-def field_from_coeffs(grid: GridSpec, coeffs: np.ndarray, order: int = 0) -> ScalarField:
-    """Linear combination of the 2N orthonormal basis rows (or derivatives)."""
+def field_from_coeffs(grid: GridSpec, coeffs: np.ndarray) -> ScalarField:
+    """Linear combination of the 2N orthonormal basis rows."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     N = coeffs.size // 2
     if coeffs.size != 2 * N or N < 1:
         raise ConfigError(f"coefficient vector must have even positive length, got {coeffs.size}")
-    return ScalarField(grid, coeffs @ basis_matrix(grid, N, order))
+    return ScalarField(grid, coeffs @ basis_matrix(grid, N))

@@ -30,7 +30,6 @@ plumbing; they exist to check the metric side against classical transport.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,13 +313,3 @@ def w2_lp(mu: Density, nu: Density, m: int = 64) -> TransportPlan:
     xb, wb = density_atoms(nu, m)
     return transport_lp(xa, wa, xb, wb)
 
-
-def plan_to_csv(plan: TransportPlan, file_path) -> None:
-    """Coupling entries above 1e-15 as source/target index, location, mass rows."""
-    with open(file_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["source_index", "target_index", "source_location",
-                         "target_location", "mass"])
-        for i, j in zip(*np.nonzero(plan.coupling > 1e-15)):
-            writer.writerow([i, j, repr(float(plan.locations_a[i])),
-                             repr(float(plan.locations_b[j])), repr(float(plan.coupling[i, j]))])

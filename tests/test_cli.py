@@ -15,6 +15,7 @@ from ottocircle import (
     density_to_csv,
     geodesic_christoffel,
     uniform_density,
+    w2_lp,
 )
 from ottocircle.cli import main
 
@@ -70,7 +71,9 @@ def test_config_hash_tracks_flags(tmp_path):
         != read_report(out_b, "metric")["config_sha256"]
 
 
-def test_usage_errors_exit_two(tmp_path, capsys):
+def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
+    import ottocircle.cli as cli
+
     out = str(tmp_path / "out")
     assert run_cli(["metric", "--config", str(tmp_path / "missing.json"), "--out", out]) == 2
     bad_json = tmp_path / "bad.json"
@@ -131,8 +134,22 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert run_cli(["metric", "--out", str(tmp_path / "taken")]) == 2
     assert run_cli(["metric", "--config", str(tmp_path), "--out", out]) == 2
     assert run_cli(["metric", "--out", ""]) == 2
+    # an --out below a file is caught before any work
+    ran = []
+    monkeypatch.setitem(cli.SUBCOMMANDS, "metric", lambda run, out_dir: ran.append(out_dir))
+    assert run_cli(["metric", "--out", str(tmp_path / "taken" / "sub")]) == 2
+    assert ran == []
+    # a report file that cannot be written is a usage problem too (root
+    # ignores file modes, so the directory creation is made to fail)
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", args[0])
+
+    monkeypatch.setattr(cli.os, "makedirs", refuse)
+    assert run_cli(["christoffel", "--out", str(tmp_path / "unwritable")]) == 2
+    assert not (tmp_path / "unwritable").exists()
     err = capsys.readouterr().err
-    assert err.count("config error:") == 5 and err.count("\n") == 5
+    assert err.count("config error:") == 7 and err.count("\n") == 7
 
 
 @pytest.mark.parametrize("sub, flags", [
@@ -321,7 +338,17 @@ def test_geodesic_artifacts(tmp_path):
 def test_distance_artifacts(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["distance", "--out", str(out)]) == 0
-    assert (out / "coupling.csv").exists()
+    # the coupling's entries above 1e-15, as the library LP gives them at the
+    # defaults: uniform against 1 + 0.3 cos x on 64 atoms
+    grid = GridSpec(256)
+    plan = w2_lp(uniform_density(grid), cosine_density(grid, 0.3), m=64)
+    src, dst = np.nonzero(plan.coupling > 1e-15)
+    rows = (out / "coupling.csv").read_text().strip().split("\n")
+    assert rows[0] == "source_index,target_index,source_location,target_location,mass"
+    assert len(rows) == 1 + src.size
+    i, j = src[-1], dst[-1]
+    assert [float(v) for v in rows[-1].split(",")] == [
+        i, j, plan.locations_a[i], plan.locations_b[j], plan.coupling[i, j]]
     assert (out / "density_a.csv").exists()
     assert (out / "density_b.csv").exists()
     report = read_report(out, "distance")

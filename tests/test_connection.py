@@ -22,6 +22,7 @@ from ottocircle import (
     deriv,
     geodesic_hj,
     lie_bracket,
+    lie_bracket_laplacian,
     metric_gram,
     otto_inner,
     otto_norm,
@@ -90,8 +91,8 @@ def test_bracket_antisymmetry(ctx_weighted):
 def test_bracket_routes_agree(ctx_weighted):
     rng = np.random.default_rng(43)
     f1, f2 = band_limited_pair(rng, ctx_weighted)
-    hess = lie_bracket(f1, f2, ctx_weighted, route="hessian")
-    lap = lie_bracket(f1, f2, ctx_weighted, route="laplacian")
+    hess = lie_bracket(f1, f2, ctx_weighted)
+    lap = lie_bracket_laplacian(f1, f2, ctx_weighted)
     np.testing.assert_allclose(hess.coeffs, lap.coeffs, atol=1e-10)
 
 
@@ -99,13 +100,11 @@ def test_bracket_laplacian_sign_invariance(ctx_weighted):
     # both Laplacian occurrences flip together, so the flip cancels exactly
     rng = np.random.default_rng(47)
     f1, f2 = band_limited_pair(rng, ctx_weighted)
-    plus = lie_bracket(f1, f2, ctx_weighted, route="laplacian", laplace_sign=1.0)
-    minus = lie_bracket(f1, f2, ctx_weighted, route="laplacian", laplace_sign=-1.0)
+    plus = lie_bracket_laplacian(f1, f2, ctx_weighted, laplace_sign=1.0)
+    minus = lie_bracket_laplacian(f1, f2, ctx_weighted, laplace_sign=-1.0)
     assert np.abs(plus.coeffs - minus.coeffs).max() <= 1e-15
     with pytest.raises(DomainError):
-        lie_bracket(f1, f2, ctx_weighted, route="laplacian", laplace_sign=0.5)
-    with pytest.raises(DomainError):
-        lie_bracket(f1, f2, ctx_weighted, route="upwind")
+        lie_bracket_laplacian(f1, f2, ctx_weighted, laplace_sign=0.5)
 
 
 def test_covariant_derivative_weak_form(ctx_weighted):

@@ -132,10 +132,10 @@ def test_csv_roundtrip(grid, tmp_path):
     mu = cosine_density(grid, 0.4, mode=2, phase=0.3)
     path = tmp_path / "density.csv"
     density_to_csv(mu, path)
-    back = density_from_csv(path)
+    back = density_from_csv(path, grid)
     np.testing.assert_allclose(back.rho, mu.rho, rtol=0.0, atol=0.0)
 
     with open(tmp_path / "bad.csv", "w") as handle:
         handle.write("x,y\n0.0,1.0\n")
     with pytest.raises(DomainError):
-        density_from_csv(tmp_path / "bad.csv")
+        density_from_csv(tmp_path / "bad.csv", grid)

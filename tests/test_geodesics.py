@@ -21,10 +21,10 @@ from ottocircle import (
     geodesic_christoffel,
     geodesic_hj,
     integrate,
-    path_to_csv,
     speed_squared_series,
     uniform_density,
 )
+from ottocircle.cli import main
 
 GRID = GridSpec(256)
 VOL = uniform_density(GRID)
@@ -218,8 +218,9 @@ def test_constant_speed_report(hj_path):
     sub = geodesic_hj(WEIGHTED, PSI0, np.linspace(0.0, 1.0, 5))
     report = constant_speed_report(sub, lambda a, b: solver.distance(a, b).w2)
     assert report["max_relative_deviation"] < 1e-3
-    assert len(report["pairs"]) == 10
-    assert report["reference_speed"] == pytest.approx(report["w2_endpoints"], rel=1e-12)
+    assert report["pair_count"] == 10
+    # the endpoint distance is the (first, last) pair's oracle value
+    assert report["w2_endpoints"] == solver.distance(sub.densities[0], sub.densities[-1]).w2
 
 
 def test_flow_is_not_a_geodesic():
@@ -235,12 +236,15 @@ def test_flow_is_not_a_geodesic():
     assert (sw.max() - sw.min()) / sw.mean() > 1e-2
 
 
-def test_path_serialization(tmp_path, hj_path):
-    path_to_csv(hj_path, tmp_path / "geodesic.csv")
-    with open(tmp_path / "geodesic.csv") as handle:
-        rows = handle.read().strip().split("\n")
+def test_path_serialization(tmp_path):
+    # `ottocircle geodesic` at the defaults writes each route's path as
+    # (time, node, density, potential) rows; its HJ route starts at the
+    # uniform density with psi0 = 0.1 cos x on 17 times in [0, 1]
+    assert main(["geodesic", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "geodesic_hj.csv").read_text().strip().split("\n")
     assert rows[0] == "time,node,density,potential"
-    assert len(rows) == 1 + TIMES.size * GRID.n
+    assert len(rows) == 1 + 17 * GRID.n
+    path = geodesic_hj(VOL, PSI0, np.linspace(0.0, 1.0, 17))
     last = [float(v) for v in rows[-1].split(",")]
-    assert last == [float(TIMES[-1]), float(GRID.nodes[-1]), float(hj_path.densities[-1].rho[-1]),
-                    float(hj_path.potentials[-1].values[-1])]
+    assert last == [1.0, float(GRID.nodes[-1]), float(path.densities[-1].rho[-1]),
+                    float(path.potentials[-1].values[-1])]

@@ -26,7 +26,6 @@ def grid():
 
 def test_grid_nodes_and_spacing(grid):
     assert grid.n == 64
-    assert grid.spacing == pytest.approx(2.0 * np.pi / 64)
     np.testing.assert_allclose(grid.nodes, 2.0 * np.pi * np.arange(64) / 64)
 
 

@@ -145,23 +145,38 @@ def test_distance_values_are_pinned(name, w2, shift):
     assert abs(result.shift - shift) <= 1e-9
 
 
-def test_oracle_imports_no_geometry_module():
-    # the oracle is an independent check on the geometry: of the package it
-    # may import only the density type, the errors and the grid
-    path = Path(__file__).resolve().parents[1] / "src" / "ottocircle" / "ot_oracle.py"
-    modules = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ottocircle"
+
+
+def _imported_modules(module: str) -> set[str]:
+    """Dotted names of every module a package module imports, also inside
+    functions; relative imports resolve against the ottocircle package."""
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             base = ("ottocircle" + (f".{node.module}" if node.module else "")
                     if node.level else node.module)
-            names = [f"{base}.{a.name}" for a in node.names] if base == "ottocircle" else [base]
-        else:
-            continue
-        modules.update(name.split(".")[1] if "." in name else name
-                       for name in names if name.split(".")[0] == "ottocircle")
+            names.update([f"{base}.{a.name}" for a in node.names] if base == "ottocircle" else [base])
+    return names
+
+
+def test_oracle_imports_no_geometry_module():
+    # the oracle is an independent check on the geometry: of the package it
+    # may import only the density type, the errors and the grid
+    modules = {name.split(".")[1] for name in _imported_modules("ot_oracle")
+               if name.startswith("ottocircle.")}
     assert modules and modules <= {"density", "errors", "grid"}, modules
+
+
+def test_only_the_cli_writes_report_files():
+    # the CLI owns its report files and creates --out, so it alone imports
+    # os; besides it only density, which owns the custom-density CSV, imports csv
+    roots = {path.stem: {name.split(".")[0] for name in _imported_modules(path.stem)}
+             for path in PACKAGE.glob("*.py")}
+    assert {module for module, names in roots.items() if "csv" in names} == {"cli", "density"}
+    assert {module for module, names in roots.items() if "os" in names} == {"cli"}
 
 
 def test_solver_caches_tables():
