@@ -22,7 +22,6 @@ from .errors import (
 from .grid import (
     TWO_PI,
     GridSpec,
-    OneForm,
     ScalarField,
     basis_matrix,
     deriv,
@@ -78,7 +77,6 @@ from .geodesics import (
     speed_squared_series,
 )
 from .curvature import (
-    TTensor,
     riemann,
     riemann_fd_oracle,
     sectional,

@@ -51,6 +51,7 @@ from .validation import (
     LP_RELATIVE_TOL,
     MARGINAL_TOL,
     SECTIONAL_FLOOR,
+    band_limited_pair,
     check,
     fd_oracle_check,
     format_record,
@@ -375,24 +376,18 @@ def run_transport(run: RunInputs, out_dir: str) -> dict:
 
 
 def run_curvature(run: RunInputs, out_dir: str) -> dict:
-    # the finite-difference oracle runs at N = 4; checked before any work
-    if run.grid.n <= 16:
-        raise ConfigError(f"curvature needs n > 16 for its N = 4 oracle, got n={run.grid.n}")
+    # the finite-difference oracle runs at N = 4 and the sampled pairs use
+    # modes up to N // 2; checked before any work
+    if run.grid.n <= 16 or run.config["N"] < 2:
+        raise ConfigError(f"curvature needs n > 16 and N >= 2, "
+                          f"got n={run.grid.n}, N={run.config['N']}")
     grid, mu, N = run.grid, run.density, run.config["N"]
     ctx = WeightedOperatorContext(mu, N)
     rng = np.random.default_rng(run.config["seed"])
 
     sec_base = sectional(ScalarField(grid, ctx.basis0[0]), ScalarField(grid, ctx.basis0[1]), ctx)
 
-    half = max(N // 2, 1)
-    samples = []
-    for _ in range(16):
-        c1 = np.zeros(2 * N)
-        c2 = np.zeros(2 * N)
-        c1[: 2 * half] = rng.standard_normal(2 * half)
-        c2[: 2 * half] = rng.standard_normal(2 * half)
-        samples.append(sectional(ScalarField(grid, ctx.potential_values(c1)),
-                                 ScalarField(grid, ctx.potential_values(c2)), ctx))
+    samples = [sectional(*band_limited_pair(rng, ctx), ctx) for _ in range(16)]
     min_sec = np.min(samples)
     write_csv(out_dir, "sectional_samples.csv", ["sample", "value"],
               ((i, v) for i, v in enumerate(samples)))

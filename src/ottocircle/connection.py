@@ -40,8 +40,7 @@ def lie_bracket(phi1: ScalarField, phi2: ScalarField,
                 ctx: WeightedOperatorContext) -> TangentVector:
     """Potential coefficients of [V_phi1, V_phi2] at ctx.mu: the field
     phi1' phi2'' - phi1'' phi2' projected onto exact forms (one Gram solve)."""
-    check_same_grid(phi1, phi2)
-    check_same_grid(phi1, ctx.mu.field())
+    check_same_grid(phi1, phi2, ctx.mu)
     d1, d2 = deriv(phi1).values, deriv(phi2).values
     h1, h2 = deriv(phi1, 2).values, deriv(phi2, 2).values
     coeffs, _ = ctx.project_gradient_coeffs(d1 * h2 - h1 * d2)
@@ -57,8 +56,7 @@ def lie_bracket_laplacian(phi1: ScalarField, phi2: ScalarField, ctx: WeightedOpe
     """
     if laplace_sign not in (1.0, -1.0):
         raise DomainError(f"laplace_sign must be +1 or -1, got {laplace_sign}")
-    check_same_grid(phi1, phi2)
-    check_same_grid(phi1, ctx.mu.field())
+    check_same_grid(phi1, phi2, ctx.mu)
     lap1 = laplace_sign * laplace_mu(phi1, ctx).values
     lap2 = laplace_sign * laplace_mu(phi2, ctx).values
     field = ScalarField(phi1.grid, deriv(phi1).values * lap2 - deriv(phi2).values * lap1)
@@ -69,8 +67,7 @@ def lie_bracket_laplacian(phi1: ScalarField, phi2: ScalarField, ctx: WeightedOpe
 def covariant_derivative(phi1: ScalarField, phi2: ScalarField,
                          ctx: WeightedOperatorContext) -> TangentVector:
     """nabla_{V_phi1} V_phi2 for constant potentials, as a projection."""
-    check_same_grid(phi1, phi2)
-    check_same_grid(phi1, ctx.mu.field())
+    check_same_grid(phi1, phi2, ctx.mu)
     w = deriv(phi1).values * deriv(phi2, 2).values
     coeffs, _ = ctx.project_gradient_coeffs(w)
     return TangentVector(coeffs, ctx.mu)

@@ -1,8 +1,10 @@
 """Curvature of the Wasserstein metric on circle densities.
 
 The whole curvature apparatus runs through one object: the non-exact residual
-T of projecting the one-form phi' psi'' dx onto gradients.  On a flat base
-circle the quadrilinear curvature form is the pairing combination
+T of projecting the one-form phi' psi'' dx onto gradients.  t_tensor returns
+T as the ScalarField of its dx-coefficient, so |T|^2 is weighted_inner(T, T).
+On a flat base circle the quadrilinear curvature form is the pairing
+combination
 
     riemann(1,2,3,4) = -2<T_12, T_34> + <T_23, T_14> - <T_13, T_24>
 
@@ -20,13 +22,11 @@ path with the T-tensor route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .density import Density, weighted_inner
 from .errors import ConfigError, DomainError
-from .grid import OneForm, ScalarField, deriv
+from .grid import ScalarField, deriv
 from .operators import WeightedOperatorContext, project_exact
 from .connection import christoffel, lie_bracket
 
@@ -35,20 +35,11 @@ from .connection import christoffel, lie_bracket
 FD_STEP = 1e-3
 
 
-@dataclass(frozen=True)
-class TTensor:
-    """Non-gradient part of phi' psi'' dx, with its squared L^2(mu) size."""
-
-    residual: OneForm
-    norm2: float
-
-
-def t_tensor(phi: ScalarField, psi: ScalarField, ctx: WeightedOperatorContext) -> TTensor:
-    """Projection residual of the one-form phi' psi'' dx at ctx.mu."""
-    omega = OneForm(phi.grid, deriv(phi).values * deriv(psi, 2).values)
-    _, residual = project_exact(omega, ctx)
-    norm2 = weighted_inner(residual, residual, ctx.mu)
-    return TTensor(residual=residual, norm2=float(norm2))
+def t_tensor(phi: ScalarField, psi: ScalarField, ctx: WeightedOperatorContext) -> ScalarField:
+    """T(phi, psi): the projection residual of the one-form phi' psi'' dx at
+    ctx.mu, as its dx-coefficient."""
+    omega = ScalarField(phi.grid, deriv(phi).values * deriv(psi, 2).values)
+    return project_exact(omega, ctx)[1]
 
 
 def riemann(phi1: ScalarField, phi2: ScalarField, phi3: ScalarField, phi4: ScalarField,
@@ -56,17 +47,11 @@ def riemann(phi1: ScalarField, phi2: ScalarField, phi3: ScalarField, phi4: Scala
     """Quadrilinear curvature form <R(V1,V2)V3, V4> at ctx.mu, from the
     T-tensor pairings."""
     mu = ctx.mu
-    t12 = t_tensor(phi1, phi2, ctx)
-    t34 = t_tensor(phi3, phi4, ctx)
-    t23 = t_tensor(phi2, phi3, ctx)
-    t14 = t_tensor(phi1, phi4, ctx)
-    t13 = t_tensor(phi1, phi3, ctx)
-    t24 = t_tensor(phi2, phi4, ctx)
-
-    def pairing(a: TTensor, b: TTensor) -> float:
-        return float(weighted_inner(a.residual, b.residual, mu))
-
-    return -2.0 * pairing(t12, t34) + pairing(t23, t14) - pairing(t13, t24)
+    t12, t34 = t_tensor(phi1, phi2, ctx), t_tensor(phi3, phi4, ctx)
+    t23, t14 = t_tensor(phi2, phi3, ctx), t_tensor(phi1, phi4, ctx)
+    t13, t24 = t_tensor(phi1, phi3, ctx), t_tensor(phi2, phi4, ctx)
+    return (-2.0 * weighted_inner(t12, t34, mu) + weighted_inner(t23, t14, mu)
+            - weighted_inner(t13, t24, mu))
 
 
 def sectional(phi1: ScalarField, phi2: ScalarField, ctx: WeightedOperatorContext) -> float:
@@ -75,15 +60,15 @@ def sectional(phi1: ScalarField, phi2: ScalarField, ctx: WeightedOperatorContext
     Normalized by the pair's Gram determinant, so it is invariant under
     rescaling and shear of the spanning pair.
     """
-    d1 = OneForm(phi1.grid, deriv(phi1).values)
-    d2 = OneForm(phi2.grid, deriv(phi2).values)
+    d1, d2 = deriv(phi1), deriv(phi2)
     g11 = weighted_inner(d1, d1, ctx.mu)
     g22 = weighted_inner(d2, d2, ctx.mu)
     g12 = weighted_inner(d1, d2, ctx.mu)
     det = g11 * g22 - g12 * g12
     if det <= 1e-12 * max(g11 * g22, 1e-300):
         raise DomainError("sectional curvature needs a nondegenerate plane")
-    return 3.0 * t_tensor(phi1, phi2, ctx).norm2 / det
+    t = t_tensor(phi1, phi2, ctx)
+    return 3.0 * weighted_inner(t, t, ctx.mu) / det
 
 
 def riemann_fd_oracle(i: int, j: int, k: int, l: int, ctx: WeightedOperatorContext) -> float:

@@ -21,7 +21,6 @@ from .errors import DomainError, FoldError, GridMismatchError
 from .grid import (
     TWO_PI,
     GridSpec,
-    OneForm,
     ScalarField,
     check_same_grid,
     eval_trig,
@@ -87,14 +86,12 @@ def cosine_density(grid: GridSpec, amplitude: float, mode: int = 1, phase: float
     return make_density(ScalarField(grid, values))
 
 
-def weighted_inner(f, g, mu: Density) -> float:
-    """L^2(mu) pairing of two scalar fields or two one-forms."""
-    if type(f) is not type(g):
-        raise DomainError(f"weighted_inner needs operands of one kind, got {type(f).__name__} and {type(g).__name__}")
-    if not isinstance(f, (ScalarField, OneForm)):
-        raise DomainError(f"weighted_inner expects ScalarField or OneForm, got {type(f).__name__}")
-    check_same_grid(f, g)
-    check_same_grid(f, mu.field())
+def weighted_inner(f: ScalarField, g: ScalarField, mu: Density) -> float:
+    """L^2(mu) pairing of two fields (functions or one-form coefficients)."""
+    if not (isinstance(f, ScalarField) and isinstance(g, ScalarField)):
+        raise DomainError(f"weighted_inner expects two ScalarFields, "
+                          f"got {type(f).__name__} and {type(g).__name__}")
+    check_same_grid(f, g, mu)
     return float(np.mean(f.values * g.values * mu.rho))
 
 
@@ -122,7 +119,7 @@ def pushforward_monotone(mu: Density, displacement: ScalarField) -> Density:
     the interpolation well under 1e-8; the result is then renormalized, with
     the defect kept in Density.mass_drift.
     """
-    check_same_grid(mu.field(), displacement)
+    check_same_grid(mu, displacement)
     x_fine = GridSpec(4 * mu.grid.n).nodes
     t_fine, dt_fine = eval_trig(trig_series(displacement), x_fine, (0, 1))
     jac_fine = 1.0 + dt_fine

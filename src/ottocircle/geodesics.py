@@ -115,7 +115,7 @@ def _characteristic_feet(series: TrigSeries, t: float, targets: np.ndarray) -> n
 
 def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int = 4) -> GeodesicPath:
     """Characteristic Hamilton-Jacobi potential with RK4 continuity density."""
-    check_same_grid(psi0, mu0.field())
+    check_same_grid(psi0, mu0)
     times = time_grid(times)
     series = trig_series(psi0)
     _check_caustic_free(series, float(times[-1]))
@@ -196,7 +196,7 @@ def displacement_path(mu0: Density, psi0: ScalarField, times) -> GeodesicPath:
     of mu0 by x -> x + t*psi0'(x) (exact Jacobian + resample), with
     characteristic potentials attached so the path supports action and
     transport."""
-    check_same_grid(psi0, mu0.field())
+    check_same_grid(psi0, mu0)
     times = time_grid(times)
     series = trig_series(psi0)
     _check_caustic_free(series, float(times[-1]))
@@ -217,7 +217,7 @@ def flow_path(mu0: Density, psi: ScalarField, times) -> GeodesicPath:
     """mu0 pushed along the fixed field grad(psi) by one flow_map pass.  The
     velocity potential is psi at every time, but the speed is generally not
     constant in t: the curve is not a geodesic."""
-    check_same_grid(psi, mu0.field())
+    check_same_grid(psi, mu0)
     grid = mu0.grid
     densities = [mu0] + [pushforward_monotone(mu0, ScalarField(grid, x - grid.nodes))
                          for x in flow_map(psi, times)[1:]]

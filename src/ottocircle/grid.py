@@ -5,8 +5,10 @@ dvol = dx / (2*pi), so the total measure is 1 and quadrature of a sampled
 function is the plain mean of its node values (trapezoid rule on a uniform
 periodic grid, spectrally accurate for smooth integrands).
 
-Fields are node-value arrays on the uniform grid x_j = 2*pi*j/n.  The trig
-basis used throughout is
+Fields are node-value arrays on the uniform grid x_j = 2*pi*j/n.  ScalarField
+is the one node-value type: with the flat metric on the circle a one-form
+w dx and the function w share one coefficient array.  The trig basis used
+throughout is
 
     sqrt(2)*cos(k x), sqrt(2)*sin(k x),   1 <= k <= n/2 - 1,
 
@@ -46,8 +48,10 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class _NodeValues:
-    """Float64 values at the grid nodes, one per node."""
+class ScalarField:
+    """Float64 values at the grid nodes, one per node: a real function, or
+    the dx-coefficient of a one-form (the musical isomorphisms are the
+    identity on the flat circle, so both share one array)."""
 
     grid: GridSpec
     values: np.ndarray
@@ -63,24 +67,12 @@ class _NodeValues:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
-class ScalarField(_NodeValues):
-    """Real function sampled at the grid nodes."""
-
-
-@dataclass(frozen=True)
-class OneForm(_NodeValues):
-    """One-form w(x) dx sampled at the grid nodes (coefficient of dx).
-
-    On the circle with the standard metric the musical isomorphisms are the
-    identity on coefficient arrays, so vector fields and one-forms share this
-    representation; the distinction is kept in type only.
-    """
-
-
-def check_same_grid(a, b) -> GridSpec:
-    if a.grid.n != b.grid.n:
-        raise GridMismatchError(f"grid mismatch: n={a.grid.n} vs n={b.grid.n}")
+def check_same_grid(a, *others) -> GridSpec:
+    """The grid of a, after checking that every other operand (a field or a
+    density) sits on a grid of the same size."""
+    for b in others:
+        if a.grid.n != b.grid.n:
+            raise GridMismatchError(f"grid mismatch: n={a.grid.n} vs n={b.grid.n}")
     return a.grid
 
 

@@ -38,7 +38,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .density import Density
 from .errors import CompatibilityError, ConditioningWarning, ConfigError, DomainError
-from .grid import SQRT2, OneForm, ScalarField, basis_matrix, check_same_grid, deriv
+from .grid import SQRT2, ScalarField, basis_matrix, check_same_grid, deriv
 
 GRAM_CONDITION_LIMIT = 1e12
 MEAN_ZERO_TOL = 1e-8
@@ -184,14 +184,14 @@ def assemble_gram(rho: np.ndarray, N: int) -> np.ndarray:
 
 def div_mu(xi: ScalarField, ctx: WeightedOperatorContext) -> ScalarField:
     """Weighted divergence (rho*xi)'/rho of the vector field xi*d/dx."""
-    check_same_grid(xi, ctx.mu.field())
+    check_same_grid(xi, ctx.mu)
     flux = ScalarField(xi.grid, ctx.mu.rho * xi.values)
     return ScalarField(xi.grid, deriv(flux).values / ctx.mu.rho)
 
 
 def laplace_mu(psi: ScalarField, ctx: WeightedOperatorContext) -> ScalarField:
     """Positive weighted Laplacian -(rho*psi')'/rho."""
-    check_same_grid(psi, ctx.mu.field())
+    check_same_grid(psi, ctx.mu)
     flux = ScalarField(psi.grid, ctx.mu.rho * deriv(psi).values)
     return ScalarField(psi.grid, -deriv(flux).values / ctx.mu.rho)
 
@@ -203,7 +203,7 @@ def green_mu_coeffs(f: ScalarField, ctx: WeightedOperatorContext) -> np.ndarray:
     f must be mean-zero in mu up to 1e-8 (solvability); any sub-tolerance
     mean is removed before solving.
     """
-    check_same_grid(f, ctx.mu.field())
+    check_same_grid(f, ctx.mu)
     mean = ctx.mu_mean(f.values)
     if abs(mean) > MEAN_ZERO_TOL:
         raise CompatibilityError(
@@ -212,15 +212,13 @@ def green_mu_coeffs(f: ScalarField, ctx: WeightedOperatorContext) -> np.ndarray:
     return ctx.gram_solve(ctx.weighted_moment(f.values - mean, 0))
 
 
-def project_exact(omega: OneForm, ctx: WeightedOperatorContext) -> tuple[ScalarField, OneForm]:
-    """L^2(mu)-orthogonal projection of a one-form onto exact forms.
+def project_exact(omega: ScalarField,
+                  ctx: WeightedOperatorContext) -> tuple[ScalarField, ScalarField]:
+    """L^2(mu)-orthogonal projection of the one-form omega dx onto exact forms.
 
     Returns (theta, residual) with d(theta) the projection and residual =
-    omega - d(theta) orthogonal to every d(phi_i) in L^2(mu).
+    omega - theta' orthogonal to every d(phi_i) in L^2(mu).
     """
-    check_same_grid(omega, ctx.mu.field())
+    check_same_grid(omega, ctx.mu)
     coeffs, residual = ctx.project_gradient_coeffs(omega.values)
-    return (
-        ScalarField(omega.grid, ctx.potential_values(coeffs)),
-        OneForm(omega.grid, residual),
-    )
+    return ScalarField(omega.grid, ctx.potential_values(coeffs)), ScalarField(omega.grid, residual)

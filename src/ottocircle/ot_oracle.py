@@ -186,7 +186,7 @@ class CircleDistanceSolver:
         return self._tables[key]
 
     def distance(self, mu: Density, nu: Density) -> TransportResult:
-        check_same_grid(mu.field(), nu.field())
+        check_same_grid(mu, nu)
         m = QUANTILE_MIDPOINTS
         qF = self.table(mu).q_mid
         G = self.table(nu)
@@ -308,7 +308,7 @@ def density_atoms(mu: Density, m: int):
 
 def w2_lp(mu: Density, nu: Density, m: int = 64) -> TransportPlan:
     """LP distance between two densities discretized onto m atoms each."""
-    check_same_grid(mu.field(), nu.field())
+    check_same_grid(mu, nu)
     xa, wa = density_atoms(mu, m)
     xb, wb = density_atoms(nu, m)
     return transport_lp(xa, wa, xb, wb)

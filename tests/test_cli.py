@@ -156,11 +156,13 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
     ("validate", ["--n", "64", "--N", "8"]),
     ("validate", ["--N", "1"]),
     ("curvature", ["--n", "16", "--N", "1"]),
+    ("curvature", ["--N", "1"]),
 ])
 def test_fixed_resolutions_are_checked_before_any_work(tmp_path, capsys, monkeypatch,
                                                        sub, flags):
     # validate builds its scenario at N = 16 and sweeps band limits up to N // 2;
-    # curvature runs its finite-difference oracle at N = 4
+    # curvature runs its finite-difference oracle at N = 4 and samples pairs
+    # with modes up to N // 2
     from ottocircle import validation
 
     ran = []

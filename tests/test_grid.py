@@ -5,16 +5,23 @@ import pytest
 
 from ottocircle import (
     AliasingError,
+    CircleDistanceSolver,
     ConfigError,
     GridMismatchError,
     GridSpec,
     ScalarField,
+    WeightedOperatorContext,
     basis_matrix,
     deriv,
     eval_trig,
     field_from_coeffs,
+    geodesic_hj,
     integrate,
+    lie_bracket,
+    pushforward_monotone,
     trig_series,
+    uniform_density,
+    weighted_inner,
 )
 from ottocircle.grid import check_same_grid, rk4
 
@@ -178,3 +185,19 @@ def test_grid_mismatch_checks(grid):
         check_same_grid(f, g)
     with pytest.raises(GridMismatchError):
         ScalarField(grid, np.zeros(10))
+
+
+@pytest.mark.parametrize("operation", [
+    lambda f, mu: weighted_inner(f, f, mu),
+    lambda f, mu: lie_bracket(f, f, WeightedOperatorContext(mu, 2)),
+    lambda f, mu: geodesic_hj(mu, f, [0.0, 0.1]),
+    lambda f, mu: pushforward_monotone(mu, f),
+    lambda f, mu: CircleDistanceSolver().distance(uniform_density(f.grid), mu),
+], ids=["weighted_inner", "lie_bracket", "geodesic_hj", "pushforward_monotone", "distance"])
+def test_field_against_density_on_another_grid(operation):
+    # check_same_grid takes the density itself, so a field or density on
+    # n = 32 meets the n = 64 density's grid, not a copy of its own
+    coarse = GridSpec(32)
+    f = ScalarField(coarse, 0.1 * np.cos(coarse.nodes))
+    with pytest.raises(GridMismatchError):
+        operation(f, uniform_density(GridSpec(64)))

@@ -11,7 +11,6 @@ from ottocircle import (
     ConfigError,
     Density,
     GridSpec,
-    OneForm,
     ScalarField,
     WeightedOperatorContext,
     cosine_density,
@@ -118,7 +117,7 @@ def test_projection_recovers_exact_forms():
     rng = np.random.default_rng(5)
     coeffs = rng.standard_normal(2 * N_MODES)
     theta = field_from_coeffs(GRID, coeffs)
-    omega = OneForm(GRID, deriv(theta).values)
+    omega = deriv(theta)
     recovered, residual = project_exact(omega, WEIGHTED_CTX)
     np.testing.assert_allclose(deriv(recovered).values, omega.values, atol=1e-12)
     assert weighted_inner(residual, residual, WEIGHTED_CTX.mu) < 1e-24
@@ -126,7 +125,7 @@ def test_projection_recovers_exact_forms():
 
 def test_projection_residual_is_orthogonal():
     # residual of a non-exact form must be L^2(mu)-orthogonal to every d(phi_i)
-    omega = OneForm(GRID, np.cos(3 * GRID.nodes) ** 2)
+    omega = ScalarField(GRID, np.cos(3 * GRID.nodes) ** 2)
     _, residual = project_exact(omega, WEIGHTED_CTX)
     moments = WEIGHTED_CTX.weighted_moment(residual.values, 1)
     np.testing.assert_allclose(moments, 0.0, atol=1e-15)
