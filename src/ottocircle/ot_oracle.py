@@ -8,7 +8,7 @@ Two deliberately separate routes to the quadratic Wasserstein distance:
 
         int_0^1 (Fmu^{-1}(s) - Gnu^{-1}(s + c))^2 ds,
 
-    with the target quantile unrolled periodically,
+    with the target quantile extended periodically,
     Gnu^{-1}(u + 1) = Gnu^{-1}(u) + 2*pi.  The CDF is order -1 (the termwise
     antiderivative) of grid.eval_trig on the density's spectrum, and
     quantiles come from safeguarded Newton at the m = QUANTILE_MIDPOINTS
@@ -18,8 +18,11 @@ Two deliberately separate routes to the quadratic Wasserstein distance:
     not yet converged, so a table costs about two CDF evaluations.  One FFT
     correlation scans the costs of all grid-aligned cuts c = j/m in [-1, 1]
     (Delon, Salomon & Sobolevski 2010); the best of the exact costs at its
-    argmin and neighbours brackets a bounded minimization (xatol 1e-10) on
-    a periodic spline through those values.
+    argmin and neighbours picks the bracket of two cells around it.  On a
+    periodic cubic spline through the midpoint quantiles, whose nodes are
+    the midpoints themselves, the cost on each cell is a polynomial of
+    degree 6 in the cut, minimized exactly over the roots of its
+    derivative inside the cell.
   * transport_lp: a linear program on explicit atoms with squared circular
     distance cost, solved by scipy's HiGHS backend.  w2_lp discretizes a pair
     of densities onto m atoms and calls it.
@@ -33,8 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.interpolate import CubicSpline
-from scipy.optimize import linprog, minimize_scalar
+from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from .density import Density
@@ -150,22 +154,18 @@ class _QuantileTable:
     s_j = (j + 1/2)/m.
 
     q_mid holds the exact midpoint quantiles the cut scan indexes.  Off-grid
-    cuts use a periodic cubic spline of the smooth 1-periodic part
+    cuts read spline, a periodic cubic spline of the smooth 1-periodic part
     quantile(u) - 2*pi*u through those same values (nodes s_j and s_0 + 1),
-    so the polish and the scan see one quantile function.
+    so the polish and the scan see one quantile function; the polish takes
+    its piecewise coefficients spline.c directly.
     """
 
     def __init__(self, mu: Density, m: int):
         s = (np.arange(m) + 0.5) / m
         self.q_mid = _SpectralCDF(mu).quantile(s)
         wobble = self.q_mid - TWO_PI * s
-        self._s0 = s[0]
-        self._spline = CubicSpline(np.append(s, s[0] + 1.0), np.append(wobble, wobble[0]),
-                                   bc_type="periodic")
-
-    def unrolled(self, u):
-        """quantile extended by quantile(u + 1) = quantile(u) + 2*pi."""
-        return TWO_PI * u + self._spline(self._s0 + np.mod(u - self._s0, 1.0))
+        self.spline = CubicSpline(np.append(s, s[0] + 1.0), np.append(wobble, wobble[0]),
+                                  bc_type="periodic")
 
 
 class CircleDistanceSolver:
@@ -192,10 +192,6 @@ class CircleDistanceSolver:
         G = self.table(nu)
         s = (np.arange(m) + 0.5) / m
 
-        def cost(target) -> float:
-            diff = qF - target
-            return float(np.mean(diff * diff))
-
         # the grid-aligned cut u = s + j/m lands back on the s-grid: its
         # target quantiles are turns[j + m : j + 2m]
         turns = np.concatenate((G.q_mid - TWO_PI, G.q_mid, G.q_mid + TWO_PI))
@@ -210,14 +206,26 @@ class CircleDistanceSolver:
         # and the two neighbours pick the bracket
         centre = int(np.argmin(scan)) - m
         window = range(max(centre - 1, -m), min(centre + 1, m) + 1)
-        costs = [cost(turns[j + m: j + 2 * m]) for j in window]
+        costs = [float(np.mean((qF - turns[j + m: j + 2 * m]) ** 2)) for j in window]
         best = window[int(np.argmin(costs))]
-        best_cost = min(costs)
-        res = minimize_scalar(lambda alpha: cost(G.unrolled(s + alpha)),
-                              bounds=((best - 1) / m, (best + 1) / m),
-                              method="bounded", options={"xatol": 1e-10})
-        squared = float(min(res.fun, best_cost))
-        shift = float(res.x) if res.fun <= best_cost else best / m
+        squared, shift = min(costs), best / m
+        # the spline's nodes are the midpoints, so at the cut (k + t)/m with
+        # 0 <= t < 1 every target s_j + (k + t)/m sits at offset t/m in cell
+        # (j + k) mod m: there the cost is a sextic in t whose coefficients
+        # are antidiagonal sums of the Gram matrix of four residual rows; the
+        # real part of a complex root is a harmless extra sample
+        pieces = -G.spline.c[::-1] / float(m) ** np.arange(4)[:, None]
+        powers = np.add.outer(np.arange(4), np.arange(4)).ravel()
+        for k in (best - 1, best):
+            rows = np.roll(pieces, -k, axis=1)
+            rows[0] += qF - TWO_PI * (s + k / m)
+            rows[1] -= TWO_PI / m
+            sextic = np.bincount(powers, weights=(rows @ rows.T).ravel()) / m
+            roots = P.polyroots(P.polyder(sextic)).real
+            for t in roots[(roots > 0.0) & (roots < 1.0)]:
+                value = float(P.polyval(t, sextic))
+                if value < squared:
+                    squared, shift = value, float((k + t) / m)
         return TransportResult(
             w2=float(np.sqrt(max(squared, 0.0))),
             w2_squared=squared,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ottocircle import (
     CircleDistanceSolver,
     ConfigError,
+    Density,
     GridSpec,
     NumericalError,
     ScalarField,
@@ -145,6 +146,61 @@ def test_distance_values_are_pinned(name, w2, shift):
     assert abs(result.shift - shift) <= 1e-9
 
 
+def _rotated_pair(seed):
+    # criterion 10's pair family: two-mode densities a quarter to a half turn apart
+    rng = np.random.default_rng(seed)
+    a1, a2 = rng.uniform(0.25, 0.45, 2)
+    t1, t2 = rng.uniform(0.0, 2.0 * np.pi, 2)
+    delta = rng.uniform(np.pi / 2.0, np.pi)
+    x = GRID.nodes
+    va = 1.0 + a1 * np.cos(x - t1) + 0.5 * a2 * np.sin(2.0 * (x - t2))
+    vb = 1.0 + a2 * np.cos(x - t1 - delta) + 0.5 * a1 * np.cos(2.0 * (x - t2 - delta))
+    return Density(GRID, va / va.mean()), Density(GRID, vb / vb.mean())
+
+
+POLISH_PAIRS = ["phase_half_pi", "phase_pi", "mode2_mode3", "flow_pushforward", "identical",
+                "rotated_0", "rotated_1", "rotated_2"]
+
+
+def _polish_case(name):
+    """The solver's result on a pair, with the pair's source quantiles and target table."""
+    pair = _rotated_pair(int(name[-1])) if name.startswith("rotated") else _scan_pair(name)
+    solver = CircleDistanceSolver()
+    return solver.distance(*pair), solver.table(pair[0]).q_mid, solver.table(pair[1])
+
+
+def _spline_cost(qF, table, alphas):
+    """mean((qF - quantile(s + alpha))^2) at each cut alpha, straight from the spline."""
+    m = qF.size
+    s = (np.arange(m) + 0.5) / m
+    return np.concatenate([np.mean((qF - _unrolled(table, s + block[:, None])) ** 2, axis=1)
+                           for block in np.array_split(np.asarray(alphas, dtype=float), 16)])
+
+
+@pytest.mark.parametrize("name", POLISH_PAIRS)
+def test_polish_value_is_the_spline_cost_at_its_shift(name):
+    result, qF, table = _polish_case(name)
+    direct = _spline_cost(qF, table, [result.shift])[0]
+    assert abs(result.w2_squared - direct) <= 1e-13
+
+
+@pytest.mark.parametrize("name", POLISH_PAIRS)
+def test_polish_is_the_bracket_minimum(name):
+    result, qF, table = _polish_case(name)
+    m = QUANTILE_MIDPOINTS
+    # the bracket is the two cells around the exhaustive grid minimum
+    turns = np.concatenate((table.q_mid - 2.0 * np.pi, table.q_mid, table.q_mid + 2.0 * np.pi))
+    best = int(np.argmin([np.mean((qF - turns[j: j + m]) ** 2) for j in range(2 * m + 1)])) - m
+    sampled = _spline_cost(qF, table, np.linspace((best - 1) / m, (best + 1) / m, 4001))
+    assert result.w2_squared <= sampled.min() + 1e-15
+
+
+def test_polish_keeps_a_symmetric_pair_at_zero_shift():
+    # the costs of the phase_pi pair are symmetric about the cut 0
+    result, _, _ = _polish_case("phase_pi")
+    assert abs(result.shift) <= 1e-12
+
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ottocircle"
 
 
@@ -203,12 +259,18 @@ def test_table_build_inverts_the_cdf_once(monkeypatch):
     assert calls == [64]
 
 
+def _unrolled(table, u):
+    """The table's quantile at any u, extended by quantile(u + 1) = quantile(u) + 2*pi."""
+    s0 = table.spline.x[0]
+    return 2.0 * np.pi * u + table.spline(s0 + np.mod(u - s0, 1.0))
+
+
 def test_table_unrolled_passes_through_midpoint_quantiles():
     m = 64
     table = _QuantileTable(cosine_density(GRID, 0.45, mode=2), m)
     s = (np.arange(m) + 0.5) / m
     for k in (-1, 0, 1, 2):
-        np.testing.assert_allclose(table.unrolled(s + k), table.q_mid + 2.0 * np.pi * k,
+        np.testing.assert_allclose(_unrolled(table, s + k), table.q_mid + 2.0 * np.pi * k,
                                    rtol=0.0, atol=1e-12)
 
 
@@ -225,7 +287,7 @@ def test_table_off_grid_matches_direct_quantile(name):
     u = np.linspace(-1.0, 2.0, 401) + 1e-4 * np.pi
     turns = np.floor(u)
     direct = _SpectralCDF(mu).quantile(u - turns) + 2.0 * np.pi * turns
-    np.testing.assert_allclose(table.unrolled(u), direct, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(_unrolled(table, u), direct, rtol=0.0, atol=1e-10)
 
 
 def _flow_density():
