@@ -1,9 +1,10 @@
 """Batch front door: configured runs of the geometry stack with file reports.
 
-Every subcommand reads one config (JSON file merged over defaults, then flag
-overrides; all of its inputs are built before the subcommand runs), writes a
-JSON report plus CSV data into the output directory, and exits with the
-shared code contract:
+Every subcommand reads one config: a JSON file over the defaults, then the
+flag overrides.  `_read` checks each value at its kind, and `_FAMILIES` holds
+each density and potential family's keys and defaults.  All inputs are built
+before the subcommand runs; it writes a JSON report plus CSV data into the
+output directory and exits with the shared code contract:
 
     0  everything ran and every checked tolerance held
     1  a tolerance check failed
@@ -62,14 +63,24 @@ from .validation import (
 
 SCHEMA_VERSION = "1"
 
+# each family's keys and their defaults; a type in place of a default is the
+# kind of a key that has no default and must be given
+_WAVE = {"mode": 1, "phase": 0.0}
+_POTENTIAL_WAVE = {"amplitude": 0.1, **_WAVE}
+_FAMILIES = {
+    "density": {"uniform": {}, "cosine": {"amplitude": 0.3, **_WAVE}, "custom": {"path": str}},
+    "potential": {"cosine": _POTENTIAL_WAVE, "sine": _POTENTIAL_WAVE,
+                  "coefficients": {"values": list}},
+}
+
 DEFAULT_CONFIG = {
     "n": 256,
     "N": 8,
     "seed": 0,
     "density": {"family": "uniform"},
-    "density_b": {"family": "cosine", "amplitude": 0.3, "mode": 1, "phase": 0.0},
-    "potential": {"family": "cosine", "amplitude": 0.1, "mode": 1, "phase": 0.0},
-    "potential_b": {"family": "sine", "amplitude": 0.1, "mode": 1, "phase": 0.0},
+    "density_b": {"family": "cosine", **_FAMILIES["density"]["cosine"]},
+    "potential": {"family": "cosine", **_FAMILIES["potential"]["cosine"]},
+    "potential_b": {"family": "sine", **_FAMILIES["potential"]["sine"]},
     "times": {"t_max": 1.0, "count": 17},
     "atoms": 64,
 }
@@ -78,27 +89,37 @@ DEFAULT_CONFIG = {
 # -- configuration -----------------------------------------------------------
 
 
-# density/potential specs are replaced wholesale (switching family must not
-# inherit the default family's parameters); everything else deep-merges
-_REPLACE_KEYS = {"density", "density_b", "potential", "potential_b"}
+_KINDS = {int: "an integer in the float range", float: "a finite number",
+          str: "a string", list: "a non-empty list of finite numbers"}
 
 
-def _merge(defaults, override, path="config"):
-    if not isinstance(override, dict):
-        raise ConfigError(f"{path} must be a JSON object")
-    merged = dict(defaults)
-    for key, value in override.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown key {path}.{key}")
-        if isinstance(defaults[key], dict) and key not in _REPLACE_KEYS:
-            merged[key] = _merge(defaults[key], value, f"{path}.{key}")
-        else:
-            merged[key] = value
-    return merged
+def _read(value, kind: type, where: str):
+    """`value` checked as a config value of `kind`, naming its config path
+    `where` in any error: int (a JSON integer, never a bool), float (any JSON
+    number), str, or list (a non-empty list of numbers, read as floats).
+    Every number must lie in the float range."""
+    if kind is list and type(value) is list and value:
+        return [_read(v, float, f"{where}[{i}]") for i, v in enumerate(value)]
+    if kind is str and type(value) is str:
+        return value
+    # an integer literal past the float range passes json's parse_float hook
+    if kind in (int, float) and type(value) in (kind, int) and abs(value) <= sys.float_info.max:
+        return kind(value)
+    raise ConfigError(f"{where} must be {_KINDS[kind]}, got {value!r}")
+
+
+def _object(value, keys, where: str) -> dict:
+    """value, which must be a JSON object whose keys are all among `keys`."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"unknown key {where}.{key}")
+    return value
 
 
 def load_config(args) -> dict:
-    config = {k: (dict(v) if isinstance(v, dict) else v) for k, v in DEFAULT_CONFIG.items()}
+    user = {}
     if args.config is not None:
         try:
             with open(args.config) as handle:
@@ -107,18 +128,20 @@ def load_config(args) -> dict:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc.strerror}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
-        config = _merge(config, user)
+    # top-level keys and the four specs replace (switching family never
+    # inherits another family's keys); `times` merges its two keys
+    config = {**DEFAULT_CONFIG, **_object(user, DEFAULT_CONFIG, "config")}
+    times = DEFAULT_CONFIG["times"]
+    config["times"] = {**times, **_object(config["times"], times, "times")}
     for flag in ("seed", "n", "N"):
-        value = getattr(args, flag)
-        if value is not None:
-            config[flag] = value
-    if not _is_int(config["n"]) or not _is_int(config["N"]):
-        raise ConfigError("n and N must be integers")
-    if config["N"] < 1 or 4 * config["N"] >= config["n"]:
+        if getattr(args, flag) is not None:
+            config[flag] = getattr(args, flag)
+    n, N, seed, atoms = (_read(config[key], int, key) for key in ("n", "N", "seed", "atoms"))
+    if N < 1 or 4 * N >= n:
         raise ConfigError("need 1 <= N and 4N < n")
-    if not _is_int(config["seed"]) or config["seed"] < 0:
+    if seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
-    if not _is_int(config["atoms"]) or not 2 <= config["atoms"] <= 256:
+    if not 2 <= atoms <= 256:
         raise ConfigError("atoms must be an integer in [2, 256]")
     return config
 
@@ -132,90 +155,54 @@ def _finite(text: str) -> float:
     return value
 
 
-def _is_int(value) -> bool:
-    """True for a JSON integer; bool subclasses int but is not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """True for a JSON number (integer or float), never a bool or a string."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _number(spec: dict, key: str, default: float, what: str) -> float:
-    value = spec.get(key, default)
-    # an integer literal past the float range passes json's parse_float hook
-    if not _is_number(value) or abs(value) > sys.float_info.max:
-        raise ConfigError(f"{what}.{key} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def config_sha256(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _known_keys(spec: dict, allowed: set[str], what: str) -> None:
-    extra = set(spec) - allowed
-    if extra:
-        raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
-
-
-def _mode(spec: dict, grid: GridSpec, what: str) -> int:
-    """The spec's mode, which must be resolved by the grid (an aliased mode
-    would silently stand for a lower one)."""
-    k = spec.get("mode", 1)
-    if not _is_int(k):
-        raise ConfigError(f"{what} mode must be an integer, got {k!r}")
-    if not 1 <= k <= grid.n // 2 - 1:
-        raise AliasingError(f"{what} mode {k} outside resolved range "
+def _spec(spec, where: str, grid: GridSpec) -> tuple[str, dict]:
+    """The family of the density or potential spec at config path `where`,
+    and each of its family's keys read at its kind, defaults filled in."""
+    if not isinstance(spec, dict) or "family" not in spec:
+        raise ConfigError(f"{where} spec needs a 'family' key")
+    family = _read(spec["family"], str, f"{where}.family")
+    keys = _FAMILIES[where.removesuffix("_b")].get(family)
+    if keys is None:
+        raise ConfigError(f"unknown {where} family {family!r}")
+    _object(spec, {"family", *keys}, where)
+    params = {}
+    for key, default in keys.items():
+        if key not in spec and isinstance(default, type):
+            raise ConfigError(f"{family} {where} spec needs a {key!r} key")
+        kind = default if isinstance(default, type) else type(default)
+        params[key] = _read(spec.get(key, default), kind, f"{where}.{key}")
+    # an aliased mode would silently stand for a lower one
+    if "mode" in params and not 1 <= params["mode"] <= grid.n // 2 - 1:
+        raise AliasingError(f"{where}.mode {params['mode']} outside resolved range "
                             f"[1, {grid.n // 2 - 1}] for n={grid.n}")
-    return k
+    return family, params
 
 
-def build_density(spec: dict, grid: GridSpec) -> Density:
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ConfigError("density spec needs a 'family' key")
-    family = spec["family"]
-    if family == "uniform":
-        _known_keys(spec, {"family"}, "density")
-        return uniform_density(grid)
+def build_density(spec, grid: GridSpec, where: str) -> Density:
+    family, p = _spec(spec, where, grid)
     if family == "cosine":
-        _known_keys(spec, {"family", "amplitude", "mode", "phase"}, "density")
-        return cosine_density(grid, _number(spec, "amplitude", 0.3, "density"),
-                              mode=_mode(spec, grid, "density"),
-                              phase=_number(spec, "phase", 0.0, "density"))
+        return cosine_density(grid, p["amplitude"], mode=p["mode"], phase=p["phase"])
     if family == "custom":
-        _known_keys(spec, {"family", "path"}, "density")
-        if "path" not in spec:
-            raise ConfigError("custom density spec needs a 'path' key")
         try:
-            return density_from_csv(spec["path"], grid)
+            return density_from_csv(p["path"], grid)
         except OSError as exc:
-            raise ConfigError(f"cannot read custom density {spec['path']!r}: {exc.strerror}")
-    raise ConfigError(f"unknown density family {family!r}")
+            raise ConfigError(f"cannot read custom density {p['path']!r}: {exc.strerror}")
+    return uniform_density(grid)
 
 
-def build_potential(spec: dict, grid: GridSpec) -> ScalarField:
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ConfigError("potential spec needs a 'family' key")
-    family = spec["family"]
-    if family in ("cosine", "sine"):
-        _known_keys(spec, {"family", "amplitude", "mode", "phase"}, "potential")
-        a = _number(spec, "amplitude", 0.1, "potential")
-        k = _mode(spec, grid, "potential")
-        phase = _number(spec, "phase", 0.0, "potential")
-        fn = np.cos if family == "cosine" else np.sin
-        return ScalarField(grid, a * fn(k * (grid.nodes - phase)))
+def build_potential(spec, grid: GridSpec, where: str) -> ScalarField:
+    family, p = _spec(spec, where, grid)
     if family == "coefficients":
-        _known_keys(spec, {"family", "values"}, "potential")
-        values = spec.get("values", [])
-        if not isinstance(values, list) or not values or len(values) % 2:
-            raise ConfigError("coefficient potential needs an even-length list")
-        if not all(_is_number(v) for v in values):
-            raise ConfigError("coefficient potential values must all be numbers")
-        return field_from_coeffs(grid, np.asarray(values, dtype=np.float64))
-    raise ConfigError(f"unknown potential family {family!r}")
+        if len(p["values"]) % 2:
+            raise ConfigError(f"{where}.values needs an even length, got {len(p['values'])}")
+        return field_from_coeffs(grid, np.asarray(p["values"]))
+    fn = np.cos if family == "cosine" else np.sin
+    return ScalarField(grid, p["amplitude"] * fn(p["mode"] * (grid.nodes - p["phase"])))
 
 
 @dataclass(frozen=True)
@@ -232,20 +219,20 @@ class RunInputs:
 
 
 def build_inputs(config: dict) -> RunInputs:
-    t_max = _number(config["times"], "t_max", 1.0, "times")
-    count = config["times"].get("count", 17)
+    t_max = _read(config["times"]["t_max"], float, "times.t_max")
+    count = _read(config["times"]["count"], int, "times.count")
     if t_max <= 0.0:
         raise ConfigError(f"times.t_max must be > 0, got {t_max!r}")
-    if not _is_int(count) or count < 2:
-        raise ConfigError("times.count must be an integer >= 2")
+    if count < 2:
+        raise ConfigError(f"times.count must be >= 2, got {count}")
     grid = GridSpec(config["n"])
     return RunInputs(
         config=config,
         grid=grid,
-        density=build_density(config["density"], grid),
-        density_b=build_density(config["density_b"], grid),
-        potential=build_potential(config["potential"], grid),
-        potential_b=build_potential(config["potential_b"], grid),
+        density=build_density(config["density"], grid, "density"),
+        density_b=build_density(config["density_b"], grid, "density_b"),
+        potential=build_potential(config["potential"], grid, "potential"),
+        potential_b=build_potential(config["potential_b"], grid, "potential_b"),
         times=np.linspace(0.0, t_max, count),
     )
 
@@ -385,22 +372,18 @@ def run_curvature(run: RunInputs, out_dir: str) -> dict:
     ctx = WeightedOperatorContext(mu, N)
     rng = np.random.default_rng(run.config["seed"])
 
-    sec_base = sectional(ScalarField(grid, ctx.basis0[0]), ScalarField(grid, ctx.basis0[1]), ctx)
+    # the first four basis directions (N >= 2 gives at least four)
+    basis = [ScalarField(grid, row) for row in ctx.basis0[:4]]
+    sec_base = sectional(basis[0], basis[1], ctx)
 
     samples = [sectional(*band_limited_pair(rng, ctx), ctx) for _ in range(16)]
     min_sec = np.min(samples)
     write_csv(out_dir, "sectional_samples.csv", ["sample", "value"],
               ((i, v) for i, v in enumerate(samples)))
 
-    quad_limit = min(2 * N, 4)
-    rows = []
-    for i in range(quad_limit):
-        for j in range(i + 1, quad_limit):
-            for k in range(quad_limit):
-                for l in range(quad_limit):
-                    fields = [ScalarField(grid, ctx.basis0[q]) for q in (i, j, k, l)]
-                    rows.append((i, j, k, l, riemann(*fields, ctx)))
-    write_csv(out_dir, "riemann_table.csv", ["i", "j", "k", "l", "value"], rows)
+    write_csv(out_dir, "riemann_table.csv", ["i", "j", "k", "l", "value"],
+              ((i, j, k, l, riemann(basis[i], basis[j], basis[k], basis[l], ctx))
+               for i in range(4) for j in range(i + 1, 4) for k in range(4) for l in range(4)))
 
     fd_check, [(fd, reference)] = fd_oracle_check([(WeightedOperatorContext(mu, 4), (0, 1, 0, 1))])
     results = {

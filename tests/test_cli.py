@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from ottocircle import (
     uniform_density,
     w2_lp,
 )
+from ottocircle import cli
 from ottocircle.cli import main
 
 
@@ -72,8 +74,6 @@ def test_config_hash_tracks_flags(tmp_path):
 
 
 def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
-    import ottocircle.cli as cli
-
     out = str(tmp_path / "out")
     assert run_cli(["metric", "--config", str(tmp_path / "missing.json"), "--out", out]) == 2
     bad_json = tmp_path / "bad.json"
@@ -95,24 +95,6 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
     aliased = write_config(tmp_path, {"potential": {"family": "cosine", "amplitude": 0.1,
                                                     "mode": 250}}, "alias_p.json")
     assert run_cli(["geodesic", "--config", aliased, "--out", out]) == 2
-    # integer fields take JSON integers only: no truncated float, no bool
-    for name, payload, sub in (("atoms", {"atoms": 64.9}, "distance"),
-                               ("count", {"times": {"count": 17.9}}, "geodesic"),
-                               ("seed", {"seed": True}, "metric")):
-        path = write_config(tmp_path, payload, f"int_{name}.json")
-        assert run_cli([sub, "--config", path, "--out", out]) == 2, name
-    # number fields take JSON numbers only: no string, no bool; modes take
-    # JSON integers only (1.9 and true would both run as mode 1)
-    for name, payload, sub in (
-            ("mode_float", {"density": {"family": "cosine", "mode": 1.9}}, "metric"),
-            ("mode_bool", {"potential": {"family": "sine", "mode": True}}, "geodesic"),
-            ("amplitude", {"density": {"family": "cosine", "amplitude": "0.3"}}, "metric"),
-            ("t_max", {"times": {"t_max": True}}, "geodesic"),
-            ("phase", {"potential": {"family": "cosine", "phase": False}}, "bracket"),
-            ("values", {"potential": {"family": "coefficients", "values": [0.1, "0"]}},
-             "bracket")):
-        path = write_config(tmp_path, payload, f"num_{name}.json")
-        assert run_cli([sub, "--config", path, "--out", out]) == 2, name
     # geodesic's continuity residual needs 5 path times: checked before any
     # route runs; transport takes any count >= 2
     capsys.readouterr()
@@ -197,8 +179,6 @@ def test_validate_hashes_only_what_it_reads(tmp_path, monkeypatch):
     # validate reads n, N and seed; a change to any other section leaves its
     # echoed config and hash alone (the criteria are stubbed: only the
     # report plumbing is under test)
-    import ottocircle.cli as cli
-
     monkeypatch.setattr(cli, "run_all", lambda **kwargs: {"records": []})
     reports = []
     for atoms in (32, 128):
@@ -233,6 +213,70 @@ def test_non_finite_config_numbers_exit_two(tmp_path, capsys):
     path.write_text('{"density": {"family": "cosine", "amplitude": 1%s}}' % ("0" * 400))
     assert run_cli(["metric", "--config", str(path), "--out", out]) == 2
     assert "density.amplitude must be a finite number" in capsys.readouterr().err
+    # also inside a list, where numpy would raise OverflowError
+    path.write_text('{"potential": {"family": "coefficients", "values": [1%s, 0]}}' % ("0" * 400))
+    assert run_cli(["bracket", "--config", str(path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: potential.values[0] must be a finite number"), err
+    assert not (tmp_path / "out").exists()
+
+
+# every key of every family, and every top-level value, with the kind of its
+# default; a type in place of a default is the kind of a key without one
+KEYS = [(f"{section}_b", {"family": family}, key, default)
+        for section, families in cli._FAMILIES.items()
+        for family, keys in families.items() for key, default in keys.items()]
+KEYS += [(None, {}, key, cli.DEFAULT_CONFIG[key]) for key in ("n", "N", "seed", "atoms")]
+KEYS += [("times", {}, key, default) for key, default in cli.DEFAULT_CONFIG["times"].items()]
+BIG = 10 ** 400  # a JSON integer literal past the float range
+WRONG_KIND = {
+    int: [True, False, "1", 1.5, [1], BIG],
+    float: [True, False, "0.1", [0.1], BIG],
+    str: [True, 0, ["a.csv"], {"x": 1}],
+    list: [True, "0.1", 0.1, [], [0.1, "0"], [True, 0.0], BIG],
+}
+
+
+@pytest.mark.parametrize("section, spec, key, default", KEYS,
+                         ids=[".".join(filter(None, (s, sp.get("family"), k)))
+                              for s, sp, k, _ in KEYS])
+def test_values_of_the_wrong_kind_exit_two(tmp_path, capsys, monkeypatch,
+                                           section, spec, key, default):
+    ran = []
+    for sub in cli.SUBCOMMANDS:
+        monkeypatch.setitem(cli.SUBCOMMANDS, sub, lambda run, out_dir: ran.append(out_dir))
+    monkeypatch.setattr(cli, "density_from_csv", lambda *args: ran.append(args))
+    where = f"{section}.{key}" if section else key
+    out = tmp_path / "out"
+    kind = default if isinstance(default, type) else type(default)
+    for idx, value in enumerate(WRONG_KIND[kind]):
+        payload = {key: value} if section is None else {section: {**spec, key: value}}
+        path = write_config(tmp_path, payload, f"kind_{idx}.json")
+        sub = list(cli.SUBCOMMANDS)[idx % len(cli.SUBCOMMANDS)]
+        capsys.readouterr()
+        assert run_cli([sub, "--config", path, "--out", str(out)]) == 2, value
+        err = capsys.readouterr().err
+        assert re.match(rf"config error: {re.escape(where)}(\[\d+\])? must be ", err), err
+        assert err.count("\n") == 1, err
+    assert ran == [] and not out.exists()
+
+
+@pytest.mark.parametrize("path", ["0", "2", "true"])
+def test_integer_density_paths_exit_two(tmp_path, path):
+    # open() takes an integer (and a bool) as a file descriptor: 0 would read
+    # the CLI's stdin and 2 would close its stderr, so each case runs in a
+    # subprocess; a list or an object as `path` is in the kind test above
+    config = tmp_path / "config.json"
+    config.write_text('{"density": {"family": "custom", "path": %s}}' % path)
+    result = subprocess.run(
+        [sys.executable, "-m", "ottocircle.cli", "metric", "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("config error: density.path must be a string")
+    assert result.stderr.count("config error:") == 1 and result.stderr.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -243,8 +287,6 @@ def test_unknown_subcommand_exits_two():
 
 
 def test_tolerance_breach_exits_one(tmp_path, monkeypatch):
-    import ottocircle.cli as cli
-
     real = cli.w2_lp
 
     def w2_lp(*args, **kwargs):  # an LP value 50% off the exact distance
@@ -369,8 +411,6 @@ def test_curvature_and_christoffel(tmp_path):
 
 
 def test_nan_sectional_sample_fails_curvature(tmp_path, monkeypatch):
-    import ottocircle.cli as cli
-
     real = cli.sectional
     calls = []
 
