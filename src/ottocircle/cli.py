@@ -41,7 +41,7 @@ from .density import (
 )
 from .errors import AliasingError, ConfigError, NumericalError
 from .operators import WeightedOperatorContext
-from .tangent import TangentVector, metric_gram, vector_from_potential
+from .tangent import TangentVector, vector_from_potential
 from .connection import christoffel, christoffel_residual, lie_bracket, lie_bracket_laplacian
 from .curvature import riemann, sectional
 from .geodesics import action, displacement_path, geodesic_christoffel, geodesic_hj
@@ -277,7 +277,7 @@ def write_csv(out_dir: str, name: str, header: list[str], rows) -> None:
 
 
 def run_metric(run: RunInputs, out_dir: str) -> dict:
-    gram = metric_gram(run.density, run.config["N"]).gram
+    gram = WeightedOperatorContext(run.density, run.config["N"]).gram
     write_csv(out_dir, "gram.csv", ["i", "j", "value"],
               ((i, j, gram[i, j]) for i in range(gram.shape[0]) for j in range(gram.shape[1])))
     sym = float(np.abs(gram - gram.T).max())
@@ -319,7 +319,7 @@ def run_christoffel(run: RunInputs, out_dir: str) -> dict:
     residual = christoffel_residual(tensor, ctx)
     results = {
         "dimension": d,
-        "max_ij_asymmetry": float(tensor.max_ij_asymmetry()),
+        "max_ij_asymmetry": float(np.abs(tensor.gamma - tensor.gamma.transpose(0, 2, 1)).max()),
     }
     checks = [check("assembly_residual", residual, 1e-8)]
     return write_report(out_dir, "christoffel", run.config, results, checks)
@@ -335,7 +335,7 @@ def run_geodesic(run: RunInputs, out_dir: str) -> dict:
 
     paths = {
         "hj": geodesic_hj(mu0, psi0, times),
-        "christoffel": geodesic_christoffel(mu0, v0, times, N=N),
+        "christoffel": geodesic_christoffel(mu0, v0.coeffs, times, N=N),
         "displacement": displacement_path(mu0, psi0, times),
     }
     for name, path in paths.items():
@@ -437,17 +437,17 @@ def run_validate(run: RunInputs, out_dir: str) -> dict:
     if config["n"] <= 64 or config["N"] < 2:
         raise ConfigError(f"validate needs n > 64 and N >= 2, "
                           f"got n={config['n']}, N={config['N']}")
-    outcome = run_all(**config)
-    for record in outcome["records"]:
+    records = run_all(**config)
+    for record in records:
         print(format_record(record))
     write_csv(out_dir, "validate_summary.csv",
               ["criterion", "name", "check", "value", "threshold", "op", "passed"],
               ((r["index"], r["name"], c["name"], c["value"], c["threshold"],
                 c["op"], int(c["passed"]))
-               for r in outcome["records"] for c in r["checks"]))
-    results = {"records": outcome["records"]}
+               for r in records for c in r["checks"]))
+    results = {"records": records}
     checks = [check(f"criterion_{r['index']:02d}_{r['name']}", 1.0 if r["passed"] else 0.0,
-                    0.5, op=">=") for r in outcome["records"]]
+                    0.5, op=">=") for r in records]
     return write_report(out_dir, "validate", config, results, checks)
 
 

@@ -21,11 +21,14 @@ same field from weighted Laplacians and runs it through div_mu and the Green
 solve.  Their agreement is a cross-check of the operator stack, and the
 Laplacian path is invariant under flipping the sign convention of the
 weighted Laplacian (both occurrences flip together).
+
+christoffel returns the plain pair (gamma, rhs): gamma is the read-only Gram
+solve itself, never copied, and rhs the triple products it solves against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -73,9 +76,8 @@ def covariant_derivative(phi1: ScalarField, phi2: ScalarField,
     return TangentVector(coeffs, ctx.mu)
 
 
-@dataclass(frozen=True)
-class ChristoffelTensor:
-    """Gamma^k_ij of the basis frame at a base density.
+class ChristoffelTensor(NamedTuple):
+    """Gamma^k_ij of the basis frame at a base density, as christoffel solves it.
 
     gamma[k, i, j] multiplies coefficients as (nabla_{V_i} V_j)^k; indices
     follow the cos1, sin1, cos2, ... ordering.  The frame is not a coordinate
@@ -86,29 +88,16 @@ class ChristoffelTensor:
 
     gamma: np.ndarray
     rhs: np.ndarray
-    N: int
-
-    def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=np.float64)
-        d = 2 * self.N
-        if g.shape != (d, d, d) or np.shape(self.rhs) != (d, d, d):
-            raise DomainError(f"Christoffel tensor shapes {g.shape} and {np.shape(self.rhs)} "
-                              f"do not match N={self.N}")
-        g = g.copy()
-        g.flags.writeable = False
-        object.__setattr__(self, "gamma", g)
-
-    def max_ij_asymmetry(self) -> float:
-        return float(np.abs(self.gamma - self.gamma.transpose(0, 2, 1)).max())
 
 
 def christoffel(ctx: WeightedOperatorContext) -> ChristoffelTensor:
     """Assemble Gamma^k_ij from Gram * Gamma^._ij = int phi_i' phi_j'' phi_l' dmu."""
     c = ctx.triple_products()
     d = 2 * ctx.N
-    # Solve over the last axis for every (i, j) pair.
+    # solve over the last axis for every (i, j) pair; gamma is the solve, never copied
     gamma = ctx.gram_solve(c.reshape(d * d, d).T).reshape(d, d, d)
-    return ChristoffelTensor(gamma, c, ctx.N)
+    gamma.flags.writeable = False
+    return ChristoffelTensor(gamma, c)
 
 
 def christoffel_residual(tensor: ChristoffelTensor, ctx: WeightedOperatorContext) -> float:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .density import Density, weighted_inner
+from .density import make_density, weighted_inner
 from .errors import ConfigError, DomainError
 from .grid import ScalarField, deriv
 from .operators import WeightedOperatorContext, project_exact
@@ -84,12 +84,12 @@ def riemann_fd_oracle(i: int, j: int, k: int, l: int, ctx: WeightedOperatorConte
             raise ConfigError(f"basis index {idx} outside 0..{d - 1}")
     mu = ctx.mu
     grid = ctx.grid
-    gamma0 = christoffel(ctx).gamma
+    # C order: the products below sum in memory order, which fixes the report's last digits
+    gamma0 = np.ascontiguousarray(christoffel(ctx).gamma)
 
     def gamma_shifted(direction: int, sign: float):
         drho = -deriv(ScalarField(grid, mu.rho * ctx.basis1[direction]), 1).values
-        rho_h = mu.rho + sign * FD_STEP * drho
-        mu_h = Density(grid, rho_h / np.mean(rho_h))
+        mu_h = make_density(ScalarField(grid, mu.rho + sign * FD_STEP * drho))
         return christoffel(WeightedOperatorContext(mu_h, ctx.N)).gamma
 
     def dgamma(direction: int):

@@ -152,7 +152,11 @@ def density_from_csv(path, grid: GridSpec) -> Density:
         header = next(reader, [])  # an empty file has no header either
         if [h.strip() for h in header] != ["node", "value"]:
             raise DomainError(f"density CSV must have header 'node,value', got {header}")
-        rows = [(float(a), float(b)) for a, b in reader]
+        try:  # a short or long row fails to unpack, a non-number to convert
+            rows = [(float(a), float(b)) for a, b in reader]
+        except ValueError:  # line_num is the line of the row that failed
+            raise DomainError(f"density CSV {str(path)!r} line {reader.line_num}: expected "
+                              f"two numbers 'node,value'") from None
     values = np.array([b for _, b in rows])
     nodes = np.array([a for a, _ in rows])
     if len(values) != grid.n or not np.allclose(nodes, grid.nodes, atol=1e-12):

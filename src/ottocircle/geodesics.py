@@ -65,13 +65,22 @@ def _caustic_time(series: TrigSeries) -> float:
     return float("inf") if curv_min >= 0.0 else -1.0 / curv_min
 
 
-def _check_caustic_free(series: TrigSeries, t_max: float) -> None:
-    t_star = _caustic_time(series)
+def _characteristic_setup(mu0: Density, psi0: ScalarField, times) -> tuple[np.ndarray, TrigSeries]:
+    """The checked time grid and psi0's spectrum; CausticError if characteristics cross by t_max."""
+    check_same_grid(psi0, mu0)
+    times = time_grid(times)
+    series = trig_series(psi0)
+    t_star, t_max = _caustic_time(series), float(times[-1])
     if t_star <= t_max:
-        raise CausticError(
-            f"characteristics cross at t = {t_star:.6f} <= requested {t_max:.6f}",
-            first_crossing=t_star,
-        )
+        raise CausticError(f"characteristics cross at t = {t_star:.6f} <= requested {t_max:.6f}",
+                           first_crossing=t_star)
+    return times, series
+
+
+def _characteristic_potential(series: TrigSeries, t: float, feet: np.ndarray) -> np.ndarray:
+    """psi_t = psi0 + t/2 psi0'^2 at the feet: psi0' is constant along characteristics."""
+    p0, dp0 = eval_trig(series, feet, (0, 1))
+    return p0 + 0.5 * t * dp0**2
 
 
 def _demeaned(values: np.ndarray, rho: np.ndarray, grid: GridSpec) -> ScalarField:
@@ -115,10 +124,7 @@ def _characteristic_feet(series: TrigSeries, t: float, targets: np.ndarray) -> n
 
 def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int = 4) -> GeodesicPath:
     """Characteristic Hamilton-Jacobi potential with RK4 continuity density."""
-    check_same_grid(psi0, mu0)
-    times = time_grid(times)
-    series = trig_series(psi0)
-    _check_caustic_free(series, float(times[-1]))
+    times, series = _characteristic_setup(mu0, psi0, times)
     grid = mu0.grid
     nodes = grid.nodes
 
@@ -144,8 +150,7 @@ def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int 
         rho = rk4(rhs, times[idx], t_out, rho, steps_per_interval)
         mu_t = _stepped_density(rho, grid, t_out, "hj")
         rho = mu_t.rho.copy()
-        p0, dp0 = eval_trig(series, feet_at(t_out), (0, 1))
-        psi_t = p0 + 0.5 * t_out * dp0**2
+        psi_t = _characteristic_potential(series, t_out, feet_at(t_out))
         densities.append(mu_t)
         potentials.append(_demeaned(psi_t, mu_t.rho, grid))
     return GeodesicPath(grid, times, densities, potentials)
@@ -196,18 +201,14 @@ def displacement_path(mu0: Density, psi0: ScalarField, times) -> GeodesicPath:
     of mu0 by x -> x + t*psi0'(x) (exact Jacobian + resample), with
     characteristic potentials attached so the path supports action and
     transport."""
-    check_same_grid(psi0, mu0)
-    times = time_grid(times)
-    series = trig_series(psi0)
-    _check_caustic_free(series, float(times[-1]))
+    times, series = _characteristic_setup(mu0, psi0, times)
     grid = mu0.grid
     dpsi0 = deriv(psi0).values
     densities = [mu0]
     potentials = [_demeaned(psi0.values, mu0.rho, grid)]
-    for t in times[1:]:
-        mu_t = pushforward_monotone(mu0, ScalarField(grid, float(t) * dpsi0))
-        p0, dp0 = eval_trig(series, _characteristic_feet(series, float(t), grid.nodes), (0, 1))
-        psi_t = p0 + 0.5 * float(t) * dp0**2
+    for t in map(float, times[1:]):
+        mu_t = pushforward_monotone(mu0, ScalarField(grid, t * dpsi0))
+        psi_t = _characteristic_potential(series, t, _characteristic_feet(series, t, grid.nodes))
         densities.append(mu_t)
         potentials.append(_demeaned(psi_t, mu_t.rho, grid))
     return GeodesicPath(grid, times, densities, potentials)

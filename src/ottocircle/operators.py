@@ -143,11 +143,8 @@ class WeightedOperatorContext:
 
 
 def check_gram(matrix: np.ndarray) -> None:
-    """Raise DomainError unless the Gram matrix is symmetric and positive
+    """Raise DomainError unless the symmetric Gram matrix is positive
     definite; warn when its eigenvalue ratio exceeds GRAM_CONDITION_LIMIT."""
-    asym = np.abs(matrix - matrix.T).max()
-    if asym > 1e-12 * max(1.0, np.abs(matrix).max()):
-        raise DomainError(f"Gram matrix asymmetry {asym:.3e} beyond tolerance")
     eigs = np.linalg.eigvalsh(matrix)
     if eigs[0] <= 0.0:
         raise DomainError(f"Gram matrix not positive definite (min eig {eigs[0]:.3e})")

@@ -9,9 +9,9 @@ Two deliberately separate routes to the quadratic Wasserstein distance:
         int_0^1 (Fmu^{-1}(s) - Gnu^{-1}(s + c))^2 ds,
 
     with the target quantile extended periodically,
-    Gnu^{-1}(u + 1) = Gnu^{-1}(u) + 2*pi.  The CDF is order -1 (the termwise
-    antiderivative) of grid.eval_trig on the density's spectrum, and
-    quantiles come from safeguarded Newton at the m = QUANTILE_MIDPOINTS
+    Gnu^{-1}(u + 1) = Gnu^{-1}(u) + 2*pi.  _cdf_pdf, the CDF, is order -1 of
+    grid.eval_trig on a density's TrigSeries, and _quantiles, a function of
+    the same series, runs safeguarded Newton at the m = QUANTILE_MIDPOINTS
     midpoints of the integral.  Newton starts from a CDF table on a fine
     uniform grid, evaluated by one inverse FFT of the same spectrum and
     inverted by linear interpolation, and steps only the points that have
@@ -43,7 +43,7 @@ from scipy.sparse import coo_matrix
 
 from .density import Density
 from .errors import ConfigError, NumericalError
-from .grid import TWO_PI, check_same_grid, eval_trig, trig_series
+from .grid import TWO_PI, TrigSeries, check_same_grid, eval_trig, trig_series
 
 # midpoint-rule resolution of the quantile mismatch integral
 QUANTILE_MIDPOINTS = 2048
@@ -64,80 +64,72 @@ def circular_distance(a, b):
 # -- spectral CDF / quantiles ------------------------------------------------
 
 
-class _SpectralCDF:
-    """Termwise antiderivative of a density's trigonometric interpolant."""
+def _cdf_pdf(series: TrigSeries, x: np.ndarray):
+    """CDF int_0^x rho dx / (2*pi) and its slope at x, for the density `series`."""
+    # the unit mean integrates to x; order -1 is the rest of int_0^x rho
+    wobble, pdf = eval_trig(series, x, (-1, 0))
+    return (x + wobble) / TWO_PI, pdf / TWO_PI
 
-    def __init__(self, mu: Density):
-        self.series = trig_series(mu.field())
-        self.k = self.series.k
 
-    def cdf(self, x):
-        return self._cdf_pdf(np.asarray(x, dtype=np.float64))[0]
+def _seed(series: TrigSeries, s: np.ndarray):
+    """Newton start x0 and bracket [lo, hi] of the quantile at each target s.
 
-    def _cdf_pdf(self, x):
-        # the unit mean integrates to x; order -1 is the rest of int_0^x rho
-        wobble, pdf = eval_trig(self.series, x, (-1, 0))
-        return (x + wobble) / TWO_PI, pdf / TWO_PI
+    One zero-padded inverse FFT evaluates the CDF series on the nodes of
+    SEED_CELLS uniform cells, with F(0) = 0 and F(2*pi) = 1 pinned, and
+    x0 inverts that table by linear interpolation.  The bracket is the
+    cell around x0 widened by one cell on each side, which holds the
+    root whatever the table's roundoff.
+    """
+    cells = SEED_CELLS
+    spectrum = np.zeros(cells // 2 + 1, dtype=np.complex128)
+    # c_k e^{ikx} integrates to c_k e^{ikx} / (ik); the constant pins F(0) = 0
+    spectrum[series.k.astype(np.intp)] = 0.5 * cells * series.c / (1j * series.k)
+    spectrum[0] = -2.0 * spectrum[1:].real.sum()
+    nodes = TWO_PI * np.arange(cells + 1) / cells
+    table = np.empty(cells + 1)
+    table[:-1] = (nodes[:-1] + np.fft.irfft(spectrum, cells)) / TWO_PI
+    table[0], table[-1] = 0.0, 1.0
+    x0 = np.interp(s, table, nodes)
+    cell = np.clip(np.floor(x0 / (TWO_PI / cells)).astype(np.intp), 0, cells - 1)
+    return x0, nodes[np.maximum(cell - 1, 0)], nodes[np.minimum(cell + 2, cells)]
 
-    def _seed(self, s):
-        """Newton start x0 and bracket [lo, hi] for each target s.
 
-        One zero-padded inverse FFT evaluates the CDF series on the nodes of
-        SEED_CELLS uniform cells, with F(0) = 0 and F(2*pi) = 1 pinned, and
-        x0 inverts that table by linear interpolation.  The bracket is the
-        cell around x0 widened by one cell on each side, which holds the
-        root whatever the table's roundoff.
-        """
-        cells = SEED_CELLS
-        spectrum = np.zeros(cells // 2 + 1, dtype=np.complex128)
-        # c_k e^{ikx} integrates to c_k e^{ikx} / (ik); the constant pins F(0) = 0
-        spectrum[self.k.astype(np.intp)] = 0.5 * cells * self.series.c / (1j * self.k)
-        spectrum[0] = -2.0 * spectrum[1:].real.sum()
-        nodes = TWO_PI * np.arange(cells + 1) / cells
-        table = np.empty(cells + 1)
-        table[:-1] = (nodes[:-1] + np.fft.irfft(spectrum, cells)) / TWO_PI
-        table[0], table[-1] = 0.0, 1.0
-        x0 = np.interp(s, table, nodes)
-        cell = np.clip(np.floor(x0 / (TWO_PI / cells)).astype(np.intp), 0, cells - 1)
-        return x0, nodes[np.maximum(cell - 1, 0)], nodes[np.minimum(cell + 2, cells)]
+def _quantiles(series: TrigSeries, s):
+    """Invert _cdf_pdf's CDF on [0, 2*pi] by safeguarded Newton from _seed.
 
-    def quantile(self, s):
-        """Invert cdf on [0, 2*pi] by safeguarded Newton from an FFT seed.
-
-        Newton starts from the seed of _seed, so one or two steps meet the
-        1e-14 stopping rule, and bisects whenever a step leaves the bracket.
-        Only the active set is evaluated and stepped: a point whose residual
-        is below 1e-14 is frozen, so converged points neither cost a CDF
-        evaluation nor drift onto their own bracket ends.
-        """
-        s = np.asarray(s, dtype=np.float64)
-        if self.k.size == 0:
-            return TWO_PI * s
-        flat = s.ravel()
-        x, lo, hi = self._seed(flat)
-        active = np.arange(flat.size)
-        for _ in range(80):
-            value, slope = self._cdf_pdf(x[active])
-            err = value - flat[active]
-            moving = ~(np.abs(err) < 1e-14)  # a NaN residual stays active
-            if not moving.any():
-                break
-            active, err, slope = active[moving], err[moving], slope[moving]
-            xa = x[active]
-            hi[active] = np.where(err > 0.0, np.minimum(hi[active], xa), hi[active])
-            lo[active] = np.where(err < 0.0, np.maximum(lo[active], xa), lo[active])
-            x_new = xa - err / slope
-            bad = (x_new <= lo[active]) | (x_new >= hi[active])
-            x[active] = np.where(bad, 0.5 * (lo[active] + hi[active]), x_new)
-        else:
-            resid = np.abs(self.cdf(x) - flat)
-            worst = int(np.argmax(resid))
-            if not resid[worst] <= 1e-12:  # a NaN residual fails too
-                raise NumericalError(
-                    f"quantile iteration failed to converge after 80 iterations: "
-                    f"worst index {worst} (s = {float(flat[worst])!r}) has residual "
-                    f"{resid[worst]:.3e}")
-        return x.reshape(s.shape)
+    One or two steps meet the 1e-14 stopping rule; a step that leaves the
+    bracket bisects instead.  Only the active set is evaluated and stepped:
+    a point whose residual is below 1e-14 is frozen, so converged points
+    neither cost a CDF evaluation nor drift onto their own bracket ends.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    if series.k.size == 0:
+        return TWO_PI * s
+    flat = s.ravel()
+    x, lo, hi = _seed(series, flat)
+    active = np.arange(flat.size)
+    for _ in range(80):
+        value, slope = _cdf_pdf(series, x[active])
+        err = value - flat[active]
+        moving = ~(np.abs(err) < 1e-14)  # a NaN residual stays active
+        if not moving.any():
+            break
+        active, err, slope = active[moving], err[moving], slope[moving]
+        xa = x[active]
+        hi[active] = np.where(err > 0.0, np.minimum(hi[active], xa), hi[active])
+        lo[active] = np.where(err < 0.0, np.maximum(lo[active], xa), lo[active])
+        x_new = xa - err / slope
+        bad = (x_new <= lo[active]) | (x_new >= hi[active])
+        x[active] = np.where(bad, 0.5 * (lo[active] + hi[active]), x_new)
+    else:
+        resid = np.abs(_cdf_pdf(series, x)[0] - flat)
+        worst = int(np.argmax(resid))
+        if not resid[worst] <= 1e-12:  # a NaN residual fails too
+            raise NumericalError(
+                f"quantile iteration failed to converge after 80 iterations: "
+                f"worst index {worst} (s = {float(flat[worst])!r}) has residual "
+                f"{resid[worst]:.3e}")
+    return x.reshape(s.shape)
 
 
 @dataclass(frozen=True)
@@ -162,7 +154,7 @@ class _QuantileTable:
 
     def __init__(self, mu: Density, m: int):
         s = (np.arange(m) + 0.5) / m
-        self.q_mid = _SpectralCDF(mu).quantile(s)
+        self.q_mid = _quantiles(trig_series(mu.field()), s)
         wobble = self.q_mid - TWO_PI * s
         self.spline = CubicSpline(np.append(s, s[0] + 1.0), np.append(wobble, wobble[0]),
                                   bc_type="periodic")
@@ -307,8 +299,7 @@ def density_atoms(mu: Density, m: int):
         raise ConfigError("need at least 2 atoms")
     edges = TWO_PI * np.arange(m + 1) / m
     locations = 0.5 * (edges[:-1] + edges[1:])
-    cdf = _SpectralCDF(mu)
-    weights = np.diff(cdf.cdf(edges))
+    weights = np.diff(_cdf_pdf(trig_series(mu.field()), edges)[0])
     if weights.min() <= 0.0:
         raise NumericalError("cell mass came out nonpositive")
     return locations, weights / weights.sum()

@@ -16,10 +16,13 @@ solver precision instead of being polluted by truncation.
 
 from __future__ import annotations
 
+import operator
+from functools import cached_property
+
 import numpy as np
 
 from .grid import GridSpec, ScalarField, deriv
-from .density import Density, uniform_density, cosine_density, weighted_inner
+from .density import Density, uniform_density, cosine_density, make_density, weighted_inner
 from .operators import WeightedOperatorContext
 from .tangent import TangentVector, otto_norm, vector_from_potential
 from .connection import covariant_derivative, lie_bracket, lie_bracket_laplacian, parallel_transport
@@ -44,18 +47,15 @@ SECTIONAL_FLOOR = -1e-10
 FIRST_HARMONIC_SECTIONAL_TOL = 1e-6
 
 
+_COMPARISONS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
+
+
 def check(name: str, value: float, threshold: float, op: str = "<=") -> dict:
-    value = float(value)
-    threshold = float(threshold)
-    if op == "<=":
-        ok = value <= threshold
-    elif op == ">=":
-        ok = value >= threshold
-    elif op == ">":
-        ok = value > threshold
-    else:
+    if op not in _COMPARISONS:
         raise ValueError(f"unknown comparison {op!r}")
-    return {"name": name, "value": value, "threshold": threshold, "op": op, "passed": bool(ok)}
+    value, threshold = float(value), float(threshold)
+    return {"name": name, "value": value, "threshold": threshold, "op": op,
+            "passed": bool(_COMPARISONS[op](value, threshold))}
 
 
 def _record(index: int, name: str, checks: list[dict], details: dict | None = None) -> dict:
@@ -157,7 +157,11 @@ class ValidationSession:
         self.ctx_vol = WeightedOperatorContext(self.vol, N)
         self.ctx_weighted = WeightedOperatorContext(self.weighted, N)
         self.solver = CircleDistanceSolver()
-        self._cache: dict = {}
+        # scenario of criterion 4: vol, psi0 = 0.1 cos x, t in [0, 1], N = 16; psi0's
+        # coefficient 0.1/sqrt(2) on the row sqrt(2) cos x is also its speed |psi0'|_vol
+        self.scenario_psi0 = ScalarField(self.grid, 0.1 * np.cos(self.grid.nodes))
+        self.scenario_times = np.linspace(0.0, 1.0, 17)
+        self._scenario_coeffs = np.concatenate(([0.1 / np.sqrt(2.0)], np.zeros(2 * 16 - 1)))
 
     def rng(self, criterion: int):
         return np.random.default_rng([criterion, self.seed])
@@ -165,28 +169,15 @@ class ValidationSession:
     def w2(self, mu, nu) -> float:
         return self.solver.distance(mu, nu).w2
 
-    # scenario of criterion 4: vol, psi0 = 0.1 cos x, t in [0,1], N = 16
-    @property
-    def scenario_psi0(self) -> ScalarField:
-        return ScalarField(self.grid, 0.1 * np.cos(self.grid.nodes))
-
-    @property
-    def scenario_times(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, 17)
-
-    def scenario_paths(self):
-        if "paths" not in self._cache:
-            N = 16
-            psi0 = self.scenario_psi0
-            times = self.scenario_times
-            coeffs = np.zeros(2 * N)
-            coeffs[0] = 0.1 / np.sqrt(2.0)
-            self._cache["paths"] = {
-                "hj": geodesic_hj(self.vol, psi0, times),
-                "christoffel": geodesic_christoffel(self.vol, coeffs, times, N=N),
-                "displacement": displacement_path(self.vol, psi0, times),
-            }
-        return self._cache["paths"]
+    @cached_property
+    def scenario_paths(self) -> dict:
+        """The scenario geodesic by each of the three routes."""
+        psi0, times = self.scenario_psi0, self.scenario_times
+        return {
+            "hj": geodesic_hj(self.vol, psi0, times),
+            "christoffel": geodesic_christoffel(self.vol, self._scenario_coeffs, times, N=16),
+            "displacement": displacement_path(self.vol, psi0, times),
+        }
 
 
 # -- the numbered criteria ---------------------------------------------------
@@ -266,15 +257,15 @@ def criterion_4_geodesic_routes(session: ValidationSession) -> dict:
     """Pairwise sup-norm agreement of the three geodesic routes and the
     continuity residual of the ODE-based paths."""
     return _record(4, "geodesic_route_agreement",
-                   geodesic_route_checks(session.scenario_paths()))
+                   geodesic_route_checks(session.scenario_paths))
 
 
 def criterion_5_constant_speed(session: ValidationSession) -> dict:
     """Pairwise W2 ratios along the geodesic are the endpoint speed; the
     endpoint distance matches the analytic small-displacement value."""
-    path = session.scenario_paths()["hj"]
+    path = session.scenario_paths["hj"]
     report = constant_speed_report(path, session.w2)
-    anchor = abs(report["w2_endpoints"] - 0.1 / np.sqrt(2.0))
+    anchor = abs(report["w2_endpoints"] - session._scenario_coeffs[0])
     return _record(5, "constant_speed", [
         check("max_relative_speed_deviation", report["max_relative_deviation"], 1e-3),
         check("analytic_anchor_error", anchor, 1e-4),
@@ -284,7 +275,7 @@ def criterion_5_constant_speed(session: ValidationSession) -> dict:
 
 def criterion_6_action(session: ValidationSession) -> dict:
     """Path action equals the squared endpoint distance."""
-    paths = session.scenario_paths()
+    paths = session.scenario_paths
     path = paths["hj"]
     w2_end = session.w2(path.densities[0], path.densities[-1])
     err = abs(action(path) - w2_end**2)
@@ -368,11 +359,9 @@ def criterion_10_transport_oracles(session: ValidationSession) -> dict:
     rng = session.rng(10)
     grid = session.grid
 
-    def random_density() -> Density:
-        a1, a2 = rng.uniform(0.25, 0.45, 2)
-        t1, t2 = rng.uniform(0.0, 2.0 * np.pi, 2)
+    def two_mode(a1: float, a2: float, t1: float, t2: float) -> Density:
         values = 1.0 + a1 * np.cos(grid.nodes - t1) + 0.5 * a2 * np.sin(2.0 * (grid.nodes - t2))
-        return Density(grid, values / values.mean())
+        return make_density(ScalarField(grid, values))
 
     # the pair family keeps endpoint distances near 0.3: the LP's atom
     # quantization contributes an absolute error floor, so a vanishing
@@ -381,9 +370,8 @@ def criterion_10_transport_oracles(session: ValidationSession) -> dict:
         a1, a2 = base_rng.uniform(0.25, 0.45, 2)
         t1, t2 = base_rng.uniform(0.0, 2.0 * np.pi, 2)
         delta = base_rng.uniform(np.pi / 2.0, np.pi)
-        va = 1.0 + a1 * np.cos(grid.nodes - t1) + 0.5 * a2 * np.sin(2.0 * (grid.nodes - t2))
         vb = 1.0 + a2 * np.cos(grid.nodes - t1 - delta) + 0.5 * a1 * np.cos(2.0 * (grid.nodes - t2 - delta))
-        return Density(grid, va / va.mean()), Density(grid, vb / vb.mean())
+        return two_mode(a1, a2, t1, t2), make_density(ScalarField(grid, vb))
 
     rel_gaps, marginals = [], []
     for _ in range(20):
@@ -394,7 +382,8 @@ def criterion_10_transport_oracles(session: ValidationSession) -> dict:
         marginals += plan.marginal_errors()
     slacks = []
     for _ in range(20):
-        da, db, dc = random_density(), random_density(), random_density()
+        da, db, dc = (two_mode(*rng.uniform(0.25, 0.45, 2), *rng.uniform(0.0, 2.0 * np.pi, 2))
+                      for _ in range(3))
         slacks.append(session.w2(da, db) + session.w2(db, dc) - session.w2(da, dc))
     return _record(10, "transport_oracle_cross_validation", [
         check("lp_vs_circle_relative", np.max(rel_gaps), LP_RELATIVE_TOL),
@@ -406,7 +395,7 @@ def criterion_10_transport_oracles(session: ValidationSession) -> dict:
 def criterion_11_parallel_transport(session: ValidationSession) -> dict:
     """Norm conservation and self-parallelism along the reference geodesic."""
     v0 = TangentVector(session.rng(11).standard_normal(2 * 16), session.vol)  # scenario N = 16
-    _, _, checks = transport_checks(session.scenario_paths()["hj"], v0, session.scenario_psi0)
+    _, _, checks = transport_checks(session.scenario_paths["hj"], v0, session.scenario_psi0)
     return _record(11, "parallel_transport", checks)
 
 
@@ -423,9 +412,9 @@ def criterion_12_truncation(session: ValidationSession) -> dict:
     hj = geodesic_hj(session.vol, psi0, times, steps_per_interval=8)
     errors = {}
     for N in (8, 16):
-        coeffs = np.zeros(2 * N)
-        coeffs[0] = 0.1 / np.sqrt(2.0)
-        ch = geodesic_christoffel(session.vol, coeffs, times, N=N, steps_per_interval=8)
+        # psi0 is mode 1, so its first 2N coefficients are psi0 at truncation N
+        ch = geodesic_christoffel(session.vol, session._scenario_coeffs[: 2 * N], times, N=N,
+                                  steps_per_interval=8)
         errors[N] = float(np.abs(hj.densities[-1].rho - ch.densities[-1].rho).max())
     ratio = errors[8] / max(errors[16], 1e-300)
     return _record(12, "truncation_convergence",
@@ -449,11 +438,10 @@ CRITERIA = (
 )
 
 
-def run_all(n: int = 256, N: int = 8, seed: int = 0) -> dict:
+def run_all(n: int = 256, N: int = 8, seed: int = 0) -> list[dict]:
     """Evaluate every acceptance criterion; returns the records."""
     session = ValidationSession(n=n, N=N, seed=seed)
-    records = [fn(session) for fn in CRITERIA]
-    return {"records": records}
+    return [fn(session) for fn in CRITERIA]
 
 
 def format_record(record: dict) -> str:

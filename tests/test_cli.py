@@ -1,6 +1,8 @@
 """Command-line front end: exit codes, report schema, determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import re
 import subprocess
@@ -179,7 +181,7 @@ def test_validate_hashes_only_what_it_reads(tmp_path, monkeypatch):
     # validate reads n, N and seed; a change to any other section leaves its
     # echoed config and hash alone (the criteria are stubbed: only the
     # report plumbing is under test)
-    monkeypatch.setattr(cli, "run_all", lambda **kwargs: {"records": []})
+    monkeypatch.setattr(cli, "run_all", lambda **kwargs: [])
     reports = []
     for atoms in (32, 128):
         path = write_config(tmp_path, {"atoms": atoms, "seed": 3}, name=f"atoms_{atoms}.json")
@@ -434,6 +436,21 @@ def test_custom_density_from_csv(tmp_path):
     assert run_cli(["metric", "--config", config, "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("rows, line", [("0.0,1.0\n0.1\n", 3), ("0.0,1.0,2.0\n", 2),
+                                        ("0.0,1.0\n0.1,1.0\nabc,1.0\n", 4)],
+                         ids=["short", "long", "non_numeric"])
+def test_malformed_custom_density_rows_exit_two(tmp_path, capsys, rows, line):
+    # the error names the file and the line of the bad row
+    csv_path = tmp_path / "profile.csv"
+    csv_path.write_text("node,value\n" + rows)
+    config = write_config(tmp_path, {"density": {"family": "custom", "path": str(csv_path)}})
+    assert run_cli(["metric", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: density CSV {str(csv_path)!r} line {line}: expected two "
+                   f"numbers 'node,value'\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_coefficient_potential(tmp_path):
     values = [0.0] * 16
     values[1] = 0.1  # sin-1 basis direction
@@ -463,13 +480,35 @@ def test_module_invocation_subprocess(tmp_path):
         assert name in helptext.stdout
 
 
-def test_validate_defaults_pass(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert run_cli(["validate", "--out", str(out)]) == 0
-    printed = capsys.readouterr().out
+@pytest.fixture(scope="module")
+def validate_run(tmp_path_factory):
+    """One validate run at the defaults: its --out directory and its stdout."""
+    out = tmp_path_factory.mktemp("validate") / "out"
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert run_cli(["validate", "--out", str(out)]) == 0
+    return out, printed.getvalue()
+
+
+def test_validate_defaults_pass(validate_run):
+    out, printed = validate_run
     assert printed.count("PASS") >= 12
     report = read_report(out, "validate")
     assert len(report["results"]["records"]) == 12
     assert "elapsed_seconds" not in report["results"]
     assert all(r["passed"] for r in report["results"]["records"])
     assert (out / "validate_summary.csv").exists()
+
+
+def test_validate_reports_are_byte_identical(validate_run, tmp_path):
+    # a second run at the same config writes the same files, byte for byte
+    first, printed = validate_run
+    again = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()) as second:
+        assert run_cli(["validate", "--out", str(again)]) == 0
+    assert second.getvalue().replace(str(again), str(first)) == printed
+    names = sorted(p.name for p in first.iterdir())
+    assert names == ["validate_report.json", "validate_summary.csv"]
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name

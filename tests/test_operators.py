@@ -1,5 +1,7 @@
 """Weighted divergence, Laplacian, Green solve, and gradient projection."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,10 @@ from scipy.linalg import cho_factor, cho_solve
 
 from ottocircle import (
     CompatibilityError,
+    ConditioningWarning,
     ConfigError,
     Density,
+    DomainError,
     GridSpec,
     ScalarField,
     WeightedOperatorContext,
@@ -19,11 +23,12 @@ from ottocircle import (
     field_from_coeffs,
     green_mu_coeffs,
     laplace_mu,
+    make_density,
     project_exact,
     uniform_density,
     weighted_inner,
 )
-from ottocircle.operators import assemble_gram
+from ottocircle.operators import assemble_gram, check_gram
 
 N_MODES = 6
 GRID = GridSpec(128)
@@ -38,6 +43,31 @@ coeff_arrays = st.lists(
 def test_context_validation():
     with pytest.raises(ConfigError):
         WeightedOperatorContext(uniform_density(GRID), 0)
+
+
+@pytest.mark.parametrize("eigenvalues", [(4.0, 1.0, 0.0), (4.0, -1e-3, 1.0)],
+                         ids=["zero", "negative"])
+def test_gram_that_is_not_positive_definite_raises(eigenvalues):
+    with pytest.raises(DomainError, match="not positive definite"):
+        check_gram(np.diag(eigenvalues))
+
+
+def _von_mises(grid, minimum):
+    """Density proportional to exp(kappa cos x) whose min/max ratio is `minimum`."""
+    kappa = -0.5 * np.log(minimum)
+    return make_density(ScalarField(grid, np.exp(kappa * np.cos(grid.nodes))))
+
+
+def test_gram_of_a_nearly_vanishing_density_warns():
+    # a density about 1e-11 over the far side of the circle leaves modes that
+    # live there almost no weight: at N = 32 the eigenvalue ratio is ~3e13
+    grid = GridSpec(256)
+    with pytest.warns(ConditioningWarning, match="exceeds 1e"):
+        WeightedOperatorContext(_von_mises(grid, 1e-12), 32)
+    # at a minimum near 1e-6 the ratio is ~6e7, under the limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConditioningWarning)
+        WeightedOperatorContext(_von_mises(grid, 1e-6), 32)
 
 
 def test_gram_is_diagonal_at_uniform():

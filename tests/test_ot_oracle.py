@@ -1,8 +1,5 @@
 """Circular optimal transport: quantile route, LP route, and their agreement."""
 
-import ast
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +17,13 @@ from ottocircle import (
     density_atoms,
     flow_path,
     transport_lp,
+    trig_series,
     uniform_density,
     w2_lp,
 )
-from ottocircle.ot_oracle import QUANTILE_MIDPOINTS, _QuantileTable, _SpectralCDF
+from ottocircle import ot_oracle
+from ottocircle.ot_oracle import QUANTILE_MIDPOINTS, _QuantileTable, _cdf_pdf, _quantiles
+from package_imports import PACKAGE, imported_modules, package_imports
 
 GRID = GridSpec(256)
 VOL = uniform_density(GRID)
@@ -201,35 +201,17 @@ def test_polish_keeps_a_symmetric_pair_at_zero_shift():
     assert abs(result.shift) <= 1e-12
 
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ottocircle"
-
-
-def _imported_modules(module: str) -> set[str]:
-    """Dotted names of every module a package module imports, also inside
-    functions; relative imports resolve against the ottocircle package."""
-    names = set()
-    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
-        if isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            base = ("ottocircle" + (f".{node.module}" if node.module else "")
-                    if node.level else node.module)
-            names.update([f"{base}.{a.name}" for a in node.names] if base == "ottocircle" else [base])
-    return names
-
-
 def test_oracle_imports_no_geometry_module():
     # the oracle is an independent check on the geometry: of the package it
     # may import only the density type, the errors and the grid
-    modules = {name.split(".")[1] for name in _imported_modules("ot_oracle")
-               if name.startswith("ottocircle.")}
+    modules = package_imports("ot_oracle")
     assert modules and modules <= {"density", "errors", "grid"}, modules
 
 
 def test_only_the_cli_writes_report_files():
     # the CLI owns its report files and creates --out, so it alone imports
     # os; besides it only density, which owns the custom-density CSV, imports csv
-    roots = {path.stem: {name.split(".")[0] for name in _imported_modules(path.stem)}
+    roots = {path.stem: {name.split(".")[0] for name in imported_modules(path.stem)}
              for path in PACKAGE.glob("*.py")}
     assert {module for module, names in roots.items() if "csv" in names} == {"cli", "density"}
     assert {module for module, names in roots.items() if "os" in names} == {"cli"}
@@ -246,15 +228,18 @@ def test_solver_caches_tables():
     assert first == second
 
 
+def _series(mu):
+    return trig_series(mu.field())
+
+
 def test_table_build_inverts_the_cdf_once(monkeypatch):
-    real = _SpectralCDF.quantile
     calls = []
 
-    def counting(self, s):
+    def counting(series, s):
         calls.append(np.size(s))
-        return real(self, s)
+        return _quantiles(series, s)
 
-    monkeypatch.setattr(_SpectralCDF, "quantile", counting)
+    monkeypatch.setattr(ot_oracle, "_quantiles", counting)
     _QuantileTable(cosine_density(GRID, 0.3), 64)
     assert calls == [64]
 
@@ -286,7 +271,7 @@ def test_table_off_grid_matches_direct_quantile(name):
     # off-grid points across three turns, none on a midpoint or a turn boundary
     u = np.linspace(-1.0, 2.0, 401) + 1e-4 * np.pi
     turns = np.floor(u)
-    direct = _SpectralCDF(mu).quantile(u - turns) + 2.0 * np.pi * turns
+    direct = _quantiles(_series(mu), u - turns) + 2.0 * np.pi * turns
     np.testing.assert_allclose(_unrolled(table, u), direct, rtol=0.0, atol=1e-10)
 
 
@@ -298,51 +283,49 @@ def _flow_density():
 
 
 def test_quantile_evaluates_only_unconverged_points(monkeypatch):
-    cdf = _SpectralCDF(_flow_density())
-    assert cdf.k.size == 128
-    real = _SpectralCDF._cdf_pdf
+    series = _series(_flow_density())
+    assert series.k.size == 128
     points = []
 
-    def counting(self, x):
+    def counting(series, x):
         points.append(x.size)
-        return real(self, x)
+        return _cdf_pdf(series, x)
 
-    monkeypatch.setattr(_SpectralCDF, "_cdf_pdf", counting)
+    monkeypatch.setattr(ot_oracle, "_cdf_pdf", counting)
     m = QUANTILE_MIDPOINTS
-    cdf.quantile((np.arange(m) + 0.5) / m)
+    _quantiles(series, (np.arange(m) + 0.5) / m)
     # the seeded start needs one Newton step; converged points are frozen
     assert sum(points) <= 3 * m
 
 
 def test_quantile_meets_the_stopping_rule_at_every_midpoint():
-    cdf = _SpectralCDF(_flow_density())
+    series = _series(_flow_density())
     m = QUANTILE_MIDPOINTS
     s = (np.arange(m) + 0.5) / m
-    assert np.abs(cdf.cdf(cdf.quantile(s)) - s).max() < 1e-14
+    assert np.abs(_cdf_pdf(series, _quantiles(series, s))[0] - s).max() < 1e-14
 
 
 @pytest.mark.parametrize("name", ["uniform", "cosine", "flow_pushforward"])
 def test_quantile_pins_the_exact_endpoints(name):
     mu = {"uniform": VOL, "cosine": cosine_density(GRID, 0.3),
           "flow_pushforward": _flow_density()}[name]
-    q = _SpectralCDF(mu).quantile(np.array([0.0, 1.0]))
+    q = _quantiles(_series(mu), np.array([0.0, 1.0]))
     assert q[0] == 0.0
     assert q[1] == 2.0 * np.pi
 
 
 def test_quantile_non_convergence_names_index_and_residual(monkeypatch):
-    cdf = _SpectralCDF(cosine_density(GRID, 0.3))
-    real = _SpectralCDF._cdf_pdf
+    series = _series(cosine_density(GRID, 0.3))
 
-    def offset(self, x):
-        value, slope = real(self, x)
+    def offset(series, x):
+        value, slope = _cdf_pdf(series, x)
         return value + 1e-9, slope
 
     # an offset CDF sits above s = 0 on all of [0, 2*pi], so that target
     # cannot converge while the others still do
-    monkeypatch.setattr(_SpectralCDF, "_cdf_pdf", offset)
+    monkeypatch.setattr(ot_oracle, "_cdf_pdf", offset)
     with pytest.raises(NumericalError, match=r"worst index 1 \(s = 0\.0\) has residual 1\.000e-09"):
-        cdf.quantile(np.array([0.25, 0.0, 0.75]))
+        _quantiles(series, np.array([0.25, 0.0, 0.75]))
 
 
 def test_transport_lp_two_antipodal_atoms():
