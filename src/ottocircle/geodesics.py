@@ -102,13 +102,14 @@ def _stepped_density(rho: np.ndarray, grid: GridSpec, t: float, route: str) -> D
                              f"is not a density ({exc})") from exc
 
 
-def _characteristic_feet(series: TrigSeries, t: float, targets: np.ndarray) -> np.ndarray:
-    """Solve x0 + t*psi0'(x0) = target for each target by vectorized Newton.
+def _characteristic_feet(series: TrigSeries, t: float, targets: np.ndarray,
+                         start: np.ndarray) -> np.ndarray:
+    """Solve x0 + t*psi0'(x0) = target for each target by Newton from start.
 
     Raises NumericalError, naming t and the worst residual, when the Newton
     steps have not dropped below 1e-14 after 60 iterations.
     """
-    x = targets.copy()
+    x = start.copy()
     for _ in range(60):
         d1, d2 = eval_trig(series, x, (1, 2))
         step = (x + t * d1 - targets) / (1.0 + t * d2)
@@ -128,19 +129,18 @@ def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int 
     grid = mu0.grid
     nodes = grid.nodes
 
-    # psi_t' at the nodes, evaluated once per stage time (k2 and k3 share it)
-    feet_cache: dict[float, np.ndarray] = {}
-    dpsi_cache: dict[float, np.ndarray] = {}
+    # the feet and psi_t' = psi0'(feet) once per stage time (k2 and k3 share
+    # them); stage times only increase, so each solve starts at the last feet
+    stages = {0.0: (nodes, eval_trig(series, nodes, (1,))[0])}
 
-    def feet_at(t: float) -> np.ndarray:
-        if t not in feet_cache:
-            feet_cache[t] = _characteristic_feet(series, t, nodes)
-        return feet_cache[t]
+    def stage(t: float) -> tuple[np.ndarray, np.ndarray]:
+        if t not in stages:
+            feet = _characteristic_feet(series, t, nodes, next(reversed(stages.values()))[0])
+            stages[t] = feet, eval_trig(series, feet, (1,))[0]
+        return stages[t]
 
     def rhs(t: float, rho: np.ndarray) -> np.ndarray:
-        if t not in dpsi_cache:
-            dpsi_cache[t] = eval_trig(series, nodes if t == 0.0 else feet_at(t), (1,))[0]
-        return _continuity_rhs(rho, dpsi_cache[t], grid)
+        return _continuity_rhs(rho, stage(t)[1], grid)
 
     rho = mu0.rho.copy()
     densities = [mu0]
@@ -150,7 +150,7 @@ def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int 
         rho = rk4(rhs, times[idx], t_out, rho, steps_per_interval)
         mu_t = _stepped_density(rho, grid, t_out, "hj")
         rho = mu_t.rho.copy()
-        psi_t = _characteristic_potential(series, t_out, feet_at(t_out))
+        psi_t = _characteristic_potential(series, t_out, stage(t_out)[0])
         densities.append(mu_t)
         potentials.append(_demeaned(psi_t, mu_t.rho, grid))
     return GeodesicPath(grid, times, densities, potentials)
@@ -208,7 +208,9 @@ def displacement_path(mu0: Density, psi0: ScalarField, times) -> GeodesicPath:
     potentials = [_demeaned(psi0.values, mu0.rho, grid)]
     for t in map(float, times[1:]):
         mu_t = pushforward_monotone(mu0, ScalarField(grid, t * dpsi0))
-        psi_t = _characteristic_potential(series, t, _characteristic_feet(series, t, grid.nodes))
+        # from the nodes: like the pushforward, each sample depends on t alone
+        feet = _characteristic_feet(series, t, grid.nodes, grid.nodes)
+        psi_t = _characteristic_potential(series, t, feet)
         densities.append(mu_t)
         potentials.append(_demeaned(psi_t, mu_t.rho, grid))
     return GeodesicPath(grid, times, densities, potentials)

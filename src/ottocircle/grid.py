@@ -17,12 +17,13 @@ meaningful modulo constants.
 
 All off-grid evaluation goes through one evaluator: trig_series takes a
 field's spectrum once, and eval_trig evaluates any set of derivative orders
-of it, and the antiderivative as order -1, from one phase table.
+of it, and the antiderivative as order -1, in one Horner pass in e^{ix}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,10 +99,11 @@ def deriv(f: ScalarField, order: int = 1) -> ScalarField:
     return ScalarField(f.grid, np.fft.irfft(fh, n))
 
 
+@lru_cache(maxsize=16)
 def basis_matrix(grid: GridSpec, N: int, order: int = 0) -> np.ndarray:
     """Rows are the 2N basis functions (or their order-th derivatives) at the nodes.
 
-    Ordering: cos 1, sin 1, cos 2, sin 2, ..., cos N, sin N.
+    Ordering: cos 1, sin 1, ..., cos N, sin N.  Cached and shared, so read-only.
     """
     if N < 1:
         raise ConfigError(f"truncation N must be >= 1, got {N}")
@@ -115,6 +117,7 @@ def basis_matrix(grid: GridSpec, N: int, order: int = 0) -> np.ndarray:
         # d/dx cos(mx) chains to m*cos(mx + pi/2), similarly for sin.
         out[2 * (m - 1)] = SQRT2 * amp * np.cos(m * x + shift)
         out[2 * (m - 1) + 1] = SQRT2 * amp * np.sin(m * x + shift)
+    out.flags.writeable = False
     return out
 
 
@@ -144,16 +147,23 @@ def trig_series(f: ScalarField) -> TrigSeries:
 
 
 def eval_trig(series: TrigSeries, points: np.ndarray, orders=(0,)) -> np.ndarray:
-    """One row per requested derivative order at arbitrary points, all from
-    one phase table.  Order -1 is int_0^x (f - mean).  Positive odd orders
-    drop the Nyquist mode, matching deriv(); the other orders keep it."""
+    """One row per requested derivative order at arbitrary points, all from one
+    Horner pass in z = e^{ix}, one power of z per distinct gap between kept
+    wavenumbers.  Order -1 is int_0^x (f - mean).  Positive odd orders drop
+    the Nyquist mode, matching deriv(); the other orders keep it."""
     points = np.asarray(points, dtype=np.float64)
     k = series.k
-    # d/dx multiplies c_k by ik; Re(d e^{ikx}) = Re(d) cos(kx) - Im(d) sin(kx)
+    # d/dx multiplies c_k by ik; the row of order p is Re sum_k d_k z^k
     rows = np.array([series.c * ((1, 1j, -1, -1j)[p % 4] * k**p) for p in orders])
     rows[np.ix_([p > 0 and p % 2 == 1 for p in orders], k == series.n // 2)] = 0.0
-    phases = np.multiply.outer(k, points.ravel())
-    out = rows.real @ np.cos(phases) - rows.imag @ np.sin(phases)
+    # sum_k d_k z^k = z^g1 (d_1 + z^g2 (d_2 + ... + z^gm d_m)), g the gaps
+    gaps = [b - a for a, b in zip([0.0] + k.tolist(), k.tolist())]
+    powers = {g: np.exp(1j * g * points.ravel()) for g in set(gaps)}
+    acc = np.zeros((len(orders), points.size), dtype=np.complex128)
+    for j in reversed(range(k.size)):
+        acc += rows[:, j, None]
+        acc *= powers[gaps[j]]
+    out = acc.real.copy()  # contiguous, and frees the complex sums
     for row, p, value_at_0 in zip(out, orders, rows.real.sum(axis=1)):
         if p == 0:
             row += series.mean
@@ -193,4 +203,5 @@ def field_from_coeffs(grid: GridSpec, coeffs: np.ndarray) -> ScalarField:
     N = coeffs.size // 2
     if coeffs.size != 2 * N or N < 1:
         raise ConfigError(f"coefficient vector must have even positive length, got {coeffs.size}")
-    return ScalarField(grid, coeffs @ basis_matrix(grid, N))
+    # the operator context's call form: the cache keys on it, so both share one table
+    return ScalarField(grid, coeffs @ basis_matrix(grid, N, order=0))

@@ -9,20 +9,20 @@ Two deliberately separate routes to the quadratic Wasserstein distance:
         int_0^1 (Fmu^{-1}(s) - Gnu^{-1}(s + c))^2 ds,
 
     with the target quantile extended periodically,
-    Gnu^{-1}(u + 1) = Gnu^{-1}(u) + 2*pi.  _cdf_pdf, the CDF, is order -1 of
-    grid.eval_trig on a density's TrigSeries, and _quantiles, a function of
-    the same series, runs safeguarded Newton at the m = QUANTILE_MIDPOINTS
-    midpoints of the integral.  Newton starts from a CDF table on a fine
-    uniform grid, evaluated by one inverse FFT of the same spectrum and
+    Gnu^{-1}(u + 1) = Gnu^{-1}(u) + 2*pi.  _cdf_pdf, the CDF, is order -1
+    of grid.eval_trig (one Horner pass) on a density's TrigSeries, and
+    _quantiles, a function of the same series, runs safeguarded Newton at
+    the m = QUANTILE_MIDPOINTS midpoints.  Newton starts from a CDF table
+    on a fine uniform grid, evaluated by one inverse FFT of the spectrum and
     inverted by linear interpolation, and steps only the points that have
     not yet converged, so a table costs about two CDF evaluations.  One FFT
     correlation scans the costs of all grid-aligned cuts c = j/m in [-1, 1]
     (Delon, Salomon & Sobolevski 2010); the best of the exact costs at its
     argmin and neighbours picks the bracket of two cells around it.  On a
-    periodic cubic spline through the midpoint quantiles, whose nodes are
-    the midpoints themselves, the cost on each cell is a polynomial of
-    degree 6 in the cut, minimized exactly over the roots of its
-    derivative inside the cell.
+    periodic cubic spline through the target's midpoint quantiles (built
+    when a table first serves as a target), whose nodes are the midpoints,
+    the cost on each cell is a polynomial of degree 6 in the cut, minimized
+    exactly over the roots of its derivative inside the cell.
   * transport_lp: a linear program on explicit atoms with squared circular
     distance cost, solved by scipy's HiGHS backend.  w2_lp discretizes a pair
     of densities onto m atoms and calls it.
@@ -34,6 +34,7 @@ plumbing; they exist to check the metric side against classical transport.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -145,19 +146,22 @@ class _QuantileTable:
     """Per-density quantile data from one CDF inversion at the m midpoints
     s_j = (j + 1/2)/m.
 
-    q_mid holds the exact midpoint quantiles the cut scan indexes.  Off-grid
-    cuts read spline, a periodic cubic spline of the smooth 1-periodic part
-    quantile(u) - 2*pi*u through those same values (nodes s_j and s_0 + 1),
-    so the polish and the scan see one quantile function; the polish takes
-    its piecewise coefficients spline.c directly.
+    s holds the s_j, q_mid the exact quantiles there that the cut scan
+    indexes.  Off-grid cuts read spline, a periodic cubic spline of the
+    smooth 1-periodic part quantile(u) - 2*pi*u through those same values
+    (nodes s_j and s_0 + 1), so the polish and the scan see one quantile
+    function; the polish, its only reader, builds it on first use.
     """
 
     def __init__(self, mu: Density, m: int):
-        s = (np.arange(m) + 0.5) / m
-        self.q_mid = _quantiles(trig_series(mu.field()), s)
-        wobble = self.q_mid - TWO_PI * s
-        self.spline = CubicSpline(np.append(s, s[0] + 1.0), np.append(wobble, wobble[0]),
-                                  bc_type="periodic")
+        self.s = (np.arange(m) + 0.5) / m
+        self.q_mid = _quantiles(trig_series(mu.field()), self.s)
+
+    @cached_property
+    def spline(self) -> CubicSpline:
+        s, wobble = self.s, self.q_mid - TWO_PI * self.s
+        return CubicSpline(np.append(s, s[0] + 1.0), np.append(wobble, wobble[0]),
+                           bc_type="periodic")
 
 
 class CircleDistanceSolver:
@@ -182,7 +186,6 @@ class CircleDistanceSolver:
         m = QUANTILE_MIDPOINTS
         qF = self.table(mu).q_mid
         G = self.table(nu)
-        s = (np.arange(m) + 0.5) / m
 
         # the grid-aligned cut u = s + j/m lands back on the s-grid: its
         # target quantiles are turns[j + m : j + 2m]
@@ -210,7 +213,7 @@ class CircleDistanceSolver:
         powers = np.add.outer(np.arange(4), np.arange(4)).ravel()
         for k in (best - 1, best):
             rows = np.roll(pieces, -k, axis=1)
-            rows[0] += qF - TWO_PI * (s + k / m)
+            rows[0] += qF - TWO_PI * (G.s + k / m)
             rows[1] -= TWO_PI / m
             sextic = np.bincount(powers, weights=(rows @ rows.T).ravel()) / m
             roots = P.polyroots(P.polyder(sextic)).real

@@ -138,6 +138,61 @@ def test_flow_path_integrates_once_across_its_grid(monkeypatch):
     assert len(calls) == 4 * 16 * 12
 
 
+def test_hj_feet_start_from_the_previous_stage(monkeypatch):
+    # each characteristic solve of the HJ route starts from the feet at the
+    # previous stage time: fewer Newton iterations, the same feet
+    import ottocircle.geodesics as geodesics
+
+    grid = GridSpec(1024)
+    x = grid.nodes
+    shape = 0.5 * np.cos(x + 0.3) + 0.3 * np.sin(2 * x) + 0.2 * np.cos(3 * x - 1.0) \
+        + 0.1 * np.sin(4 * x + 0.5)
+    psi0 = ScalarField(grid, shape)
+    # first caustic at 4 t_max, as in the large Galerkin benchmark
+    psi0 = ScalarField(grid, shape * first_caustic_time(psi0) / 4.0)
+    mu0 = cosine_density(grid, 0.3, phase=1.0)
+    times = np.linspace(0.0, 1.0, 17)
+
+    real_eval, real_feet = geodesics.eval_trig, geodesics._characteristic_feet
+    calls = []
+    monkeypatch.setattr(geodesics, "eval_trig",
+                        lambda *args, **kwargs: calls.append(1) or real_eval(*args, **kwargs))
+
+    def run(cold: bool):
+        feet = {}
+
+        def solve(series, t, targets, start):
+            feet[t] = real_feet(series, t, targets, targets if cold else start)
+            return feet[t]
+
+        monkeypatch.setattr(geodesics, "_characteristic_feet", solve)
+        calls.clear()
+        path = geodesic_hj(mu0, psi0, times)
+        return feet, len(calls), path
+
+    warm, warm_calls, warm_path = run(cold=False)
+    cold, cold_calls, cold_path = run(cold=True)
+    assert warm.keys() == cold.keys() and len(warm) == 4 * 16 * 2
+    assert warm_calls < cold_calls
+    assert max(np.abs(warm[t] - cold[t]).max() for t in warm) <= 1e-13
+    for a, b in zip(warm_path.potentials, cold_path.potentials):
+        np.testing.assert_allclose(a.values, b.values, rtol=0.0, atol=1e-13)
+
+
+def test_feet_non_convergence_names_time_and_residual():
+    # the first caustic sits at t = 1/0.99: Newton from the nodes diverges
+    # at t = 1, and a NaN start never converges either
+    from ottocircle.errors import NumericalError
+    from ottocircle.geodesics import _characteristic_feet
+    from ottocircle.grid import trig_series
+
+    series = trig_series(ScalarField(GRID, 0.99 * np.cos(GRID.nodes)))
+    with pytest.raises(NumericalError, match=r"at t = 1 did not converge .*worst residual \d"):
+        _characteristic_feet(series, 1.0, GRID.nodes, GRID.nodes)
+    with pytest.raises(NumericalError, match=r"at t = 0\.5 did not converge .*worst residual nan"):
+        _characteristic_feet(series, 0.5, GRID.nodes, np.full(GRID.n, np.nan))
+
+
 def test_flow_path_continues_where_a_single_pass_ends():
     # t_k = 3k/16 is a binary fraction and both grids step by h = 1/64, so
     # continuing from the previous time replays the same floating-point steps

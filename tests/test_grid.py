@@ -89,6 +89,29 @@ def test_basis_matrix_derivative_rows(grid):
         np.testing.assert_allclose(b1[row], expected, atol=1e-12)
 
 
+def test_basis_matrix_is_cached_and_read_only():
+    # equal grids share one table; the cache holds a fixed number of them
+    table = basis_matrix(GridSpec(128), 5, order=1)
+    assert basis_matrix(GridSpec(128), 5, order=1) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
+    assert basis_matrix.cache_info().maxsize == 16
+    # field_from_coeffs reads the operator context's cached table
+    WeightedOperatorContext(uniform_density(GridSpec(128)), 5)
+    misses = basis_matrix.cache_info().misses
+    field_from_coeffs(GridSpec(128), np.ones(10))
+    assert basis_matrix.cache_info().misses == misses
+
+
+def test_basis_matrix_bad_truncation_raises_every_time(grid):
+    for _ in range(2):
+        with pytest.raises(AliasingError):
+            basis_matrix(grid, grid.n // 4)
+        with pytest.raises(ConfigError):
+            basis_matrix(grid, 0)
+
+
 def test_trig_series_roundtrip(grid):
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal(8)
@@ -147,6 +170,52 @@ def test_eval_trig_nyquist_rule(grid):
     _close(rows[2], -half**2 * np.cos(half * points))
     np.testing.assert_array_equal(rows[1], 0.0)
     np.testing.assert_array_equal(rows[3], 0.0)
+
+
+def test_eval_trig_matches_a_direct_sum_on_a_sparse_spectrum(grid):
+    # kept wavenumbers with gaps of 1, 3, 7 and 21 and a kept Nyquist mode
+    half = grid.n // 2
+    k = np.array([1.0, 2.0, 5.0, 8.0, 11.0, half])
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal(k.size), rng.standard_normal(k.size)
+    x = grid.nodes
+    values = 0.6 + sum(ai * np.cos(ki * x) + bi * np.sin(ki * x) for ki, ai, bi in zip(k, a, b))
+    series = trig_series(ScalarField(grid, values))
+    np.testing.assert_array_equal(series.k, k)
+    points = rng.uniform(0.0, 2.0 * np.pi, 50)
+    rows = eval_trig(series, points, (-1, 0, 1, 2, 3))
+    # the Nyquist mode is b sin(half x) on the grid, so only its cosine counts
+    b[-1] = 0.0
+    phases = np.multiply.outer(k, points)
+    cos, sin = np.cos(phases), np.sin(phases)
+    expected = {
+        -1: (a / k) @ sin + (b / k) @ (1.0 - cos),
+        0: 0.6 + a @ cos + b @ sin,
+        1: (k[:-1] * b[:-1]) @ cos[:-1] - (k[:-1] * a[:-1]) @ sin[:-1],
+        2: -(k**2 * a) @ cos - (k**2 * b) @ sin,
+        3: (k[:-1] ** 3 * a[:-1]) @ sin[:-1] - (k[:-1] ** 3 * b[:-1]) @ cos[:-1],
+    }
+    for row, order in zip(rows, (-1, 0, 1, 2, 3)):
+        scale = np.abs(expected[order]).max()
+        assert np.abs(row - expected[order]).max() <= 1e-13 * scale, order
+
+
+def test_eval_trig_constant_field(grid):
+    series = trig_series(ScalarField(grid, np.full(grid.n, 0.4)))
+    assert series.k.size == 0
+    points = np.array([0.1, 1.7, 4.2])
+    rows = eval_trig(series, points, (-1, 0, 1))
+    np.testing.assert_array_equal(rows, [[0.0] * 3, [0.4] * 3, [0.0] * 3])
+
+
+@pytest.mark.parametrize("points", [np.float64(1.3), np.linspace(0.0, 6.0, 7),
+                                    np.linspace(0.0, 6.0, 12).reshape(3, 4)],
+                         ids=["scalar", "1-d", "2-d"])
+def test_eval_trig_keeps_the_point_shape(grid, points):
+    series = trig_series(ScalarField(grid, np.cos(grid.nodes) + 0.2 * np.sin(3 * grid.nodes)))
+    rows = eval_trig(series, points, (0, 2))
+    assert rows.shape == (2,) + np.shape(points)
+    np.testing.assert_allclose(rows[0], np.cos(points) + 0.2 * np.sin(3 * points), atol=1e-14)
 
 
 def test_field_from_coeffs_matches_basis(grid):

@@ -244,6 +244,15 @@ def test_table_build_inverts_the_cdf_once(monkeypatch):
     assert calls == [64]
 
 
+def test_only_a_distance_target_builds_its_spline():
+    # the source side of a distance reads only the midpoint quantiles
+    solver = CircleDistanceSolver()
+    mu, nu = cosine_density(GRID, 0.3), cosine_density(GRID, 0.2, phase=1.0)
+    solver.distance(mu, nu)
+    assert "spline" not in vars(solver.table(mu))
+    assert "spline" in vars(solver.table(nu))
+
+
 def _unrolled(table, u):
     """The table's quantile at any u, extended by quantile(u + 1) = quantile(u) + 2*pi."""
     s0 = table.spline.x[0]
