@@ -10,8 +10,8 @@ as long as the characteristics x0 + t*psi0'(x0) do not cross (equivalently
 
   * geodesic_hj: psi from the exact characteristic solution (momentum is
     constant along straight characteristics; node values recovered by Newton
-    inversion of the characteristic map), rho by RK4 on the continuity
-    equation with spectral space derivatives.
+    inversion of the characteristic map from the latest stage's feet), rho
+    by RK4 on the continuity equation with spectral space derivatives.
   * geodesic_christoffel: basis-coefficient ODE d(Psi_k)/dt = -Gram^{-1}_k
     [int psi' psi'' phi_l' dmu_t], the Galerkin contraction of the
     Christoffel symbols at the moving density, with rho co-evolved by the
@@ -20,7 +20,8 @@ as long as the characteristics x0 + t*psi0'(x0) do not cross (equivalently
   * displacement_path: pushforward of mu0 by the displacement t * psi0'
     through the exact Jacobian formula, with the characteristic potentials.
 
-All stored potentials are de-meaned against their own mu_t.
+All stored potentials are de-meaned against their own mu_t.  The
+continuity residual is defined at the interior path times only.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from .grid import (GridSpec, ScalarField, TrigSeries, check_same_grid, deriv, ev
                    time_grid, trig_series)
 from .operators import WeightedOperatorContext
 from .tangent import TangentVector, flow_map
+
+# the times of continuity_residual's central difference stencil
+STENCIL_TIMES = 5
 
 
 @dataclass(frozen=True)
@@ -129,27 +133,26 @@ def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int 
     grid = mu0.grid
     nodes = grid.nodes
 
-    # the feet and psi_t' = psi0'(feet) once per stage time (k2 and k3 share
-    # them); stage times only increase, so each solve starts at the last feet
-    stages = {0.0: (nodes, eval_trig(series, nodes, (1,))[0])}
+    # the latest stage time, feet and psi0'(feet): RK4 reuses only the last stage
+    # time (k2's for k3, k4's for the next k1), so each solve starts at the last feet
+    t_last, feet, dpsi = 0.0, nodes, eval_trig(series, nodes, (1,))[0]
 
     def stage(t: float) -> tuple[np.ndarray, np.ndarray]:
-        if t not in stages:
-            feet = _characteristic_feet(series, t, nodes, next(reversed(stages.values()))[0])
-            stages[t] = feet, eval_trig(series, feet, (1,))[0]
-        return stages[t]
+        nonlocal t_last, feet, dpsi
+        if t != t_last:
+            feet = _characteristic_feet(series, t, nodes, feet)
+            t_last, dpsi = t, eval_trig(series, feet, (1,))[0]
+        return feet, dpsi
 
     def rhs(t: float, rho: np.ndarray) -> np.ndarray:
         return _continuity_rhs(rho, stage(t)[1], grid)
 
-    rho = mu0.rho.copy()
     densities = [mu0]
     potentials = [_demeaned(psi0.values, mu0.rho, grid)]
     for idx in range(times.size - 1):
         t_out = times[idx + 1]
-        rho = rk4(rhs, times[idx], t_out, rho, steps_per_interval)
+        rho = rk4(rhs, times[idx], t_out, densities[-1].rho, steps_per_interval)
         mu_t = _stepped_density(rho, grid, t_out, "hj")
-        rho = mu_t.rho.copy()
         psi_t = _characteristic_potential(series, t_out, stage(t_out)[0])
         densities.append(mu_t)
         potentials.append(_demeaned(psi_t, mu_t.rho, grid))
@@ -244,26 +247,24 @@ def speed_squared_series(path: GeodesicPath) -> np.ndarray:
 
 
 def continuity_residual(path: GeodesicPath) -> np.ndarray:
-    """L^2(vol) residual of d(rho)/dt + (rho psi')' at interior path times.
+    """L^2(vol) residual of d(rho)/dt + (rho psi')' at the T - 4 interior times.
 
     The time derivative uses the 5-point fourth-order central stencil, so the
     result measures the stored path's internal consistency rather than the
     stencil's own truncation error.  Needs at least 5 uniformly spaced times.
     """
     t = path.times
-    if t.size < 5:
-        raise ConfigError("continuity residual needs at least 5 path times")
+    if t.size < STENCIL_TIMES:
+        raise ConfigError(f"continuity residual needs at least {STENCIL_TIMES} path times")
     dt = np.diff(t)
     if not np.allclose(dt, dt[0], rtol=1e-12, atol=1e-14):
         raise ConfigError("continuity residual needs a uniform time grid")
     h = float(dt[0])
     rho = np.stack([d.rho for d in path.densities])
-    out = np.full(t.size, np.nan)
-    for idx in range(2, t.size - 2):
-        drho_dt = (rho[idx - 2] - 8 * rho[idx - 1] + 8 * rho[idx + 1] - rho[idx + 2]) / (12 * h)
-        flux = _continuity_rhs(rho[idx], deriv(path.potentials[idx]).values, path.grid)
-        out[idx] = np.sqrt(np.mean((drho_dt - flux) ** 2))
-    return out
+    drho_dt = (rho[:-4] - 8 * rho[1:-3] + 8 * rho[3:-1] - rho[4:]) / (12 * h)
+    flux = [_continuity_rhs(rho[idx], deriv(path.potentials[idx]).values, path.grid)
+            for idx in range(2, t.size - 2)]
+    return np.sqrt(np.mean((drho_dt - flux) ** 2, axis=1))
 
 
 def constant_speed_report(path: GeodesicPath, w2) -> dict:

@@ -100,11 +100,10 @@ def deriv(f: ScalarField, order: int = 1) -> ScalarField:
 
 
 @lru_cache(maxsize=16)
-def basis_matrix(grid: GridSpec, N: int, order: int = 0) -> np.ndarray:
-    """Rows are the 2N basis functions (or their order-th derivatives) at the nodes.
-
-    Ordering: cos 1, sin 1, ..., cos N, sin N.  Cached and shared, so read-only.
-    """
+def basis_matrix(grid: GridSpec, N: int, order: int, /) -> np.ndarray:
+    """Rows are the order-th derivatives of the 2N basis functions at the nodes,
+    ordered cos 1, sin 1, ..., cos N, sin N.  Cached and shared, so read-only;
+    positional-only, so each (grid, N, order) table has one cache key."""
     if N < 1:
         raise ConfigError(f"truncation N must be >= 1, got {N}")
     if 4 * N >= grid.n:
@@ -203,5 +202,4 @@ def field_from_coeffs(grid: GridSpec, coeffs: np.ndarray) -> ScalarField:
     N = coeffs.size // 2
     if coeffs.size != 2 * N or N < 1:
         raise ConfigError(f"coefficient vector must have even positive length, got {coeffs.size}")
-    # the operator context's call form: the cache keys on it, so both share one table
-    return ScalarField(grid, coeffs @ basis_matrix(grid, N, order=0))
+    return ScalarField(grid, coeffs @ basis_matrix(grid, N, 0))

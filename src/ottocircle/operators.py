@@ -22,8 +22,8 @@ at the sums and differences of the row modes.  The stage Gram matrix
 (assemble_gram, bins up to 2N) and the triple products (bins up to 3N) are
 assembled from those bins.  The context's own Gram matrix, the weighted
 moments and the syntheses of potentials from coefficients stay quadratures
-of the node tables basis0/1/2, so the base Gram matrix and the moments it
-solves against agree to a few ulps.
+of the node tables basis0/1/2 (grid.basis_matrix's), so the base Gram
+matrix and the moments it solves against agree to a few ulps.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .density import Density
-from .errors import CompatibilityError, ConditioningWarning, ConfigError, DomainError
+from .errors import CompatibilityError, ConditioningWarning, DomainError
 from .grid import SQRT2, ScalarField, basis_matrix, check_same_grid, deriv
 
 GRAM_CONDITION_LIMIT = 1e12
@@ -62,12 +62,9 @@ class WeightedOperatorContext:
     gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ConfigError(f"truncation N must be >= 1, got {self.N}")
         grid = self.mu.grid
-        self.basis0 = basis_matrix(grid, self.N, order=0)
-        self.basis1 = basis_matrix(grid, self.N, order=1)
-        self.basis2 = basis_matrix(grid, self.N, order=2)
+        # basis_matrix rejects a bad N (ConfigError) or an aliasing one
+        self.basis0, self.basis1, self.basis2 = (basis_matrix(grid, self.N, p) for p in range(3))
         # the base Gram stays a quadrature of the basis tables, which pairs it
         # with weighted_moment to a few ulps (project_exact's orthogonality)
         gram = (self.basis1 * (self.mu.rho / grid.n)) @ self.basis1.T

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 from scipy.interpolate import CubicSpline
 from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
+from scipy.sparse import eye, kron, vstack
 
 from .density import Density
 from .errors import ConfigError, NumericalError
@@ -270,10 +270,7 @@ def transport_lp(locations_a, weights_a, locations_b, weights_b) -> TransportPla
 
     # row marginals then column marginals; the last column constraint is
     # implied by the rest and dropped to keep the system full rank
-    col_j = np.repeat(np.arange(nb - 1), na)
-    rows = np.concatenate([np.repeat(np.arange(na), nb), na + col_j])
-    cols = np.concatenate([np.arange(na * nb), col_j + np.tile(nb * np.arange(na), nb - 1)])
-    a_eq = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(na + nb - 1, na * nb))
+    a_eq = vstack([kron(eye(na), np.ones((1, nb))), kron(np.ones((1, na)), eye(nb - 1, nb))])
     b_eq = np.concatenate([wa, wb[:-1]])
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None),
                   method="highs")

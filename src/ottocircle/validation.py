@@ -46,6 +46,11 @@ MARGINAL_TOL = 1e-9
 SECTIONAL_FLOOR = -1e-10
 FIRST_HARMONIC_SECTIONAL_TOL = 1e-6
 
+# Fixed truncations, independent of the session's N: the geodesic scenario of
+# criteria 4 to 6 and 11, and the finite-difference frame oracle of criterion 8
+SCENARIO_N = 16
+FRAME_ORACLE_N = 4
+
 
 _COMPARISONS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
 
@@ -77,8 +82,7 @@ def geodesic_route_checks(paths: dict) -> list[dict]:
     """Pairwise sup-norm gaps between the hj, christoffel and displacement
     densities, and the continuity residual of the two ODE routes."""
     rho = {name: np.stack([d.rho for d in p.densities]) for name, p in paths.items()}
-    # the residual is defined at the interior times [2:-2] only
-    resid = np.max([continuity_residual(paths[name])[2:-2] for name in ("hj", "christoffel")])
+    resid = np.max([continuity_residual(paths[name]) for name in ("hj", "christoffel")])
     return [
         check("hj_vs_christoffel_sup", np.abs(rho["hj"] - rho["christoffel"]).max(), 1e-4),
         check("hj_vs_displacement_sup", np.abs(rho["hj"] - rho["displacement"]).max(), 1e-4),
@@ -144,7 +148,7 @@ class ValidationSession:
     """Shared fixtures for the numbered acceptance criteria.
 
     n and N are the base resolution (criteria that pin their own resolution,
-    like the geodesic scenario at N=16, build what they need on the same n).
+    like the geodesic scenario at SCENARIO_N, build what they need on the same n).
     """
 
     def __init__(self, n: int = 256, N: int = 8, seed: int = 0):
@@ -157,11 +161,11 @@ class ValidationSession:
         self.ctx_vol = WeightedOperatorContext(self.vol, N)
         self.ctx_weighted = WeightedOperatorContext(self.weighted, N)
         self.solver = CircleDistanceSolver()
-        # scenario of criterion 4: vol, psi0 = 0.1 cos x, t in [0, 1], N = 16; psi0's
-        # coefficient 0.1/sqrt(2) on the row sqrt(2) cos x is also its speed |psi0'|_vol
+        # scenario of criterion 4: vol, psi0 = 0.1 cos x, t in [0, 1], N = SCENARIO_N;
+        # psi0's coefficient 0.1/sqrt(2) on the row sqrt(2) cos x is also its speed |psi0'|_vol
         self.scenario_psi0 = ScalarField(self.grid, 0.1 * np.cos(self.grid.nodes))
         self.scenario_times = np.linspace(0.0, 1.0, 17)
-        self._scenario_coeffs = np.concatenate(([0.1 / np.sqrt(2.0)], np.zeros(2 * 16 - 1)))
+        self._scenario_coeffs = np.r_[0.1 / np.sqrt(2.0), np.zeros(2 * SCENARIO_N - 1)]
 
     def rng(self, criterion: int):
         return np.random.default_rng([criterion, self.seed])
@@ -175,7 +179,7 @@ class ValidationSession:
         psi0, times = self.scenario_psi0, self.scenario_times
         return {
             "hj": geodesic_hj(self.vol, psi0, times),
-            "christoffel": geodesic_christoffel(self.vol, self._scenario_coeffs, times, N=16),
+            "christoffel": geodesic_christoffel(self.vol, self._scenario_coeffs, times),
             "displacement": displacement_path(self.vol, psi0, times),
         }
 
@@ -326,9 +330,9 @@ def criterion_8_curvature(session: ValidationSession) -> dict:
             + riemann(fs[2], fs[0], fs[1], fs[3], ctx_w)))
         secs.append(sectional(fs[0], fs[1], ctx_w))
 
-    # frame oracle at N = 4, quads whose value is well away from zero
-    ctx4 = WeightedOperatorContext(session.vol, 4)
-    ctx4w = WeightedOperatorContext(session.weighted, 4)
+    # frame oracle at its fixed truncation, quads whose value is well away from zero
+    ctx4 = WeightedOperatorContext(session.vol, FRAME_ORACLE_N)
+    ctx4w = WeightedOperatorContext(session.weighted, FRAME_ORACLE_N)
     fd_check, _ = fd_oracle_check(
         ((ctx4, (0, 1, 0, 1)), (ctx4w, (0, 1, 0, 1)), (ctx4w, (0, 2, 1, 3))))
     return _record(8, "curvature", [
@@ -394,7 +398,7 @@ def criterion_10_transport_oracles(session: ValidationSession) -> dict:
 
 def criterion_11_parallel_transport(session: ValidationSession) -> dict:
     """Norm conservation and self-parallelism along the reference geodesic."""
-    v0 = TangentVector(session.rng(11).standard_normal(2 * 16), session.vol)  # scenario N = 16
+    v0 = TangentVector(session.rng(11).standard_normal(2 * SCENARIO_N), session.vol)
     _, _, checks = transport_checks(session.scenario_paths["hj"], v0, session.scenario_psi0)
     return _record(11, "parallel_transport", checks)
 

@@ -15,6 +15,7 @@ from ottocircle import (
     GridSpec,
     NumericalError,
     cosine_density,
+    density_from_csv,
     density_to_csv,
     geodesic_christoffel,
     uniform_density,
@@ -426,6 +427,28 @@ def test_nan_sectional_sample_fails_curvature(tmp_path, monkeypatch):
     checks = {c["name"]: c for c in read_report(out, "curvature")["checks"]}
     assert not checks["min_sampled_sectional"]["passed"]
     assert checks["sectional_first_harmonics_error"]["passed"]
+
+
+def test_distance_density_files_read_back_as_custom_densities(tmp_path):
+    # density_a.csv and density_b.csv are custom-density inputs that give the
+    # config's densities back bit for bit, and so the same distance report
+    pair = {"density": {"family": "cosine", "mode": 2, "phase": 0.4},
+            "density_b": {"family": "cosine", "amplitude": 0.2, "mode": 3},
+            "atoms": 128}
+    first = tmp_path / "first"
+    assert run_cli(["distance", "--config", write_config(tmp_path, pair), "--out", str(first)]) == 0
+    grid = GridSpec(256)
+    custom = {"atoms": 128}
+    for key, name in (("density", "density_a.csv"), ("density_b", "density_b.csv")):
+        expected = cli.build_density(pair[key], grid, key)
+        assert np.array_equal(density_from_csv(first / name, grid).rho, expected.rho)
+        custom[key] = {"family": "custom", "path": str(first / name)}
+    second = tmp_path / "second"
+    assert run_cli(["distance", "--config", write_config(tmp_path, custom, "custom.json"),
+                    "--out", str(second)]) == 0
+    assert read_report(second, "distance")["results"] == read_report(first, "distance")["results"]
+    for name in ("coupling.csv", "density_a.csv", "density_b.csv"):
+        assert (second / name).read_bytes() == (first / name).read_bytes()
 
 
 def test_custom_density_from_csv(tmp_path):

@@ -21,7 +21,7 @@ from ottocircle import (
 from ottocircle import curvature
 
 GRID = GridSpec(256)
-C1, S1 = (ScalarField(GRID, row) for row in basis_matrix(GRID, 1))
+C1, S1 = (ScalarField(GRID, row) for row in basis_matrix(GRID, 1, 0))
 VOL = uniform_density(GRID)
 WEIGHTED = cosine_density(GRID, 0.3)
 N_MODES = 8

@@ -239,8 +239,8 @@ def test_christoffel_route_accepts_tangent_vector():
 
 def test_continuity_residual(hj_path):
     resid = continuity_residual(hj_path)
-    assert np.isnan(resid[0]) and np.isnan(resid[-1])
-    assert np.nanmax(resid) < 1e-6
+    assert resid.shape == (hj_path.times.size - 4,)
+    assert resid.max() < 1e-6
 
     short = geodesic_hj(WEIGHTED, PSI0, np.linspace(0.0, 1.0, 3))
     with pytest.raises(ConfigError):
@@ -248,6 +248,15 @@ def test_continuity_residual(hj_path):
     uneven = geodesic_hj(WEIGHTED, PSI0, np.array([0.0, 0.1, 0.3, 0.6, 1.0]))
     with pytest.raises(ConfigError):
         continuity_residual(uneven)
+
+
+@pytest.mark.parametrize("count", [5, 9])
+def test_continuity_residual_has_one_finite_value_per_interior_time(count):
+    # the 5-point stencil needs two times on each side, so T times give T - 4 values
+    path = geodesic_hj(WEIGHTED, PSI0, np.linspace(0.0, 1.0, count))
+    resid = continuity_residual(path)
+    assert resid.shape == (count - 4,)
+    assert np.all(np.isfinite(resid))
 
 
 def test_mass_and_positivity_along_path(hj_path):

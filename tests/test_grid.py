@@ -71,19 +71,19 @@ def test_odd_derivative_kills_nyquist(grid):
 
 
 def test_basis_orthonormal(grid):
-    b = basis_matrix(grid, 6)
+    b = basis_matrix(grid, 6, 0)
     gram = b @ b.T / grid.n
     np.testing.assert_allclose(gram, np.eye(12), atol=1e-14)
 
 
 def test_basis_matrix_antialiasing(grid):
     with pytest.raises(AliasingError):
-        basis_matrix(grid, grid.n // 4)
+        basis_matrix(grid, grid.n // 4, 0)
 
 
 def test_basis_matrix_derivative_rows(grid):
-    b0 = basis_matrix(grid, 4)
-    b1 = basis_matrix(grid, 4, order=1)
+    b0 = basis_matrix(grid, 4, 0)
+    b1 = basis_matrix(grid, 4, 1)
     for row in range(8):
         expected = deriv(ScalarField(grid, b0[row])).values
         np.testing.assert_allclose(b1[row], expected, atol=1e-12)
@@ -91,8 +91,8 @@ def test_basis_matrix_derivative_rows(grid):
 
 def test_basis_matrix_is_cached_and_read_only():
     # equal grids share one table; the cache holds a fixed number of them
-    table = basis_matrix(GridSpec(128), 5, order=1)
-    assert basis_matrix(GridSpec(128), 5, order=1) is table
+    table = basis_matrix(GridSpec(128), 5, 1)
+    assert basis_matrix(GridSpec(128), 5, 1) is table
     assert not table.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 1.0
@@ -104,12 +104,34 @@ def test_basis_matrix_is_cached_and_read_only():
     assert basis_matrix.cache_info().misses == misses
 
 
+def test_basis_matrix_has_one_call_form_and_one_cache_entry_per_table():
+    # the context, field_from_coeffs and a direct call all read one table, so
+    # orders 0, 1 and 2 of one (grid, N) cost three cache entries, not more
+    grid = GridSpec(96)
+    before = basis_matrix.cache_info()
+    table = basis_matrix(grid, 3, 0)
+    field_from_coeffs(grid, np.ones(6))
+    assert WeightedOperatorContext(uniform_density(grid), 3).basis0 is table
+    assert basis_matrix(grid, 3, 0) is table
+    after = basis_matrix.cache_info()
+    assert after.misses - before.misses == 3
+    assert after.hits - before.hits == 3
+
+
+@pytest.mark.parametrize("args, kwargs", [((3,), {"order": 0}), ((3,), {}),
+                                         ((), {"N": 3, "order": 0})],
+                         ids=["order_keyword", "order_missing", "all_keywords"])
+def test_basis_matrix_takes_positional_arguments_only(args, kwargs):
+    with pytest.raises(TypeError):
+        basis_matrix(GridSpec(96), *args, **kwargs)
+
+
 def test_basis_matrix_bad_truncation_raises_every_time(grid):
     for _ in range(2):
         with pytest.raises(AliasingError):
-            basis_matrix(grid, grid.n // 4)
+            basis_matrix(grid, grid.n // 4, 0)
         with pytest.raises(ConfigError):
-            basis_matrix(grid, 0)
+            basis_matrix(grid, 0, 0)
 
 
 def test_trig_series_roundtrip(grid):

@@ -85,7 +85,7 @@ def test_vector_from_potential_recovers_band_limited(ctx_weighted):
 def test_potential_roundtrip(ctx_vol):
     v = unit_vector(2)
     psi = ctx_vol.potential_values(v.coeffs)
-    np.testing.assert_allclose(psi, basis_matrix(GRID, 2)[2], atol=1e-15)
+    np.testing.assert_allclose(psi, basis_matrix(GRID, 2, 0)[2], atol=1e-15)
 
 
 def test_observable_frozen_value(ctx_weighted, ctx_vol):
