@@ -31,11 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, field_from_coeffs
+from .grid import GridSpec, ScalarField, aliasing_bound, field_from_coeffs
 from .density import (
     Density,
     cosine_density,
     density_from_csv,
+    density_to_csv,
     uniform_density,
 )
 from .errors import AliasingError, ConfigError, NumericalError
@@ -43,7 +44,7 @@ from .operators import WeightedOperatorContext
 from .tangent import TangentVector, vector_from_potential
 from .connection import christoffel, christoffel_residual, lie_bracket, lie_bracket_laplacian
 from .curvature import riemann, sectional
-from .geodesics import STENCIL_TIMES, action, displacement_path, geodesic_christoffel, geodesic_hj
+from .geodesics import action, displacement_path, geodesic_christoffel, geodesic_hj
 from .ot_oracle import CircleDistanceSolver, w2_lp
 from .validation import (
     BRACKET_ROUTE_TOL,
@@ -138,7 +139,7 @@ def load_config(args) -> dict:
         if getattr(args, flag) is not None:
             config[flag] = getattr(args, flag)
     n, N, seed, atoms = (_read(config[key], int, key) for key in ("n", "N", "seed", "atoms"))
-    if N < 1 or 4 * N >= n:
+    if N < 1 or n <= aliasing_bound(N):
         raise ConfigError("need 1 <= N and 4N < n")
     if seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
@@ -327,9 +328,9 @@ def run_christoffel(run: RunInputs, out_dir: str) -> dict:
 
 
 def run_geodesic(run: RunInputs, out_dir: str) -> dict:
-    # the continuity residual's stencil; checked before any route runs
-    if run.times.size < STENCIL_TIMES:
-        raise ConfigError(f"geodesic needs times.count >= {STENCIL_TIMES}, got {run.times.size}")
+    # the continuity residual's 5-point stencil; checked before any route runs
+    if run.times.size < 5:
+        raise ConfigError(f"geodesic needs times.count >= 5, got {run.times.size}")
     mu0, psi0, times, N = run.density, run.potential, run.times, run.config["N"]
     ctx = WeightedOperatorContext(mu0, N)
     v0 = vector_from_potential(psi0, ctx)
@@ -364,10 +365,10 @@ def run_transport(run: RunInputs, out_dir: str) -> dict:
 
 
 def run_curvature(run: RunInputs, out_dir: str) -> dict:
-    # the finite-difference oracle runs at FRAME_ORACLE_N (4N < n) and the
-    # sampled pairs use modes up to N // 2; checked before any work
-    if run.grid.n <= 4 * FRAME_ORACLE_N or run.config["N"] < 2:
-        raise ConfigError(f"curvature needs n > {4 * FRAME_ORACLE_N} and N >= 2, "
+    # the finite-difference oracle runs at FRAME_ORACLE_N and the sampled
+    # pairs use modes up to N // 2; checked before any work
+    if run.grid.n <= aliasing_bound(FRAME_ORACLE_N) or run.config["N"] < 2:
+        raise ConfigError(f"curvature needs n > {aliasing_bound(FRAME_ORACLE_N)} and N >= 2, "
                           f"got n={run.grid.n}, N={run.config['N']}")
     grid, mu, N = run.grid, run.density, run.config["N"]
     ctx = WeightedOperatorContext(mu, N)
@@ -413,8 +414,8 @@ def run_distance(run: RunInputs, out_dir: str) -> dict:
               ["source_index", "target_index", "source_location", "target_location", "mass"],
               ((i, j, plan.locations_a[i], plan.locations_b[j], plan.coupling[i, j])
                for i, j in zip(*np.nonzero(plan.coupling > 1e-15))))
-    for name, density in (("density_a.csv", mu), ("density_b.csv", nu)):
-        write_csv(out_dir, name, ["node", "value"], zip(density.grid.nodes, density.rho))
+    density_to_csv(mu, _out_path(out_dir, "density_a.csv"))
+    density_to_csv(nu, _out_path(out_dir, "density_b.csv"))
     row_err, col_err = plan.marginal_errors()
     rel = abs(plan.w2 - exact.w2) / max(exact.w2, 1e-30)
     results = {
@@ -434,10 +435,10 @@ def run_validate(run: RunInputs, out_dir: str) -> dict:
     # run_all builds its own inputs from these three keys, so the report
     # echoes and hashes only them; the other sections were checked already
     config = {key: run.config[key] for key in ("n", "N", "seed")}
-    # its geodesic scenario runs at SCENARIO_N (4N < n) and its band-limited
-    # sweeps use modes up to N // 2; checked before any criterion runs
-    if config["n"] <= 4 * SCENARIO_N or config["N"] < 2:
-        raise ConfigError(f"validate needs n > {4 * SCENARIO_N} and N >= 2, "
+    # its geodesic scenario runs at SCENARIO_N and its band-limited sweeps
+    # use modes up to N // 2; checked before any criterion runs
+    if config["n"] <= aliasing_bound(SCENARIO_N) or config["N"] < 2:
+        raise ConfigError(f"validate needs n > {aliasing_bound(SCENARIO_N)} and N >= 2, "
                           f"got n={config['n']}, N={config['N']}")
     records = run_all(**config)
     for record in records:

@@ -37,9 +37,6 @@ from .grid import (GridSpec, ScalarField, TrigSeries, check_same_grid, deriv, ev
 from .operators import WeightedOperatorContext
 from .tangent import TangentVector, flow_map
 
-# the times of continuity_residual's central difference stencil
-STENCIL_TIMES = 5
-
 
 @dataclass(frozen=True)
 class GeodesicPath:
@@ -254,8 +251,8 @@ def continuity_residual(path: GeodesicPath) -> np.ndarray:
     stencil's own truncation error.  Needs at least 5 uniformly spaced times.
     """
     t = path.times
-    if t.size < STENCIL_TIMES:
-        raise ConfigError(f"continuity residual needs at least {STENCIL_TIMES} path times")
+    if t.size < 5:
+        raise ConfigError("continuity residual needs at least 5 path times")
     dt = np.diff(t)
     if not np.allclose(dt, dt[0], rtol=1e-12, atol=1e-14):
         raise ConfigError("continuity residual needs a uniform time grid")

@@ -99,6 +99,11 @@ def deriv(f: ScalarField, order: int = 1) -> ScalarField:
     return ScalarField(f.grid, np.fft.irfft(fh, n))
 
 
+def aliasing_bound(N: int) -> int:
+    """The node count that a grid must exceed for basis tables at truncation N."""
+    return 4 * N
+
+
 @lru_cache(maxsize=16)
 def basis_matrix(grid: GridSpec, N: int, order: int, /) -> np.ndarray:
     """Rows are the order-th derivatives of the 2N basis functions at the nodes,
@@ -106,7 +111,7 @@ def basis_matrix(grid: GridSpec, N: int, order: int, /) -> np.ndarray:
     positional-only, so each (grid, N, order) table has one cache key."""
     if N < 1:
         raise ConfigError(f"truncation N must be >= 1, got {N}")
-    if 4 * N >= grid.n:
+    if grid.n <= aliasing_bound(N):
         raise AliasingError(f"anti-aliasing constraint 4N < n violated: N={N}, n={grid.n}")
     x = grid.nodes
     out = np.empty((2 * N, grid.n))

@@ -64,7 +64,9 @@ class WeightedOperatorContext:
     def __post_init__(self):
         grid = self.mu.grid
         # basis_matrix rejects a bad N (ConfigError) or an aliasing one
-        self.basis0, self.basis1, self.basis2 = (basis_matrix(grid, self.N, p) for p in range(3))
+        self.basis0 = basis_matrix(grid, self.N, 0)
+        self.basis1 = basis_matrix(grid, self.N, 1)
+        self.basis2 = basis_matrix(grid, self.N, 2)
         # the base Gram stays a quadrature of the basis tables, which pairs it
         # with weighted_moment to a few ulps (project_exact's orthogonality)
         gram = (self.basis1 * (self.mu.rho / grid.n)) @ self.basis1.T

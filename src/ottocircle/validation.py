@@ -165,7 +165,7 @@ class ValidationSession:
         # psi0's coefficient 0.1/sqrt(2) on the row sqrt(2) cos x is also its speed |psi0'|_vol
         self.scenario_psi0 = ScalarField(self.grid, 0.1 * np.cos(self.grid.nodes))
         self.scenario_times = np.linspace(0.0, 1.0, 17)
-        self._scenario_coeffs = np.r_[0.1 / np.sqrt(2.0), np.zeros(2 * SCENARIO_N - 1)]
+        self._scenario_coeffs = np.concatenate(([0.1 / np.sqrt(2.0)], np.zeros(2 * SCENARIO_N - 1)))
 
     def rng(self, criterion: int):
         return np.random.default_rng([criterion, self.seed])

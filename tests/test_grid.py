@@ -23,7 +23,7 @@ from ottocircle import (
     uniform_density,
     weighted_inner,
 )
-from ottocircle.grid import check_same_grid, rk4
+from ottocircle.grid import aliasing_bound, check_same_grid, rk4
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +79,14 @@ def test_basis_orthonormal(grid):
 def test_basis_matrix_antialiasing(grid):
     with pytest.raises(AliasingError):
         basis_matrix(grid, grid.n // 4, 0)
+
+
+@pytest.mark.parametrize("N", [4, 8, 16])
+def test_aliasing_bound_is_the_node_count_basis_tables_must_exceed(N):
+    n = aliasing_bound(N)
+    with pytest.raises(AliasingError):
+        basis_matrix(GridSpec(n), N, 0)
+    assert basis_matrix(GridSpec(n + 2), N, 0).shape == (2 * N, n + 2)
 
 
 def test_basis_matrix_derivative_rows(grid):
