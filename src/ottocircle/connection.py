@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
 from .grid import ScalarField, check_same_grid, deriv, rk4
@@ -116,9 +115,14 @@ def parallel_transport(v0: TangentVector, path, substeps: int = 4) -> list[Tange
     whose stage data comes from cubic-in-time interpolation of the stored
     densities and potentials.  Each stage is one projection at the
     interpolated density through the context built at the path's first
-    density (operators.project_at).  A geodesic's own velocity solves the
-    same equation as its Christoffel ODE, so it is self-parallel.
+    density (operators.project_at).  rk4 repeats stage times bitwise (k3
+    reuses k2's, the next k1 reuses k4's), so the interpolated data and the
+    Gram factor of the latest stage time are kept for reuse: along 17
+    uniform times with 4 substeps, 129 of the 256 stages factor.  A
+    geodesic's own velocity solves the same equation as its Christoffel
+    ODE, so it is self-parallel.
     """
+    from scipy.interpolate import CubicSpline  # loaded on first use: a slow import
     times = np.asarray(path.times, dtype=np.float64)
     if times.size < 2:
         raise DomainError("path must have at least two times for transport")
@@ -128,8 +132,19 @@ def parallel_transport(v0: TangentVector, path, substeps: int = 4) -> list[Tange
     rho_spline = CubicSpline(times, np.stack([d.rho for d in path.densities]), axis=0)
     dpsi_spline = CubicSpline(times, np.stack([deriv(p).values for p in path.potentials]), axis=0)
 
+    # the latest stage time and its (rho_t, dpsi_t, factor), like geodesic_hj's stage memo
+    t_last, memo = None, None
+
+    def stage(t: float) -> tuple:
+        nonlocal t_last, memo
+        if t != t_last:
+            rho = rho_spline(t)
+            t_last, memo = t, (rho, dpsi_spline(t), ctx.stage_factor(rho))
+        return memo
+
     def rhs(t, eta):
-        return -ctx.project_at(rho_spline(t), dpsi_spline(t) * ctx.potential_values(eta, 2))
+        rho, dpsi, factor = stage(t)
+        return -ctx.project_at(factor, rho, dpsi * ctx.potential_values(eta, 2))
 
     eta = v0.coeffs.copy()
     out = [TangentVector(eta, path.densities[0])]

@@ -15,7 +15,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, FoldError, GridMismatchError
 from .grid import (
@@ -101,6 +100,7 @@ def periodic_monotone_resample(sample_x: np.ndarray, sample_v: np.ndarray, grid:
     sample_x must cover one period (any rotation); the sample is extended by
     one period on each side so boundary slopes see wrapped neighbors.
     """
+    from scipy.interpolate import PchipInterpolator  # loaded on first use: a slow import
     order = np.argsort(sample_x)
     x = sample_x[order]
     v = sample_v[order]

@@ -181,7 +181,7 @@ def geodesic_christoffel(mu0: Density, psi0_coeffs, times, N: int | None = None,
         psi_c = state[: 2 * N]
         rho = state[2 * N :]
         dpsi = ctx.potential_values(psi_c, 1)
-        dcoeffs = -ctx.project_at(rho, dpsi * ctx.potential_values(psi_c, 2))
+        dcoeffs = -ctx.project_at(ctx.stage_factor(rho), rho, dpsi * ctx.potential_values(psi_c, 2))
         return np.concatenate([dcoeffs, _continuity_rhs(rho, dpsi, grid)])
 
     state = np.concatenate([coeffs, mu0.rho])

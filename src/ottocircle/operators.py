@@ -13,7 +13,10 @@ L^2(mu) projection of one-forms onto exact forms d(theta).
 WeightedOperatorContext owns every integral of the basis against a density:
 Gram matrices and their Cholesky factors, weighted moments, triple products,
 and the projection at a moving density that the geodesic and transport ODEs
-solve at every RK4 stage.  It is fixed at construction, except that its Gram
+solve at every RK4 stage.  That projection is two steps: stage_factor
+assembles and factors the Gram matrix at the stage density, and project_at
+solves with that factor, so a caller whose stages repeat a density may keep
+the factor.  The context is fixed at construction, except that its own Gram
 matrix is factored on the first solve (a metric-only context never factors).
 
 In the trig basis these integrals are Fourier data of rho: the node
@@ -31,7 +34,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -95,12 +98,16 @@ class WeightedOperatorContext:
         coeffs = self.gram_solve(self.weighted_moment(w_values, 1))
         return coeffs, w_values - coeffs @ self.basis1
 
-    def project_at(self, rho: np.ndarray, w_values: np.ndarray) -> np.ndarray:
+    def stage_factor(self, rho: np.ndarray) -> tuple:
+        """Cholesky factor of the Gram matrix at the density rho, for
+        project_at; a breakdown raises LinAlgError."""
+        return cho_factor(assemble_gram(rho, self.N))
+
+    def project_at(self, factor: tuple, rho: np.ndarray, w_values: np.ndarray) -> np.ndarray:
         """Gram(rho)^{-1} [int w phi_l' rho dvol]: the coefficients of
-        project_gradient_coeffs at the density rho instead of mu.  The Gram
-        matrix at rho is factored afresh; a breakdown raises LinAlgError."""
-        gram = assemble_gram(rho, self.N)
-        return cho_solve(cho_factor(gram), self.basis1 @ (w_values * rho) / self.grid.n)
+        project_gradient_coeffs at the density rho instead of mu, solved with
+        factor = stage_factor(rho)."""
+        return cho_solve(factor, self.basis1 @ (w_values * rho) / self.grid.n)
 
     def triple_products(self) -> np.ndarray:
         """c[i, j, l] = int phi_i' phi_j'' phi_l' dmu over the 2N basis.
@@ -154,6 +161,20 @@ def check_gram(matrix: np.ndarray) -> None:
         )
 
 
+@lru_cache(maxsize=16)
+def _gram_tables(N: int) -> tuple[np.ndarray, ...]:
+    """assemble_gram's tables over 1 <= k, l <= N: the bin indices |k-l| and
+    k+l, the signs sgn(k-l) and the weights kl.  Cached and shared, so
+    read-only."""
+    k = np.arange(1, N + 1)
+    diff = np.subtract.outer(k, k)
+    tables = (np.abs(diff), np.add.outer(k, k), np.sign(diff),
+              np.multiply.outer(k, k).astype(np.float64))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def assemble_gram(rho: np.ndarray, N: int) -> np.ndarray:
     """Otto-metric Gram matrix int phi_i' phi_j' dmu over the 2N basis, from
     the bins C_m = int cos(mx) dmu and S_m = int sin(mx) dmu, m <= 2N:
@@ -166,13 +187,11 @@ def assemble_gram(rho: np.ndarray, N: int) -> np.ndarray:
     quadrature of the basis tables up to roundoff, in O(n log n + N^2)."""
     bins = np.fft.rfft(rho)[: 2 * N + 1] / rho.size
     cos_bins, sin_bins = bins.real, -bins.imag
-    k = np.arange(1, N + 1)
-    diff, total = np.subtract.outer(k, k), np.add.outer(k, k)
-    kl = np.multiply.outer(k, k).astype(np.float64)
-    cross = -kl * (sin_bins[total] + np.sign(diff) * sin_bins[np.abs(diff)])
+    gap, total, sign, kl = _gram_tables(N)
+    cross = -kl * (sin_bins[total] + sign * sin_bins[gap])
     gram = np.empty((2 * N, 2 * N))
-    gram[0::2, 0::2] = kl * (cos_bins[np.abs(diff)] - cos_bins[total])
-    gram[1::2, 1::2] = kl * (cos_bins[np.abs(diff)] + cos_bins[total])
+    gram[0::2, 0::2] = kl * (cos_bins[gap] - cos_bins[total])
+    gram[1::2, 1::2] = kl * (cos_bins[gap] + cos_bins[total])
     gram[0::2, 1::2] = cross
     gram[1::2, 0::2] = cross.T
     return gram

@@ -38,9 +38,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.interpolate import CubicSpline
-from scipy.optimize import linprog
-from scipy.sparse import eye, kron, vstack
 
 from .density import Density
 from .errors import ConfigError, NumericalError
@@ -158,7 +155,8 @@ class _QuantileTable:
         self.q_mid = _quantiles(trig_series(mu.field()), self.s)
 
     @cached_property
-    def spline(self) -> CubicSpline:
+    def spline(self):
+        from scipy.interpolate import CubicSpline  # loaded on first use: a slow import
         s, wobble = self.s, self.q_mid - TWO_PI * self.s
         return CubicSpline(np.append(s, s[0] + 1.0), np.append(wobble, wobble[0]),
                            bc_type="periodic")
@@ -255,6 +253,9 @@ def transport_lp(locations_a, weights_a, locations_b, weights_b) -> TransportPla
     Cost is the squared geodesic distance.  Solved exactly (to solver
     tolerance) as a linear program with both marginal constraint blocks.
     """
+    # loaded on first use: slow imports
+    from scipy.optimize import linprog
+    from scipy.sparse import eye, kron, vstack
     xa = np.asarray(locations_a, dtype=np.float64)
     wa = np.asarray(weights_a, dtype=np.float64)
     xb = np.asarray(locations_b, dtype=np.float64)

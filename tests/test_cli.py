@@ -332,7 +332,7 @@ def test_cholesky_breakdown_exits_three(tmp_path, monkeypatch, capsys):
     stage_calls = []
 
     def broken(*args, **kwargs):
-        if sys._getframe(1).f_code.co_name != "project_at":
+        if sys._getframe(1).f_code.co_name != "stage_factor":
             return real(*args, **kwargs)
         stage_calls.append(1)
         raise np.linalg.LinAlgError("not positive definite")

@@ -7,7 +7,10 @@ tests draw potentials band-limited to N/2.
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
+from scipy.linalg import cho_factor, cho_solve
 
+import ottocircle.operators as operators
 from ottocircle import (
     ChristoffelTensor,
     DomainError,
@@ -127,7 +130,8 @@ def test_stage_projection_is_the_covariant_derivative(ctx_weighted):
     rng = np.random.default_rng(61)
     psi, eta = band_limited_pair(rng, ctx_weighted)
     w = deriv(psi).values * deriv(eta, 2).values
-    np.testing.assert_allclose(-ctx_weighted.project_at(ctx_weighted.mu.rho, w),
+    rho = ctx_weighted.mu.rho
+    np.testing.assert_allclose(-ctx_weighted.project_at(ctx_weighted.stage_factor(rho), rho, w),
                                -covariant_derivative(psi, eta, ctx_weighted).coeffs,
                                rtol=0.0, atol=1e-13)
 
@@ -286,6 +290,53 @@ def test_transport_substep_refinement(transport_path):
         float(np.abs(a.coeffs - b.coeffs).max()) for a, b in zip(coarse, fine)
     )
     assert gap < 1e-7
+
+
+def transport_factoring_every_stage(v0, path, substeps=4):
+    """parallel_transport by a local RK4 that assembles and factors the stage
+    Gram matrix afresh at every stage."""
+    ctx = WeightedOperatorContext(path.densities[0], v0.N)
+    rho_spline = CubicSpline(path.times, np.stack([d.rho for d in path.densities]), axis=0)
+    dpsi_spline = CubicSpline(path.times, np.stack([deriv(p).values for p in path.potentials]),
+                              axis=0)
+
+    def rhs(t, eta):
+        rho = rho_spline(t)
+        w = dpsi_spline(t) * ctx.potential_values(eta, 2)
+        gram = operators.assemble_gram(rho, v0.N)
+        return -cho_solve(cho_factor(gram), ctx.basis1 @ (w * rho) / ctx.grid.n)
+
+    eta, out = v0.coeffs, [v0.coeffs]
+    for t0, t1 in zip(path.times[:-1], path.times[1:]):
+        h, t = (t1 - t0) / substeps, t0
+        for _ in range(substeps):
+            k1 = rhs(t, eta)
+            k2 = rhs(t + 0.5 * h, eta + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, eta + 0.5 * h * k2)
+            k4 = rhs(t + h, eta + h * k3)
+            eta = eta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+        out.append(eta)
+    return out
+
+
+def test_transport_factors_each_stage_time_once(transport_path, monkeypatch):
+    # 17 times, 4 substeps: 16 * 4 steps of 4 stages, but k3 repeats k2's
+    # stage time and the next k1 repeats k4's, so 16 * 4 * 2 + 1 are distinct
+    rng = np.random.default_rng(97)
+    v0 = TangentVector(rng.standard_normal(2 * N_MODES), WEIGHTED)
+    expected = transport_factoring_every_stage(v0, transport_path)
+    real, calls = operators.assemble_gram, []
+
+    def counted(rho, N):
+        calls.append(1)
+        return real(rho, N)
+
+    monkeypatch.setattr(operators, "assemble_gram", counted)
+    moved = parallel_transport(v0, transport_path)
+    assert len(calls) == 129
+    for vector, coeffs in zip(moved, expected, strict=True):
+        assert np.array_equal(vector.coeffs, coeffs)
 
 
 def test_transport_input_validation(transport_path):

@@ -1,4 +1,9 @@
-"""The package's import layers: each module builds only on the ones below it."""
+"""The package's import layers: each module builds only on the ones below it,
+and importing the package leaves scipy's slow submodules unloaded."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 from package_imports import PACKAGE, package_imports
@@ -17,3 +22,15 @@ def test_every_module_has_a_layer():
 def test_module_imports_only_lower_layers(module):
     below = set(LAYERS[: LAYERS.index(module)])
     assert package_imports(module) <= below, package_imports(module) - below
+
+
+def test_import_defers_slow_scipy_submodules():
+    # each of these costs a fresh process tenths of a second; the functions
+    # that use them import them on first use
+    deferred = ("scipy.interpolate", "scipy.optimize", "scipy.sparse")
+    probe = (f"import sys, ottocircle, ottocircle.cli; "
+             f"print(*[m for m in {deferred!r} if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert loaded == []

@@ -28,7 +28,7 @@ from ottocircle import (
     uniform_density,
     weighted_inner,
 )
-from ottocircle.operators import assemble_gram, check_gram
+from ottocircle.operators import _gram_tables, assemble_gram, check_gram
 
 N_MODES = 6
 GRID = GridSpec(128)
@@ -209,6 +209,35 @@ def test_fourier_assembly_matches_node_quadrature(n, N):
     assert np.abs(triple - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
+def gram_with_per_call_tables(rho, N):
+    """assemble_gram with its index tables built afresh on every call: the
+    oracle for the cached tables."""
+    bins = np.fft.rfft(rho)[: 2 * N + 1] / rho.size
+    cos_bins, sin_bins = bins.real, -bins.imag
+    k = np.arange(1, N + 1)
+    diff, total = np.subtract.outer(k, k), np.add.outer(k, k)
+    kl = np.multiply.outer(k, k).astype(np.float64)
+    cross = -kl * (sin_bins[total] + np.sign(diff) * sin_bins[np.abs(diff)])
+    gram = np.empty((2 * N, 2 * N))
+    gram[0::2, 0::2] = kl * (cos_bins[np.abs(diff)] - cos_bins[total])
+    gram[1::2, 1::2] = kl * (cos_bins[np.abs(diff)] + cos_bins[total])
+    gram[0::2, 1::2] = cross
+    gram[1::2, 0::2] = cross.T
+    return gram
+
+
+@pytest.mark.parametrize("n, N", [(256, 8), (512, 32), (1024, 64)])
+def test_cached_gram_tables_are_read_only_and_exact(n, N):
+    tables = _gram_tables(N)
+    assert _gram_tables(N) is tables
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+    rho = full_spectrum_density(GridSpec(n), n + 2 * N).rho
+    assert np.array_equal(assemble_gram(rho, N), gram_with_per_call_tables(rho, N))
+
+
 def test_stage_projection_at_a_moved_density():
     # project_at solves against the Gram matrix of its own rho, not the base's
     grid = GridSpec(256)
@@ -217,7 +246,7 @@ def test_stage_projection_at_a_moved_density():
     w = np.cos(3 * grid.nodes) ** 2 + np.sin(grid.nodes + 0.2)
     moment = ctx.basis1 @ (w * rho) / grid.n
     expected = cho_solve(cho_factor(table_gram(ctx, rho)), moment)
-    solved = ctx.project_at(rho, w)
+    solved = ctx.project_at(ctx.stage_factor(rho), rho, w)
     assert np.abs(solved - expected).max() <= 1e-12 * np.abs(expected).max()
     base = cho_solve(cho_factor(ctx.gram), moment)
     assert np.abs(base - expected).max() > 1e-3 * np.abs(expected).max()
