@@ -3,27 +3,26 @@
 A Density is a smooth positive function rho with unit mass against the
 normalized volume; the measure it represents is mu = rho * dvol.  The
 pushforward under a displacement map x -> x + T(x) uses the exact 1-d
-change-of-variables rho_new(x + T(x)) * (1 + T'(x)) = rho(x) and resamples
-to the grid with monotone (shape-preserving) cubic periodic interpolation,
-then renormalizes the mass.
+change-of-variables rho_new(x + T(x)) * (1 + T'(x)) = rho(x) at the feet x
+of the grid nodes, found by grid.monotone_inverse.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, FoldError, GridMismatchError
 from .grid import (
-    TWO_PI,
     GridSpec,
     ScalarField,
     check_same_grid,
     eval_trig,
     integrate,
+    monotone_inverse,
     trig_series,
 )
 
@@ -32,16 +31,10 @@ MASS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Density:
-    """Positive unit-mass density w.r.t. the normalized volume on the circle.
-
-    mass_drift records |raw mass - 1| absorbed by renormalization when the
-    density came out of a pushforward; it is 0.0 for directly constructed
-    densities.
-    """
+    """Positive unit-mass density w.r.t. the normalized volume on the circle."""
 
     grid: GridSpec
     rho: np.ndarray
-    mass_drift: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=np.float64)
@@ -65,12 +58,12 @@ class Density:
         return hashlib.sha256(self.rho.tobytes()).hexdigest()
 
 
-def make_density(values: ScalarField, mass_drift: float = 0.0) -> Density:
+def make_density(values: ScalarField) -> Density:
     """Normalize positive node values to unit mass."""
     mass = integrate(values)
     if not np.isfinite(mass) or mass <= 0.0:
         raise DomainError(f"cannot normalize values with mass {mass!r}")
-    return Density(values.grid, values.values / mass, mass_drift=mass_drift)
+    return Density(values.grid, values.values / mass)
 
 
 def uniform_density(grid: GridSpec) -> Density:
@@ -94,45 +87,23 @@ def weighted_inner(f: ScalarField, g: ScalarField, mu: Density) -> float:
     return float(np.mean(f.values * g.values * mu.rho))
 
 
-def periodic_monotone_resample(sample_x: np.ndarray, sample_v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Monotone cubic periodic interpolation from scattered points to the grid.
-
-    sample_x must cover one period (any rotation); the sample is extended by
-    one period on each side so boundary slopes see wrapped neighbors.
-    """
-    from scipy.interpolate import PchipInterpolator  # loaded on first use: a slow import
-    order = np.argsort(sample_x)
-    x = sample_x[order]
-    v = sample_v[order]
-    x_ext = np.concatenate([x - TWO_PI, x, x + TWO_PI])
-    v_ext = np.concatenate([v, v, v])
-    interp = PchipInterpolator(x_ext, v_ext, extrapolate=False)
-    return interp(grid.nodes)
-
-
 def pushforward_monotone(mu: Density, displacement: ScalarField) -> Density:
     """Pushforward of mu under x -> x + T(x) for an orientation-preserving map.
 
     Raises FoldError when 1 + T' <= 0 somewhere (checked on a 4x finer grid).
-    The Jacobian formula is sampled at 4n source points (exact band-limited
-    evaluation) before the monotone resample, which keeps the mass defect of
-    the interpolation well under 1e-8; the result is then renormalized, with
-    the defect kept in Density.mass_drift.
+    Each node y takes rho(x) / (1 + T'(x)) at its foot x + T(x) = y, with rho
+    and T evaluated exactly off the grid; the mass is then 1 to roundoff.
     """
     check_same_grid(mu, displacement)
-    x_fine = GridSpec(4 * mu.grid.n).nodes
-    t_fine, dt_fine = eval_trig(trig_series(displacement), x_fine, (0, 1))
-    jac_fine = 1.0 + dt_fine
+    series = trig_series(displacement)
+    jac_fine = 1.0 + eval_trig(series, GridSpec(4 * mu.grid.n).nodes, (1,))[0]
     if jac_fine.min() <= 0.0:
         raise FoldError(f"map folds: min(1 + T') = {jac_fine.min():.3e} <= 0")
-    rho_fine = eval_trig(trig_series(mu.field()), x_fine)[0]
-    y = np.mod(x_fine + t_fine, TWO_PI)
-    v = rho_fine / jac_fine
-    resampled = periodic_monotone_resample(y, v, mu.grid)
-    if not np.all(np.isfinite(resampled)) or resampled.min() <= 0.0:
-        raise FoldError("pushforward resampling produced nonpositive density values")
-    mass = float(np.mean(resampled))
-    return make_density(ScalarField(mu.grid, resampled), mass_drift=abs(mass - 1.0))
+    feet = monotone_inverse(series, 0, 1.0, mu.grid.nodes)
+    values = eval_trig(trig_series(mu.field()), feet)[0] / (1.0 + eval_trig(series, feet, (1,))[0])
+    if not values.min() > 0.0:  # a NaN fails too
+        raise FoldError("pushforward produced nonpositive density values")
+    return make_density(ScalarField(mu.grid, values))
 
 
 # -- serialization ----------------------------------------------------------

@@ -18,7 +18,8 @@ as long as the characteristics x0 + t*psi0'(x0) do not cross (equivalently
     same continuity stepper.  Each RK4 stage is one projection at rho_t
     through the operator context built at mu0 (operators.project_at).
   * displacement_path: pushforward of mu0 by the displacement t * psi0'
-    through the exact Jacobian formula, with the characteristic potentials.
+    through the exact Jacobian formula at the feet of the nodes
+    (density.pushforward_monotone), with the characteristic potentials.
 
 All stored potentials are de-meaned against their own mu_t.  The
 continuity residual is defined at the interior path times only.
@@ -198,7 +199,7 @@ def geodesic_christoffel(mu0: Density, psi0_coeffs, times, N: int | None = None,
 
 def displacement_path(mu0: Density, psi0: ScalarField, times) -> GeodesicPath:
     """Displacement interpolation sampled on a time grid: mu_t is the pushforward
-    of mu0 by x -> x + t*psi0'(x) (exact Jacobian + resample), with
+    of mu0 by x -> x + t*psi0'(x) (exact Jacobian at the feet of the nodes), with
     characteristic potentials attached so the path supports action and
     transport."""
     times, series = _characteristic_setup(mu0, psi0, times)

@@ -18,6 +18,8 @@ meaningful modulo constants.
 All off-grid evaluation goes through one evaluator: trig_series takes a
 field's spectrum once, and eval_trig evaluates any set of derivative orders
 of it, and the antiderivative as order -1, in one Horner pass in e^{ix}.
+monotone_inverse solves x + scale*D(x) = y for one such row D, the one
+iterative inverse of an increasing circle map (quantiles, pushforwards).
 """
 
 from __future__ import annotations
@@ -27,10 +29,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AliasingError, ConfigError, GridMismatchError
+from .errors import AliasingError, ConfigError, GridMismatchError, NumericalError
 
 TWO_PI = 2.0 * np.pi
 SQRT2 = np.sqrt(2.0)
+
+# uniform cells of the table that seeds monotone_inverse; linear inversion on
+# cells of width h = 2*pi/8192 leaves a seed error of about h^2/8 times the
+# map's max|G''/G'| (1e-8 to 1e-6 for the maps used here), which one or two
+# Newton steps take to the 1e-14 stopping rule
+SEED_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,15 @@ def trig_series(f: ScalarField) -> TrigSeries:
     return TrigSeries(n, mean, np.arange(1, n // 2 + 1, dtype=np.float64)[keep], c[keep])
 
 
+def _rows(series: TrigSeries, orders) -> np.ndarray:
+    """The coefficients d_k of each order's row, f^(p) = constant + Re sum_k d_k e^{ikx}.
+    d/dx multiplies c_k by ik; positive odd orders drop the Nyquist mode."""
+    k = series.k
+    rows = np.array([series.c * ((1, 1j, -1, -1j)[p % 4] * k**p) for p in orders])
+    rows[np.ix_([p > 0 and p % 2 == 1 for p in orders], k == series.n // 2)] = 0.0
+    return rows
+
+
 def eval_trig(series: TrigSeries, points: np.ndarray, orders=(0,)) -> np.ndarray:
     """One row per requested derivative order at arbitrary points, all from one
     Horner pass in z = e^{ix}, one power of z per distinct gap between kept
@@ -157,9 +174,7 @@ def eval_trig(series: TrigSeries, points: np.ndarray, orders=(0,)) -> np.ndarray
     the Nyquist mode, matching deriv(); the other orders keep it."""
     points = np.asarray(points, dtype=np.float64)
     k = series.k
-    # d/dx multiplies c_k by ik; the row of order p is Re sum_k d_k z^k
-    rows = np.array([series.c * ((1, 1j, -1, -1j)[p % 4] * k**p) for p in orders])
-    rows[np.ix_([p > 0 and p % 2 == 1 for p in orders], k == series.n // 2)] = 0.0
+    rows = _rows(series, orders)
     # sum_k d_k z^k = z^g1 (d_1 + z^g2 (d_2 + ... + z^gm d_m)), g the gaps
     gaps = [b - a for a, b in zip([0.0] + k.tolist(), k.tolist())]
     powers = {g: np.exp(1j * g * points.ravel()) for g in set(gaps)}
@@ -174,6 +189,65 @@ def eval_trig(series: TrigSeries, points: np.ndarray, orders=(0,)) -> np.ndarray
         elif p == -1:
             row -= value_at_0
     return out.reshape((len(orders),) + points.shape)
+
+
+def monotone_inverse(series: TrigSeries, order: int, scale: float, targets) -> np.ndarray:
+    """The root x of G(x) = x + scale*D(x) = y at each target y, where D is row
+    `order` of eval_trig on `series` and G is increasing (1 + scale*D' > 0).
+    G(x + 2*pi) = G(x) + 2*pi, so every real target has one root.
+
+    One zero-padded inverse FFT tabulates G on the nodes of SEED_CELLS uniform
+    cells of one turn (2n on a finer grid), and linear inversion of that table
+    seeds Newton.  The bracket is the seed's cell widened by one cell on each
+    side, which holds the root whatever the table's roundoff; a step that
+    leaves it bisects instead.  Only the active set is evaluated and stepped:
+    a point whose residual is below 1e-14 is frozen, so converged points
+    neither cost an evaluation nor drift onto their bracket ends.  Raises
+    NumericalError, naming the worst index, its target and residual, when a
+    residual is still above 1e-12 after 80 iterations.
+    """
+    y = np.asarray(targets, dtype=np.float64)
+    cells = max(SEED_CELLS, 2 * series.n)  # resolves every kept wavenumber
+    spectrum = np.zeros(cells // 2 + 1, dtype=np.complex128)
+    spectrum[series.k.astype(np.intp)] = 0.5 * cells * _rows(series, (order,))[0]
+    spectrum[0] = cells * series.mean if order == 0 else 0.0
+    wobble = np.fft.irfft(spectrum, cells)
+    if order == -1:  # int_0^0 is exactly zero, so G(0) = 0 and G(2*pi) = 2*pi
+        wobble -= wobble[0]
+    nodes = TWO_PI * np.arange(cells + 1) / cells
+    table = nodes + scale * np.append(wobble, wobble[0])
+    # each target moved by whole turns into [G(0), G(0) + 2*pi), the table's range
+    flat = y.ravel()
+    turns = np.floor((flat - table[0]) / TWO_PI)
+    goal = flat - TWO_PI * turns
+    x = np.interp(goal, table, nodes)
+    cell = np.clip(np.searchsorted(nodes, x, "right") - 1, 0, cells - 1)
+    lo, hi = nodes[np.maximum(cell - 1, 0)], nodes[np.minimum(cell + 2, cells)]
+    # order -1 is int_0^x (f - mean), whose slope is row 0 less the mean
+    slope_shift = series.mean if order == -1 else 0.0
+    active = np.arange(flat.size)
+    for _ in range(80):
+        value, slope = eval_trig(series, x[active], (order, order + 1))
+        xa = x[active]
+        err = xa + scale * value - goal[active]
+        moving = ~(np.abs(err) < 1e-14)  # a NaN residual stays active
+        if not moving.any():
+            break
+        active, xa, err = active[moving], xa[moving], err[moving]
+        slope = 1.0 + scale * (slope[moving] - slope_shift)
+        hi[active] = np.where(err > 0.0, np.minimum(hi[active], xa), hi[active])
+        lo[active] = np.where(err < 0.0, np.maximum(lo[active], xa), lo[active])
+        x_new = xa - err / slope
+        bad = (x_new <= lo[active]) | (x_new >= hi[active])
+        x[active] = np.where(bad, 0.5 * (lo[active] + hi[active]), x_new)
+    else:
+        resid = np.abs(x + scale * eval_trig(series, x, (order,))[0] - goal)
+        worst = int(np.argmax(resid))
+        if not resid[worst] <= 1e-12:  # a NaN residual fails too
+            raise NumericalError(
+                f"monotone inverse failed to converge after 80 iterations: worst "
+                f"index {worst} (target {float(flat[worst])!r}) has residual {resid[worst]:.3e}")
+    return (x + TWO_PI * turns).reshape(y.shape)
 
 
 def time_grid(times) -> np.ndarray:

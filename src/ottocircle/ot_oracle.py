@@ -9,20 +9,19 @@ Two deliberately separate routes to the quadratic Wasserstein distance:
         int_0^1 (Fmu^{-1}(s) - Gnu^{-1}(s + c))^2 ds,
 
     with the target quantile extended periodically,
-    Gnu^{-1}(u + 1) = Gnu^{-1}(u) + 2*pi.  _cdf_pdf, the CDF, is order -1
-    of grid.eval_trig (one Horner pass) on a density's TrigSeries, and
-    _quantiles, a function of the same series, runs safeguarded Newton at
-    the m = QUANTILE_MIDPOINTS midpoints.  Newton starts from a CDF table
-    on a fine uniform grid, evaluated by one inverse FFT of the spectrum and
-    inverted by linear interpolation, and steps only the points that have
-    not yet converged, so a table costs about two CDF evaluations.  One FFT
-    correlation scans the costs of all grid-aligned cuts c = j/m in [-1, 1]
-    (Delon, Salomon & Sobolevski 2010); the best of the exact costs at its
-    argmin and neighbours picks the bracket of two cells around it.  On a
-    periodic cubic spline through the target's midpoint quantiles (built
-    when a table first serves as a target), whose nodes are the midpoints,
-    the cost on each cell is a polynomial of degree 6 in the cut, minimized
-    exactly over the roots of its derivative inside the cell.
+    Gnu^{-1}(u + 1) = Gnu^{-1}(u) + 2*pi.  The CDF is x + int_0^x (rho - 1),
+    over 2*pi: order -1 of grid.eval_trig on a density's TrigSeries.  A
+    table inverts it at the m = QUANTILE_MIDPOINTS midpoints with
+    grid.monotone_inverse (safeguarded Newton from a seed table built by one
+    inverse FFT, stepping only unconverged points), so a table costs about
+    two CDF evaluations.  One FFT correlation scans the costs of all
+    grid-aligned cuts c = j/m in [-1, 1] (Delon, Salomon & Sobolevski 2010);
+    the best of the exact costs at its argmin and neighbours picks the
+    bracket of two cells around it.  On a periodic cubic spline through the
+    target's midpoint quantiles (built when a table first serves as a
+    target), whose nodes are the midpoints, the cost on each cell is a
+    polynomial of degree 6 in the cut, minimized exactly over the roots of
+    its derivative inside the cell.
   * transport_lp: a linear program on explicit atoms with squared circular
     distance cost, solved by scipy's HiGHS backend.  w2_lp discretizes a pair
     of densities onto m atoms and calls it.
@@ -41,16 +40,10 @@ from numpy.polynomial import polynomial as P
 
 from .density import Density
 from .errors import ConfigError, NumericalError
-from .grid import TWO_PI, TrigSeries, check_same_grid, eval_trig, trig_series
+from .grid import TWO_PI, TrigSeries, check_same_grid, eval_trig, monotone_inverse, trig_series
 
 # midpoint-rule resolution of the quantile mismatch integral
 QUANTILE_MIDPOINTS = 2048
-
-# uniform cells of the CDF table that seeds quantile Newton; linear inversion
-# on cells of width h = 2*pi/8192 leaves a seed error of about
-# h^2/8 * max|rho'/rho| (1e-8 to 1e-6 for the densities used here), which one
-# or two Newton steps take to the 1e-14 stopping rule
-SEED_CELLS = 8192
 
 
 def circular_distance(a, b):
@@ -67,67 +60,6 @@ def _cdf_pdf(series: TrigSeries, x: np.ndarray):
     # the unit mean integrates to x; order -1 is the rest of int_0^x rho
     wobble, pdf = eval_trig(series, x, (-1, 0))
     return (x + wobble) / TWO_PI, pdf / TWO_PI
-
-
-def _seed(series: TrigSeries, s: np.ndarray):
-    """Newton start x0 and bracket [lo, hi] of the quantile at each target s.
-
-    One zero-padded inverse FFT evaluates the CDF series on the nodes of
-    SEED_CELLS uniform cells, with F(0) = 0 and F(2*pi) = 1 pinned, and
-    x0 inverts that table by linear interpolation.  The bracket is the
-    cell around x0 widened by one cell on each side, which holds the
-    root whatever the table's roundoff.
-    """
-    cells = SEED_CELLS
-    spectrum = np.zeros(cells // 2 + 1, dtype=np.complex128)
-    # c_k e^{ikx} integrates to c_k e^{ikx} / (ik); the constant pins F(0) = 0
-    spectrum[series.k.astype(np.intp)] = 0.5 * cells * series.c / (1j * series.k)
-    spectrum[0] = -2.0 * spectrum[1:].real.sum()
-    nodes = TWO_PI * np.arange(cells + 1) / cells
-    table = np.empty(cells + 1)
-    table[:-1] = (nodes[:-1] + np.fft.irfft(spectrum, cells)) / TWO_PI
-    table[0], table[-1] = 0.0, 1.0
-    x0 = np.interp(s, table, nodes)
-    cell = np.clip(np.floor(x0 / (TWO_PI / cells)).astype(np.intp), 0, cells - 1)
-    return x0, nodes[np.maximum(cell - 1, 0)], nodes[np.minimum(cell + 2, cells)]
-
-
-def _quantiles(series: TrigSeries, s):
-    """Invert _cdf_pdf's CDF on [0, 2*pi] by safeguarded Newton from _seed.
-
-    One or two steps meet the 1e-14 stopping rule; a step that leaves the
-    bracket bisects instead.  Only the active set is evaluated and stepped:
-    a point whose residual is below 1e-14 is frozen, so converged points
-    neither cost a CDF evaluation nor drift onto their own bracket ends.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    if series.k.size == 0:
-        return TWO_PI * s
-    flat = s.ravel()
-    x, lo, hi = _seed(series, flat)
-    active = np.arange(flat.size)
-    for _ in range(80):
-        value, slope = _cdf_pdf(series, x[active])
-        err = value - flat[active]
-        moving = ~(np.abs(err) < 1e-14)  # a NaN residual stays active
-        if not moving.any():
-            break
-        active, err, slope = active[moving], err[moving], slope[moving]
-        xa = x[active]
-        hi[active] = np.where(err > 0.0, np.minimum(hi[active], xa), hi[active])
-        lo[active] = np.where(err < 0.0, np.maximum(lo[active], xa), lo[active])
-        x_new = xa - err / slope
-        bad = (x_new <= lo[active]) | (x_new >= hi[active])
-        x[active] = np.where(bad, 0.5 * (lo[active] + hi[active]), x_new)
-    else:
-        resid = np.abs(_cdf_pdf(series, x)[0] - flat)
-        worst = int(np.argmax(resid))
-        if not resid[worst] <= 1e-12:  # a NaN residual fails too
-            raise NumericalError(
-                f"quantile iteration failed to converge after 80 iterations: "
-                f"worst index {worst} (s = {float(flat[worst])!r}) has residual "
-                f"{resid[worst]:.3e}")
-    return x.reshape(s.shape)
 
 
 @dataclass(frozen=True)
@@ -152,7 +84,8 @@ class _QuantileTable:
 
     def __init__(self, mu: Density, m: int):
         self.s = (np.arange(m) + 0.5) / m
-        self.q_mid = _quantiles(trig_series(mu.field()), self.s)
+        # the CDF is (x + D(x)) / (2*pi), with D order -1 of the series
+        self.q_mid = monotone_inverse(trig_series(mu.field()), -1, 1.0, TWO_PI * self.s)
 
     @cached_property
     def spline(self):

@@ -409,7 +409,7 @@ def criterion_12_truncation(session: ValidationSession) -> dict:
 
     Both routes advance the density with the same continuity stepper, so the
     comparison isolates the truncation of the potential ODE; the displacement
-    route is excluded because its resampling floor does not depend on N.
+    route is excluded because it does not depend on N.
     """
     psi0 = session.scenario_psi0
     times = session.scenario_times

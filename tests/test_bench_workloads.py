@@ -1,11 +1,13 @@
-"""The benchmark's galerkin_large workload runs one pass with no failed item,
-at the benchmark's own tolerances and at three input seeds: a library change
-that breaks an API the benchmark calls, or moves a number past one of its
-checks, fails here, not only in a benchmark run."""
+"""The benchmark's workloads run with no failed item, at the benchmark's own
+tolerances: galerkin_large for one pass at three input seeds, cli_defaults for
+one pass and its determinism re-run at seed 0.  A library change that breaks
+an API the benchmark calls, or moves a number past one of its checks, fails
+here, not only in a benchmark run."""
 
 from pathlib import Path
 
 import ottocircle
+import ottocircle.cli  # the workloads read the CLI module as an attribute, as run.py loads it
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -20,5 +22,18 @@ def test_galerkin_large_pass_has_no_failed_item(monkeypatch, tmp_path, seed):
     workload = workloads.GalerkinLarge(ottocircle, seed, str(tmp_path))
     tally = harness.Tally()
     workload.run_pass(tally)
+    assert tally.attempted > 0
+    assert tally.failed == 0, tally.failures
+
+
+def test_cli_defaults_pass_has_no_failed_item(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import harness
+    import workloads
+
+    workload = workloads.CliDefaults(ottocircle, 0, str(tmp_path))
+    tally = harness.Tally()
+    workload.run_pass(tally)
+    workload.finish(tally)
     assert tally.attempted > 0
     assert tally.failed == 0, tally.failures

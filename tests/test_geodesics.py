@@ -10,6 +10,7 @@ from ottocircle import (
     GeodesicPath,
     GridSpec,
     ScalarField,
+    ValidationSession,
     action,
     constant_speed_report,
     continuity_residual,
@@ -224,6 +225,14 @@ def test_routes_agree(hj_path):
     rho_di = np.stack([d.rho for d in di.densities])
     assert np.abs(rho_hj - rho_ch).max() < 1e-8
     assert np.abs(rho_hj - rho_di).max() < 1e-6
+
+
+def test_displacement_route_matches_hj_to_roundoff():
+    # criterion 4's scenario: the pushforward takes the exact Jacobian at the
+    # feet of the nodes, so it meets the HJ route at the RK4 error, ~1e-13
+    paths = ValidationSession().scenario_paths
+    rho = {name: np.stack([d.rho for d in path.densities]) for name, path in paths.items()}
+    assert np.abs(rho["displacement"] - rho["hj"]).max() <= 1e-12
 
 
 def test_christoffel_route_accepts_tangent_vector():

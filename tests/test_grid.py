@@ -9,6 +9,7 @@ from ottocircle import (
     ConfigError,
     GridMismatchError,
     GridSpec,
+    NumericalError,
     ScalarField,
     WeightedOperatorContext,
     basis_matrix,
@@ -23,7 +24,8 @@ from ottocircle import (
     uniform_density,
     weighted_inner,
 )
-from ottocircle.grid import aliasing_bound, check_same_grid, rk4
+from ottocircle import grid as grid_module
+from ottocircle.grid import TrigSeries, aliasing_bound, check_same_grid, monotone_inverse, rk4
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +248,36 @@ def test_eval_trig_keeps_the_point_shape(grid, points):
     rows = eval_trig(series, points, (0, 2))
     assert rows.shape == (2,) + np.shape(points)
     np.testing.assert_allclose(rows[0], np.cos(points) + 0.2 * np.sin(3 * points), atol=1e-14)
+
+
+def _near_fold_series(order):
+    """n = 64 series whose row `order` is D = 0.999 sin(30x)/30, so that every
+    order inverts the one map x + D(x), of slope 1 + 0.999 cos(30x) >= 1e-3."""
+    x = GridSpec(64).nodes
+    values = {-1: 1.0 + 0.999 * np.cos(30 * x), 0: 0.999 * np.sin(30 * x) / 30,
+              1: -0.999 * np.cos(30 * x) / 900}[order]
+    return trig_series(ScalarField(GridSpec(64), values))
+
+
+@pytest.mark.parametrize("order", [-1, 0, 1])
+def test_monotone_inverse_solves_every_order_over_two_turns(monkeypatch, order):
+    series = _near_fold_series(order)
+    y = np.linspace(-2.0 * np.pi, 2.0 * np.pi, 20001)
+    # the default table, then one of 2n = 128 cells (SEED_CELLS below 2n):
+    # seeded a few cells from the root on the 1e-3 flats, Newton leaves the
+    # bracket there and bisection takes over (plain Newton fails to converge)
+    for cells in (grid_module.SEED_CELLS, 16):
+        monkeypatch.setattr(grid_module, "SEED_CELLS", cells)
+        x = monotone_inverse(series, order, 1.0, y)
+        assert x.shape == y.shape
+        assert np.abs(x + eval_trig(series, x, (order,))[0] - y).max() <= 1e-13
+        assert np.all(np.diff(x) > 0.0)
+
+
+def test_monotone_inverse_names_the_worst_index_of_a_nan_series():
+    series = TrigSeries(64, np.nan, np.array([1.0, 2.0]), np.array([np.nan, 0.1 + 0.2j]))
+    with pytest.raises(NumericalError, match=r"worst index 0 \(target 0\.5\) has residual nan"):
+        monotone_inverse(series, 0, 1.0, np.array([0.5, 1.0]))
 
 
 def test_field_from_coeffs_matches_basis(grid):

@@ -24,13 +24,26 @@ def test_module_imports_only_lower_layers(module):
     assert package_imports(module) <= below, package_imports(module) - below
 
 
+def _fresh_process_output(probe: str) -> list[str]:
+    """The words a fresh interpreter prints after running probe on this package."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
 def test_import_defers_slow_scipy_submodules():
     # each of these costs a fresh process tenths of a second; the functions
     # that use them import them on first use
     deferred = ("scipy.interpolate", "scipy.optimize", "scipy.sparse")
-    probe = (f"import sys, ottocircle, ottocircle.cli; "
-             f"print(*[m for m in {deferred!r} if m in sys.modules])")
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                            capture_output=True, text=True).stdout.split()
-    assert loaded == []
+    assert _fresh_process_output(f"import sys, ottocircle, ottocircle.cli; "
+                                 f"print(*[m for m in {deferred!r} if m in sys.modules])") == []
+
+
+def test_displacement_path_needs_no_interpolation_module():
+    # the pushforward evaluates the Jacobian at the feet of the nodes; it
+    # resamples nothing, so scipy.interpolate stays unloaded
+    probe = ("import sys, numpy as np, ottocircle as oc; g = oc.GridSpec(32); "
+             "psi = oc.ScalarField(g, 0.1 * np.cos(g.nodes)); "
+             "oc.displacement_path(oc.uniform_density(g), psi, [0.0, 0.5, 1.0]); "
+             "print('scipy.interpolate' in sys.modules)")
+    assert _fresh_process_output(probe) == ["False"]

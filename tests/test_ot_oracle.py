@@ -21,8 +21,9 @@ from ottocircle import (
     uniform_density,
     w2_lp,
 )
-from ottocircle import ot_oracle
-from ottocircle.ot_oracle import QUANTILE_MIDPOINTS, _QuantileTable, _cdf_pdf, _quantiles
+from ottocircle import grid, ot_oracle
+from ottocircle.grid import monotone_inverse
+from ottocircle.ot_oracle import QUANTILE_MIDPOINTS, _QuantileTable, _cdf_pdf
 from package_imports import PACKAGE, imported_modules, package_imports
 
 GRID = GridSpec(256)
@@ -138,7 +139,7 @@ def test_cut_scan_finds_the_exhaustive_grid_minimum(name):
 @pytest.mark.parametrize("name, w2, shift", [
     ("phase_half_pi", 0.8916000899889918, 0.19584723919508296),
     ("mode2_mode3", 0.176091511027785, 0.019605742130928142),
-    ("flow_pushforward", 0.20876817557197277, -5.246416147413516e-10),
+    ("flow_pushforward", 0.20876817955336602, -5.246416147413516e-10),
 ])
 def test_distance_values_are_pinned(name, w2, shift):
     result = CircleDistanceSolver().distance(*_scan_pair(name))
@@ -232,14 +233,19 @@ def _series(mu):
     return trig_series(mu.field())
 
 
+def _quantiles(series, s):
+    """The CDF's inverse at s: x + int_0^x (rho - 1) = 2*pi*s."""
+    return monotone_inverse(series, -1, 1.0, 2.0 * np.pi * np.asarray(s))
+
+
 def test_table_build_inverts_the_cdf_once(monkeypatch):
     calls = []
 
-    def counting(series, s):
-        calls.append(np.size(s))
-        return _quantiles(series, s)
+    def counting(series, order, scale, targets):
+        calls.append(np.size(targets))
+        return monotone_inverse(series, order, scale, targets)
 
-    monkeypatch.setattr(ot_oracle, "_quantiles", counting)
+    monkeypatch.setattr(ot_oracle, "monotone_inverse", counting)
     _QuantileTable(cosine_density(GRID, 0.3), 64)
     assert calls == [64]
 
@@ -286,21 +292,29 @@ def test_table_off_grid_matches_direct_quantile(name):
 
 def _flow_density():
     # the t = 3 density of criterion 7's flow path: 1 + 0.3 cos x pushed
-    # along grad(0.1 cos x), which keeps all 128 modes at n = 256
+    # along grad(0.1 cos x)
     psi = ScalarField(GRID, 0.1 * np.cos(GRID.nodes))
     return flow_path(cosine_density(GRID, 0.3), psi, [0.0, 3.0]).densities[-1]
 
 
+def _all_modes_density():
+    # 1 + 0.3 sum_k cos(k (x - 1)) / k^2 over k <= 128: all 128 modes at n = 256
+    k = np.arange(1, 129)
+    values = 1.0 + 0.3 * (np.cos(np.outer(GRID.nodes, k) - k) / k**2).sum(axis=1)
+    return Density(GRID, values / values.mean())
+
+
 def test_quantile_evaluates_only_unconverged_points(monkeypatch):
-    series = _series(_flow_density())
+    series = _series(_all_modes_density())
     assert series.k.size == 128
     points = []
+    eval_trig = grid.eval_trig
 
-    def counting(series, x):
+    def counting(series, x, orders):
         points.append(x.size)
-        return _cdf_pdf(series, x)
+        return eval_trig(series, x, orders)
 
-    monkeypatch.setattr(ot_oracle, "_cdf_pdf", counting)
+    monkeypatch.setattr(grid, "eval_trig", counting)
     m = QUANTILE_MIDPOINTS
     _quantiles(series, (np.arange(m) + 0.5) / m)
     # the seeded start needs one Newton step; converged points are frozen
@@ -308,10 +322,10 @@ def test_quantile_evaluates_only_unconverged_points(monkeypatch):
 
 
 def test_quantile_meets_the_stopping_rule_at_every_midpoint():
-    series = _series(_flow_density())
     m = QUANTILE_MIDPOINTS
     s = (np.arange(m) + 0.5) / m
-    assert np.abs(_cdf_pdf(series, _quantiles(series, s))[0] - s).max() < 1e-14
+    for series in (_series(_flow_density()), _series(_all_modes_density())):
+        assert np.abs(_cdf_pdf(series, _quantiles(series, s))[0] - s).max() < 1e-14
 
 
 @pytest.mark.parametrize("name", ["uniform", "cosine", "flow_pushforward"])
@@ -325,15 +339,17 @@ def test_quantile_pins_the_exact_endpoints(name):
 
 def test_quantile_non_convergence_names_index_and_residual(monkeypatch):
     series = _series(cosine_density(GRID, 0.3))
+    eval_trig = grid.eval_trig
 
-    def offset(series, x):
-        value, slope = _cdf_pdf(series, x)
-        return value + 1e-9, slope
+    def offset(series, x, orders):
+        rows = eval_trig(series, x, orders)
+        rows[0] += 1e-9
+        return rows
 
     # an offset CDF sits above s = 0 on all of [0, 2*pi], so that target
     # cannot converge while the others still do
-    monkeypatch.setattr(ot_oracle, "_cdf_pdf", offset)
-    with pytest.raises(NumericalError, match=r"worst index 1 \(s = 0\.0\) has residual 1\.000e-09"):
+    monkeypatch.setattr(grid, "eval_trig", offset)
+    with pytest.raises(NumericalError, match=r"worst index 1 \(target 0\.0\) has residual 1\.000e-09"):
         _quantiles(series, np.array([0.25, 0.0, 0.75]))
 
 
