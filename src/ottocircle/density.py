@@ -99,7 +99,7 @@ def pushforward_monotone(mu: Density, displacement: ScalarField) -> Density:
     jac_fine = 1.0 + eval_trig(series, GridSpec(4 * mu.grid.n).nodes, (1,))[0]
     if jac_fine.min() <= 0.0:
         raise FoldError(f"map folds: min(1 + T') = {jac_fine.min():.3e} <= 0")
-    feet = monotone_inverse(series, 0, 1.0, mu.grid.nodes)
+    feet = monotone_inverse(series, 0, mu.grid.nodes)
     values = eval_trig(trig_series(mu.field()), feet)[0] / (1.0 + eval_trig(series, feet, (1,))[0])
     if not values.min() > 0.0:  # a NaN fails too
         raise FoldError("pushforward produced nonpositive density values")

@@ -18,7 +18,7 @@ meaningful modulo constants.
 All off-grid evaluation goes through one evaluator: trig_series takes a
 field's spectrum once, and eval_trig evaluates any set of derivative orders
 of it, and the antiderivative as order -1, in one Horner pass in e^{ix}.
-monotone_inverse solves x + scale*D(x) = y for one such row D, the one
+monotone_inverse solves x + D(x) = y for one such row D, the one
 iterative inverse of an increasing circle map (quantiles, pushforwards).
 """
 
@@ -191,9 +191,9 @@ def eval_trig(series: TrigSeries, points: np.ndarray, orders=(0,)) -> np.ndarray
     return out.reshape((len(orders),) + points.shape)
 
 
-def monotone_inverse(series: TrigSeries, order: int, scale: float, targets) -> np.ndarray:
-    """The root x of G(x) = x + scale*D(x) = y at each target y, where D is row
-    `order` of eval_trig on `series` and G is increasing (1 + scale*D' > 0).
+def monotone_inverse(series: TrigSeries, order: int, targets) -> np.ndarray:
+    """The root x of G(x) = x + D(x) = y at each target y, where D is row
+    `order` of eval_trig on `series` and G is increasing (1 + D' > 0).
     G(x + 2*pi) = G(x) + 2*pi, so every real target has one root.
 
     One zero-padded inverse FFT tabulates G on the nodes of SEED_CELLS uniform
@@ -215,7 +215,7 @@ def monotone_inverse(series: TrigSeries, order: int, scale: float, targets) -> n
     if order == -1:  # int_0^0 is exactly zero, so G(0) = 0 and G(2*pi) = 2*pi
         wobble -= wobble[0]
     nodes = TWO_PI * np.arange(cells + 1) / cells
-    table = nodes + scale * np.append(wobble, wobble[0])
+    table = nodes + np.append(wobble, wobble[0])
     # each target moved by whole turns into [G(0), G(0) + 2*pi), the table's range
     flat = y.ravel()
     turns = np.floor((flat - table[0]) / TWO_PI)
@@ -229,19 +229,19 @@ def monotone_inverse(series: TrigSeries, order: int, scale: float, targets) -> n
     for _ in range(80):
         value, slope = eval_trig(series, x[active], (order, order + 1))
         xa = x[active]
-        err = xa + scale * value - goal[active]
+        err = xa + value - goal[active]
         moving = ~(np.abs(err) < 1e-14)  # a NaN residual stays active
         if not moving.any():
             break
         active, xa, err = active[moving], xa[moving], err[moving]
-        slope = 1.0 + scale * (slope[moving] - slope_shift)
+        slope = 1.0 + slope[moving] - slope_shift
         hi[active] = np.where(err > 0.0, np.minimum(hi[active], xa), hi[active])
         lo[active] = np.where(err < 0.0, np.maximum(lo[active], xa), lo[active])
         x_new = xa - err / slope
         bad = (x_new <= lo[active]) | (x_new >= hi[active])
         x[active] = np.where(bad, 0.5 * (lo[active] + hi[active]), x_new)
     else:
-        resid = np.abs(x + scale * eval_trig(series, x, (order,))[0] - goal)
+        resid = np.abs(x + eval_trig(series, x, (order,))[0] - goal)
         worst = int(np.argmax(resid))
         if not resid[worst] <= 1e-12:  # a NaN residual fails too
             raise NumericalError(

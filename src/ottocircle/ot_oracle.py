@@ -55,11 +55,10 @@ def circular_distance(a, b):
 # -- spectral CDF / quantiles ------------------------------------------------
 
 
-def _cdf_pdf(series: TrigSeries, x: np.ndarray):
-    """CDF int_0^x rho dx / (2*pi) and its slope at x, for the density `series`."""
+def _cdf(series: TrigSeries, x: np.ndarray) -> np.ndarray:
+    """CDF int_0^x rho dx / (2*pi) at x, for the density `series`."""
     # the unit mean integrates to x; order -1 is the rest of int_0^x rho
-    wobble, pdf = eval_trig(series, x, (-1, 0))
-    return (x + wobble) / TWO_PI, pdf / TWO_PI
+    return (x + eval_trig(series, x, (-1,))[0]) / TWO_PI
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ class _QuantileTable:
     def __init__(self, mu: Density, m: int):
         self.s = (np.arange(m) + 0.5) / m
         # the CDF is (x + D(x)) / (2*pi), with D order -1 of the series
-        self.q_mid = monotone_inverse(trig_series(mu.field()), -1, 1.0, TWO_PI * self.s)
+        self.q_mid = monotone_inverse(trig_series(mu.field()), -1, TWO_PI * self.s)
 
     @cached_property
     def spline(self):
@@ -233,7 +232,7 @@ def density_atoms(mu: Density, m: int):
         raise ConfigError("need at least 2 atoms")
     edges = TWO_PI * np.arange(m + 1) / m
     locations = 0.5 * (edges[:-1] + edges[1:])
-    weights = np.diff(_cdf_pdf(trig_series(mu.field()), edges)[0])
+    weights = np.diff(_cdf(trig_series(mu.field()), edges))
     if weights.min() <= 0.0:
         raise NumericalError("cell mass came out nonpositive")
     return locations, weights / weights.sum()

@@ -268,7 +268,7 @@ def test_monotone_inverse_solves_every_order_over_two_turns(monkeypatch, order):
     # bracket there and bisection takes over (plain Newton fails to converge)
     for cells in (grid_module.SEED_CELLS, 16):
         monkeypatch.setattr(grid_module, "SEED_CELLS", cells)
-        x = monotone_inverse(series, order, 1.0, y)
+        x = monotone_inverse(series, order, y)
         assert x.shape == y.shape
         assert np.abs(x + eval_trig(series, x, (order,))[0] - y).max() <= 1e-13
         assert np.all(np.diff(x) > 0.0)
@@ -277,7 +277,7 @@ def test_monotone_inverse_solves_every_order_over_two_turns(monkeypatch, order):
 def test_monotone_inverse_names_the_worst_index_of_a_nan_series():
     series = TrigSeries(64, np.nan, np.array([1.0, 2.0]), np.array([np.nan, 0.1 + 0.2j]))
     with pytest.raises(NumericalError, match=r"worst index 0 \(target 0\.5\) has residual nan"):
-        monotone_inverse(series, 0, 1.0, np.array([0.5, 1.0]))
+        monotone_inverse(series, 0, np.array([0.5, 1.0]))
 
 
 def test_field_from_coeffs_matches_basis(grid):

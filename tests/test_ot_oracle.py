@@ -23,7 +23,7 @@ from ottocircle import (
 )
 from ottocircle import grid, ot_oracle
 from ottocircle.grid import monotone_inverse
-from ottocircle.ot_oracle import QUANTILE_MIDPOINTS, _QuantileTable, _cdf_pdf
+from ottocircle.ot_oracle import QUANTILE_MIDPOINTS, _QuantileTable, _cdf
 from package_imports import PACKAGE, imported_modules, package_imports
 
 GRID = GridSpec(256)
@@ -235,15 +235,15 @@ def _series(mu):
 
 def _quantiles(series, s):
     """The CDF's inverse at s: x + int_0^x (rho - 1) = 2*pi*s."""
-    return monotone_inverse(series, -1, 1.0, 2.0 * np.pi * np.asarray(s))
+    return monotone_inverse(series, -1, 2.0 * np.pi * np.asarray(s))
 
 
 def test_table_build_inverts_the_cdf_once(monkeypatch):
     calls = []
 
-    def counting(series, order, scale, targets):
+    def counting(series, order, targets):
         calls.append(np.size(targets))
-        return monotone_inverse(series, order, scale, targets)
+        return monotone_inverse(series, order, targets)
 
     monkeypatch.setattr(ot_oracle, "monotone_inverse", counting)
     _QuantileTable(cosine_density(GRID, 0.3), 64)
@@ -325,7 +325,7 @@ def test_quantile_meets_the_stopping_rule_at_every_midpoint():
     m = QUANTILE_MIDPOINTS
     s = (np.arange(m) + 0.5) / m
     for series in (_series(_flow_density()), _series(_all_modes_density())):
-        assert np.abs(_cdf_pdf(series, _quantiles(series, s))[0] - s).max() < 1e-14
+        assert np.abs(_cdf(series, _quantiles(series, s)) - s).max() < 1e-14
 
 
 @pytest.mark.parametrize("name", ["uniform", "cosine", "flow_pushforward"])
