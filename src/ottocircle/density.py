@@ -2,9 +2,9 @@
 
 A Density is a smooth positive function rho with unit mass against the
 normalized volume; the measure it represents is mu = rho * dvol.  The
-pushforward under a displacement map x -> x + T(x) uses the exact 1-d
-change-of-variables rho_new(x + T(x)) * (1 + T'(x)) = rho(x) at the feet x
-of the grid nodes, found by grid.monotone_inverse.
+pushforward under x -> x + T(x) returns the feet x of the grid nodes
+(grid.monotone_inverse) and the exact 1-d change-of-variables values
+rho(x) / (1 + T'(x)) there, checked as a Density, never renormalized.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FoldError, GridMismatchError
+from .errors import DomainError, FoldError, GridMismatchError, NumericalError
 from .grid import (
     GridSpec,
     ScalarField,
@@ -87,12 +87,13 @@ def weighted_inner(f: ScalarField, g: ScalarField, mu: Density) -> float:
     return float(np.mean(f.values * g.values * mu.rho))
 
 
-def pushforward_monotone(mu: Density, displacement: ScalarField) -> Density:
-    """Pushforward of mu under x -> x + T(x) for an orientation-preserving map.
+def pushforward_monotone(mu: Density, displacement: ScalarField) -> tuple[Density, np.ndarray]:
+    """(T_# mu, feet of the nodes) for the orientation-preserving x -> x + T(x).
 
     Raises FoldError when 1 + T' <= 0 somewhere (checked on a 4x finer grid).
     Each node y takes rho(x) / (1 + T'(x)) at its foot x + T(x) = y, with rho
-    and T evaluated exactly off the grid; the mass is then 1 to roundoff.
+    and T evaluated exactly off the grid, so the mass is 1 to roundoff; a mass
+    off 1 means the nodes under-resolve T_# mu, and raises NumericalError.
     """
     check_same_grid(mu, displacement)
     series = trig_series(displacement)
@@ -101,9 +102,10 @@ def pushforward_monotone(mu: Density, displacement: ScalarField) -> Density:
         raise FoldError(f"map folds: min(1 + T') = {jac_fine.min():.3e} <= 0")
     feet = monotone_inverse(series, 0, mu.grid.nodes)
     values = eval_trig(trig_series(mu.field()), feet)[0] / (1.0 + eval_trig(series, feet, (1,))[0])
-    if not values.min() > 0.0:  # a NaN fails too
-        raise FoldError("pushforward produced nonpositive density values")
-    return make_density(ScalarField(mu.grid, values))
+    try:
+        return Density(mu.grid, values), feet
+    except DomainError as exc:
+        raise NumericalError(f"pushforward under-resolved on {mu.grid.n} nodes: {exc}") from exc
 
 
 # -- serialization ----------------------------------------------------------

@@ -19,7 +19,7 @@ as long as the characteristics x0 + t*psi0'(x0) do not cross (equivalently
     through the operator context built at mu0 (operators.project_at).
   * displacement_path: pushforward of mu0 by the displacement t * psi0'
     through the exact Jacobian formula at the feet of the nodes
-    (density.pushforward_monotone), with the characteristic potentials.
+    (density.pushforward_monotone), characteristic potentials at its feet.
 
 All stored potentials are de-meaned against their own mu_t.  The
 continuity residual is defined at the interior path times only.
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import Density, make_density, pushforward_monotone
+from .density import Density, pushforward_monotone
 from .errors import CausticError, ConfigError, DomainError, NumericalError
 from .grid import (GridSpec, ScalarField, TrigSeries, check_same_grid, deriv, eval_trig, rk4,
                    time_grid, trig_series)
@@ -94,11 +94,11 @@ def _continuity_rhs(rho: np.ndarray, dpsi: np.ndarray, grid: GridSpec) -> np.nda
 
 
 def _stepped_density(rho: np.ndarray, grid: GridSpec, t: float, route: str) -> Density:
-    """Normalize an RK4-advanced density.  A nonpositive or non-finite result
-    is a breakdown of the integration, not a bad input, so it raises
-    NumericalError naming t."""
+    """Check, never renormalize, an RK4-advanced density.  A nonpositive or
+    non-finite result, or a mass off 1, is a breakdown of the integration, not
+    a bad input, so it raises NumericalError naming t."""
     try:
-        return make_density(ScalarField(grid, rho))
+        return Density(grid, rho)
     except DomainError as exc:
         raise NumericalError(f"{route} route: the RK4 density at t = {t:.6g} "
                              f"is not a density ({exc})") from exc
@@ -191,7 +191,6 @@ def geodesic_christoffel(mu0: Density, psi0_coeffs, times, N: int | None = None,
     for idx in range(times.size - 1):
         state = rk4(rhs, times[idx], times[idx + 1], state, steps_per_interval)
         mu_t = _stepped_density(state[2 * N :], grid, times[idx + 1], "christoffel")
-        state[2 * N :] = mu_t.rho
         densities.append(mu_t)
         potentials.append(_demeaned(ctx.potential_values(state[: 2 * N]), mu_t.rho, grid))
     return GeodesicPath(grid, times, densities, potentials)
@@ -200,17 +199,15 @@ def geodesic_christoffel(mu0: Density, psi0_coeffs, times, N: int | None = None,
 def displacement_path(mu0: Density, psi0: ScalarField, times) -> GeodesicPath:
     """Displacement interpolation sampled on a time grid: mu_t is the pushforward
     of mu0 by x -> x + t*psi0'(x) (exact Jacobian at the feet of the nodes), with
-    characteristic potentials attached so the path supports action and
-    transport."""
+    the characteristic potentials at those same feet attached so the path
+    supports action and transport."""
     times, series = _characteristic_setup(mu0, psi0, times)
     grid = mu0.grid
     dpsi0 = deriv(psi0).values
     densities = [mu0]
     potentials = [_demeaned(psi0.values, mu0.rho, grid)]
     for t in map(float, times[1:]):
-        mu_t = pushforward_monotone(mu0, ScalarField(grid, t * dpsi0))
-        # from the nodes: like the pushforward, each sample depends on t alone
-        feet = _characteristic_feet(series, t, grid.nodes, grid.nodes)
+        mu_t, feet = pushforward_monotone(mu0, ScalarField(grid, t * dpsi0))
         psi_t = _characteristic_potential(series, t, feet)
         densities.append(mu_t)
         potentials.append(_demeaned(psi_t, mu_t.rho, grid))
@@ -223,7 +220,7 @@ def flow_path(mu0: Density, psi: ScalarField, times) -> GeodesicPath:
     constant in t: the curve is not a geodesic."""
     check_same_grid(psi, mu0)
     grid = mu0.grid
-    densities = [mu0] + [pushforward_monotone(mu0, ScalarField(grid, x - grid.nodes))
+    densities = [mu0] + [pushforward_monotone(mu0, ScalarField(grid, x - grid.nodes))[0]
                          for x in flow_map(psi, times)[1:]]
     potentials = [_demeaned(psi.values, mu_t.rho, grid) for mu_t in densities]
     return GeodesicPath(grid, times, densities, potentials)

@@ -313,14 +313,16 @@ def test_caustic_exits_three(tmp_path):
     assert run_cli(["geodesic", "--config", config, "--out", str(tmp_path / "out")]) == 3
 
 
-def test_unconverged_characteristics_exit_three(tmp_path, capsys):
-    # the first caustic sits at t = 1/0.99, just past t_max = 1: the
-    # characteristic Newton solve stalls and must fail loudly, not return
+@pytest.mark.parametrize("amplitude", [0.9, 0.95, 0.98, 0.99])
+def test_unconverged_characteristics_exit_three(tmp_path, capsys, amplitude):
+    # the first caustic sits at t = 1/amplitude, just past t_max = 1: the
+    # displacement route's pushforward piles its mass into a spike that 256
+    # nodes under-resolve, and must fail loudly, not renormalize or report a gap
     config = write_config(tmp_path, {
-        "potential": {"family": "cosine", "amplitude": 0.99, "mode": 1, "phase": 0.0},
+        "potential": {"family": "cosine", "amplitude": amplitude, "mode": 1, "phase": 0.0},
     })
     assert run_cli(["geodesic", "--config", config, "--out", str(tmp_path / "out")]) == 3
-    assert "did not converge" in capsys.readouterr().err
+    assert "pushforward under-resolved on 256 nodes" in capsys.readouterr().err
 
 
 def test_cholesky_breakdown_exits_three(tmp_path, monkeypatch, capsys):

@@ -9,6 +9,7 @@ from ottocircle import (
     FoldError,
     GridMismatchError,
     GridSpec,
+    NumericalError,
     ScalarField,
     cosine_density,
     density_from_csv,
@@ -91,8 +92,9 @@ def test_weighted_inner_type_discipline(grid):
 
 def test_pushforward_identity(grid):
     mu = cosine_density(grid, 0.3)
-    moved = pushforward_monotone(mu, ScalarField(grid, np.zeros(grid.n)))
+    moved, feet = pushforward_monotone(mu, ScalarField(grid, np.zeros(grid.n)))
     np.testing.assert_allclose(moved.rho, mu.rho, atol=1e-12)
+    np.testing.assert_allclose(feet, grid.nodes, rtol=0.0, atol=1e-14)
 
 
 def test_pushforward_rotation(grid):
@@ -100,21 +102,40 @@ def test_pushforward_rotation(grid):
     # shifts the density profile
     mu = cosine_density(grid, 0.3)
     for shift in (0.7, 7.5):
-        moved = pushforward_monotone(mu, ScalarField(grid, np.full(grid.n, shift)))
+        moved, feet = pushforward_monotone(mu, ScalarField(grid, np.full(grid.n, shift)))
         expected = 1.0 + 0.3 * np.cos(grid.nodes - shift)
         np.testing.assert_allclose(moved.rho, expected, rtol=0.0, atol=1e-13)
+        assert np.abs(feet + shift - grid.nodes).max() <= 1e-13
 
 
 def test_pushforward_change_of_variables(grid):
     # int g d(T_# mu) = int g(x + T(x)) dmu(x), checked on trig observables
     mu = cosine_density(grid, 0.3)
     t_values = 0.2 * np.sin(grid.nodes)
-    moved = pushforward_monotone(mu, ScalarField(grid, t_values))
+    moved, _ = pushforward_monotone(mu, ScalarField(grid, t_values))
     y = grid.nodes + t_values
     for g in (np.cos, np.sin, lambda x: np.cos(2 * x)):
         direct = float(np.mean(g(y) * mu.rho))
         via_density = float(np.mean(g(grid.nodes) * moved.rho))
         assert via_density == pytest.approx(direct, abs=1e-13)
+
+
+def test_pushforward_near_fold_feet(grid):
+    # min(1 + T') = 0.4: the feet still solve x + T(x) = node to roundoff,
+    # and the density is the exact Jacobian formula there
+    mu = uniform_density(grid)
+    moved, feet = pushforward_monotone(mu, ScalarField(grid, -0.6 * np.sin(grid.nodes)))
+    assert np.abs(feet - 0.6 * np.sin(feet) - grid.nodes).max() <= 1e-13
+    np.testing.assert_allclose(moved.rho, 1.0 / (1.0 - 0.6 * np.cos(feet)), rtol=1e-13)
+
+
+def test_pushforward_under_resolved_raises():
+    # min(1 + T') = 0.01: the pushed density peaks at 100 in a spike that
+    # 256 nodes under-resolve, so the node mass is off 1 and nothing hides it
+    grid = GridSpec(256)
+    squeeze = ScalarField(grid, -0.99 * np.sin(grid.nodes))
+    with pytest.raises(NumericalError, match="under-resolved on 256 nodes: density mass"):
+        pushforward_monotone(uniform_density(grid), squeeze)
 
 
 def test_pushforward_fold_raises(grid):

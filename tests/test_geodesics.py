@@ -122,6 +122,49 @@ def test_routes_take_each_spectrum_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_displacement_potentials_use_the_pushforward_feet(monkeypatch):
+    # one monotone inverse per time after t = 0 gives both the density and
+    # the feet of the characteristic potential: no second Newton solve
+    import ottocircle.density as density
+    import ottocircle.geodesics as geodesics
+
+    real_inverse, real_feet = density.monotone_inverse, geodesics._characteristic_feet
+    inverses, newtons = [], []
+    monkeypatch.setattr(density, "monotone_inverse",
+                        lambda *args: inverses.append(1) or real_inverse(*args))
+    monkeypatch.setattr(geodesics, "_characteristic_feet",
+                        lambda *args: newtons.append(1) or real_feet(*args))
+    for count in (2, 9, 17):
+        inverses.clear()
+        path = displacement_path(WEIGHTED, PSI0, np.linspace(0.0, 1.0, count))
+        assert len(inverses) == count - 1 and newtons == []
+    # the same potentials as from a characteristic solve at the nodes
+    series = geodesics.trig_series(PSI0)
+    for t, mu_t, psi_t in zip(path.times[1:], path.densities[1:], path.potentials[1:]):
+        feet = real_feet(series, t, GRID.nodes, GRID.nodes)
+        expected = geodesics._characteristic_potential(series, t, feet)
+        np.testing.assert_allclose(psi_t.values, expected - np.mean(expected * mu_t.rho),
+                                   rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("route", ["hj", "christoffel"])
+def test_rk4_mass_drift_is_not_renormalized(monkeypatch, route):
+    # RK4 continuity conserves mass to roundoff, so a density off by 1e-9
+    # relative is a broken integration, named with its route and time
+    import ottocircle.geodesics as geodesics
+
+    from ottocircle.errors import NumericalError
+
+    real = geodesics.rk4
+    monkeypatch.setattr(geodesics, "rk4", lambda *args: real(*args) * (1.0 + 1e-9))
+    with pytest.raises(NumericalError, match=rf"{route} route: the RK4 density at t = 0\.125 "
+                                             r"is not a density \(density mass"):
+        if route == "hj":
+            geodesic_hj(WEIGHTED, PSI0, TIMES)
+        else:
+            geodesic_christoffel(WEIGHTED, np.eye(32)[0] * 0.1 / np.sqrt(2.0), TIMES)
+
+
 def test_flow_path_integrates_once_across_its_grid(monkeypatch):
     # one RK4 pass of 12 steps on each of the 16 intervals of length 3/16,
     # not a fresh pass from t = 0 for every output time
@@ -223,8 +266,8 @@ def test_routes_agree(hj_path):
     rho_hj = np.stack([d.rho for d in hj_path.densities])
     rho_ch = np.stack([d.rho for d in ch.densities])
     rho_di = np.stack([d.rho for d in di.densities])
-    assert np.abs(rho_hj - rho_ch).max() < 1e-8
-    assert np.abs(rho_hj - rho_di).max() < 1e-6
+    assert np.abs(rho_hj - rho_ch).max() < 1e-10
+    assert np.abs(rho_hj - rho_di).max() < 1e-10
 
 
 def test_displacement_route_matches_hj_to_roundoff():
