@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .grid import ScalarField, check_same_grid, deriv, rk4
+from .grid import ScalarField, check_same_grid, deriv, rk4, rk4_substeps
 from .operators import WeightedOperatorContext, div_mu, green_mu_coeffs, laplace_mu
 from .tangent import TangentVector
 
@@ -107,20 +107,21 @@ def christoffel_residual(tensor: ChristoffelTensor, ctx: WeightedOperatorContext
     return float(np.abs(recon, out=recon).max())
 
 
-def parallel_transport(v0: TangentVector, path, substeps: int = 4) -> list[TangentVector]:
+def parallel_transport(v0: TangentVector, path) -> list[TangentVector]:
     """Transport v0 along a stored path, returning the vector at every path time.
 
     Integrates d(eta)/dt = -Gram(mu_t)^{-1} b(t), b_l = int psi_t' eta''
     phi_l' dmu_t (the coefficient form of nabla_{V_psi} V_eta = 0), with RK4
     whose stage data comes from cubic-in-time interpolation of the stored
-    densities and potentials.  Each stage is one projection at the
-    interpolated density through the context built at the path's first
-    density (operators.project_at).  rk4 repeats stage times bitwise (k3
-    reuses k2's, the next k1 reuses k4's), so the interpolated data and the
-    Gram factor of the latest stage time are kept for reuse: along 17
-    uniform times with 4 substeps, 129 of the 256 stages factor.  A
-    geodesic's own velocity solves the same equation as its Christoffel
-    ODE, so it is self-parallel.
+    densities and potentials, in grid.rk4_substeps steps per interval at N
+    modes (eta's span) and the path's max|psi'|.  Each stage is one
+    projection at the interpolated density through the context built at the
+    path's first density (operators.project_at).  rk4 repeats stage times
+    bitwise (k3 reuses k2's, the next k1 reuses k4's), so the interpolated
+    data and the Gram factor of the latest stage time are kept for reuse:
+    along 17 uniform times with 4 steps per interval, 129 of the 256 stages
+    factor.  A geodesic's own velocity solves the same equation as its
+    Christoffel ODE, so it is self-parallel.
     """
     from scipy.interpolate import CubicSpline  # loaded on first use: a slow import
     times = np.asarray(path.times, dtype=np.float64)
@@ -130,7 +131,9 @@ def parallel_transport(v0: TangentVector, path, substeps: int = 4) -> list[Tange
         raise DomainError("v0 must be based at the path's initial density")
     ctx = WeightedOperatorContext(path.densities[0], v0.N)
     rho_spline = CubicSpline(times, np.stack([d.rho for d in path.densities]), axis=0)
-    dpsi_spline = CubicSpline(times, np.stack([deriv(p).values for p in path.potentials]), axis=0)
+    dpsi_path = np.stack([deriv(p).values for p in path.potentials])
+    dpsi_spline = CubicSpline(times, dpsi_path, axis=0)
+    speed = float(np.abs(dpsi_path).max())
 
     # the latest stage time and its (rho_t, dpsi_t, factor), like geodesic_hj's stage memo
     t_last, memo = None, None
@@ -149,6 +152,7 @@ def parallel_transport(v0: TangentVector, path, substeps: int = 4) -> list[Tange
     eta = v0.coeffs.copy()
     out = [TangentVector(eta, path.densities[0])]
     for idx in range(times.size - 1):
-        eta = rk4(rhs, times[idx], times[idx + 1], eta, substeps)
+        steps = rk4_substeps(times[idx + 1] - times[idx], v0.N, speed)
+        eta = rk4(rhs, times[idx], times[idx + 1], eta, steps)
         out.append(TangentVector(eta, path.densities[idx + 1]))
     return out

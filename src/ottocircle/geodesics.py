@@ -21,8 +21,9 @@ as long as the characteristics x0 + t*psi0'(x0) do not cross (equivalently
     through the exact Jacobian formula at the feet of the nodes
     (density.pushforward_monotone), characteristic potentials at its feet.
 
-All stored potentials are de-meaned against their own mu_t.  The
-continuity residual is defined at the interior path times only.
+Both RK4 routes take grid.rk4_substeps steps per interval, at n/2 wavenumbers
+and speed max|psi'|.  All stored potentials are de-meaned against their own
+mu_t.  The continuity residual is defined at the interior path times only.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .density import Density, pushforward_monotone
 from .errors import CausticError, ConfigError, DomainError, NumericalError
 from .grid import (GridSpec, ScalarField, TrigSeries, check_same_grid, deriv, eval_trig, rk4,
-                   time_grid, trig_series)
+                   rk4_substeps, time_grid, trig_series)
 from .operators import WeightedOperatorContext
 from .tangent import TangentVector, flow_map
 
@@ -125,7 +126,7 @@ def _characteristic_feet(series: TrigSeries, t: float, targets: np.ndarray,
     )
 
 
-def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int = 4) -> GeodesicPath:
+def geodesic_hj(mu0: Density, psi0: ScalarField, times) -> GeodesicPath:
     """Characteristic Hamilton-Jacobi potential with RK4 continuity density."""
     times, series = _characteristic_setup(mu0, psi0, times)
     grid = mu0.grid
@@ -134,6 +135,7 @@ def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int 
     # the latest stage time, feet and psi0'(feet): RK4 reuses only the last stage
     # time (k2's for k3, k4's for the next k1), so each solve starts at the last feet
     t_last, feet, dpsi = 0.0, nodes, eval_trig(series, nodes, (1,))[0]
+    speed = float(np.abs(dpsi).max())  # momentum is conserved: every interval's speed
 
     def stage(t: float) -> tuple[np.ndarray, np.ndarray]:
         nonlocal t_last, feet, dpsi
@@ -149,7 +151,8 @@ def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int 
     potentials = [_demeaned(psi0.values, mu0.rho, grid)]
     for idx in range(times.size - 1):
         t_out = times[idx + 1]
-        rho = rk4(rhs, times[idx], t_out, densities[-1].rho, steps_per_interval)
+        steps = rk4_substeps(t_out - times[idx], grid.n // 2, speed)
+        rho = rk4(rhs, times[idx], t_out, densities[-1].rho, steps)
         mu_t = _stepped_density(rho, grid, t_out, "hj")
         psi_t = _characteristic_potential(series, t_out, stage(t_out)[0])
         densities.append(mu_t)
@@ -157,8 +160,7 @@ def geodesic_hj(mu0: Density, psi0: ScalarField, times, steps_per_interval: int 
     return GeodesicPath(grid, times, densities, potentials)
 
 
-def geodesic_christoffel(mu0: Density, psi0_coeffs, times, N: int | None = None,
-                         steps_per_interval: int = 4) -> GeodesicPath:
+def geodesic_christoffel(mu0: Density, psi0_coeffs, times, N: int | None = None) -> GeodesicPath:
     """Basis-coefficient geodesic ODE with the density co-evolved spectrally.
 
     psi0_coeffs may be a coefficient array or a TangentVector at mu0.  The
@@ -166,6 +168,7 @@ def geodesic_christoffel(mu0: Density, psi0_coeffs, times, N: int | None = None,
     contraction Gamma^k_ij Psi_i Psi_j with the Christoffel symbols of the
     current density, evaluated without materializing the full tensor: one
     projection of psi' psi'' dx at rho_t through the context built at mu0.
+    Each interval's step count takes max|psi'| at its start as the speed.
     """
     if isinstance(psi0_coeffs, TangentVector):
         psi0_coeffs = psi0_coeffs.coeffs
@@ -189,7 +192,9 @@ def geodesic_christoffel(mu0: Density, psi0_coeffs, times, N: int | None = None,
     densities = [mu0]
     potentials = [_demeaned(ctx.potential_values(coeffs), mu0.rho, grid)]
     for idx in range(times.size - 1):
-        state = rk4(rhs, times[idx], times[idx + 1], state, steps_per_interval)
+        speed = float(np.abs(ctx.potential_values(state[: 2 * N], 1)).max())
+        steps = rk4_substeps(times[idx + 1] - times[idx], grid.n // 2, speed)
+        state = rk4(rhs, times[idx], times[idx + 1], state, steps)
         mu_t = _stepped_density(state[2 * N :], grid, times[idx + 1], "christoffel")
         densities.append(mu_t)
         potentials.append(_demeaned(ctx.potential_values(state[: 2 * N]), mu_t.rho, grid))
@@ -244,9 +249,9 @@ def speed_squared_series(path: GeodesicPath) -> np.ndarray:
 def continuity_residual(path: GeodesicPath) -> np.ndarray:
     """L^2(vol) residual of d(rho)/dt + (rho psi')' at the T - 4 interior times.
 
-    The time derivative uses the 5-point fourth-order central stencil, so the
-    result measures the stored path's internal consistency rather than the
-    stencil's own truncation error.  Needs at least 5 uniformly spaced times.
+    The time derivative uses the 5-point fourth-order central stencil, whose
+    own O(h^4) truncation error is part of the result and dominates it on a
+    coarse time grid; more times shrink it.  Needs at least 5 uniform times.
     """
     t = path.times
     if t.size < 5:

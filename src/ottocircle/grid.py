@@ -40,6 +40,10 @@ SQRT2 = np.sqrt(2.0)
 # Newton steps take to the 1e-14 stopping rule
 SEED_CELLS = 8192
 
+# RK4 is stable for |h*lambda| <= 2*sqrt(2) on the imaginary axis, where the
+# spectral advection eigenvalues i*k*speed lie; 2.0 keeps a margin below it
+RK4_CFL = 2.0
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -273,6 +277,13 @@ def rk4(f, t0: float, t1: float, y: np.ndarray, steps: int) -> np.ndarray:
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
     return y
+
+
+def rk4_substeps(dt: float, modes: int, speed: float) -> int:
+    """The RK4 step count over an interval dt for a field carrying wavenumbers
+    up to `modes` and advected at `speed`: at least 4, and enough that each
+    step's CFL number h*modes*speed stays within RK4_CFL."""
+    return max(4, int(np.ceil(dt * modes * speed / RK4_CFL)))
 
 
 def field_from_coeffs(grid: GridSpec, coeffs: np.ndarray) -> ScalarField:

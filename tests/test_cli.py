@@ -363,6 +363,19 @@ def test_nonpositive_rk4_density_exits_three(tmp_path, monkeypatch, capsys):
         geodesic_christoffel(uniform_density(GridSpec(256)), coeffs, np.linspace(0.0, 1.0, 17))
 
 
+def test_transport_on_a_fine_grid_takes_stable_steps(tmp_path):
+    # 1024 nodes at speed 0.5: at 4 RK4 steps per interval the HJ density
+    # would break down (exit 3); the step rule takes 8
+    config = write_config(tmp_path, {
+        "potential": {"family": "cosine", "amplitude": 0.5, "mode": 1, "phase": 0.0},
+        "times": {"t_max": 1.0, "count": 17},
+    })
+    out = tmp_path / "out"
+    assert run_cli(["transport", "--config", config, "--n", "1024", "--N", "32",
+                    "--out", str(out)]) == 0
+    assert read_report(out, "transport")["passed"] is True
+
+
 def test_bracket_report_carries_both_routes(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["bracket", "--out", str(out)]) == 0

@@ -10,6 +10,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 from scipy.linalg import cho_factor, cho_solve
 
+import ottocircle.connection as connection
 import ottocircle.operators as operators
 from ottocircle import (
     ChristoffelTensor,
@@ -281,11 +282,15 @@ def test_geodesic_velocity_is_self_parallel(transport_path):
     assert worst < 1e-8
 
 
-def test_transport_substep_refinement(transport_path):
+def test_transport_substep_refinement(transport_path, monkeypatch):
+    # 4 RK4 steps per interval, what the step rule takes here, against 8
     rng = np.random.default_rng(83)
     v0 = TangentVector(rng.standard_normal(2 * N_MODES), WEIGHTED)
-    coarse = parallel_transport(v0, transport_path, substeps=4)
-    fine = parallel_transport(v0, transport_path, substeps=8)
+    runs = []
+    for steps in (4, 8):
+        monkeypatch.setattr(connection, "rk4_substeps", lambda *_: steps)
+        runs.append(parallel_transport(v0, transport_path))
+    coarse, fine = runs
     gap = max(
         float(np.abs(a.coeffs - b.coeffs).max()) for a, b in zip(coarse, fine)
     )

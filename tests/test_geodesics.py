@@ -278,6 +278,24 @@ def test_displacement_route_matches_hj_to_roundoff():
     assert np.abs(rho["displacement"] - rho["hj"]).max() <= 1e-12
 
 
+def test_steep_potential_on_a_fine_grid_takes_stable_steps():
+    # psi0 = 0.5 cos x on 1024 nodes, caustic at t = 2: 4 RK4 steps on each of
+    # the 16 intervals would give a CFL number of 4, past RK4's 2*sqrt(2), and
+    # a negative density by t = 0.3125; the step rule takes 8, and both RK4
+    # routes meet the exact pushforward
+    grid = GridSpec(1024)
+    vol = uniform_density(grid)
+    psi0 = ScalarField(grid, 0.5 * np.cos(grid.nodes))
+    times = np.linspace(0.0, 1.0, 17)
+    coeffs = np.zeros(64)
+    coeffs[0] = 0.5 / np.sqrt(2.0)
+    exact = np.stack([d.rho for d in displacement_path(vol, psi0, times).densities])
+    hj = np.stack([d.rho for d in geodesic_hj(vol, psi0, times).densities])
+    ch = np.stack([d.rho for d in geodesic_christoffel(vol, coeffs, times, N=32).densities])
+    assert np.abs(hj - exact).max() <= 1e-8
+    assert np.abs(ch - exact).max() <= 1e-7
+
+
 def test_christoffel_route_accepts_tangent_vector():
     from ottocircle import TangentVector
 

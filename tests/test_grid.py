@@ -25,7 +25,8 @@ from ottocircle import (
     weighted_inner,
 )
 from ottocircle import grid as grid_module
-from ottocircle.grid import TrigSeries, aliasing_bound, check_same_grid, monotone_inverse, rk4
+from ottocircle.grid import (TrigSeries, aliasing_bound, check_same_grid, monotone_inverse, rk4,
+                             rk4_substeps)
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +293,14 @@ def test_rk4_is_fourth_order():
     errors = [abs(rk4(lambda _t, y: y, 0.0, 1.0, np.ones(1), steps)[0] - np.e)
               for steps in (8, 16)]
     assert errors[0] / errors[1] >= 15.0
+
+
+def test_rk4_substeps_keep_the_cfl_number_within_bound():
+    # the CLI defaults (n = 256, 17 times on [0, 1], max|psi'| = 0.1) have a
+    # CFL number of 0.2 at 4 steps; 1024 nodes at speed 0.5 need 8 steps
+    assert rk4_substeps(1.0 / 16, 128, 0.1) == 4
+    assert rk4_substeps(1.0 / 16, 512, 0.5) == 8
+    assert rk4_substeps(1.0 / 16, 512, 0.0) == 4
 
 
 def test_rk4_stage_times_accumulate():
