@@ -1,9 +1,9 @@
 """The benchmark's workloads run with no failed item, at the benchmark's own
 tolerances: galerkin_large for one pass at four input seeds, cli_defaults for
 one pass and its determinism re-run at seed 0.  Seed 11 is the first whose
-(1024, 64) case takes 5 RK4 steps per interval instead of 4.  A library change that breaks
-an API the benchmark calls, or moves a number past one of its checks, fails
-here, not only in a benchmark run."""
+(1024, 64) case takes 5 RK4 steps per interval instead of 4.  A library
+change that breaks an API the benchmark calls, or moves a number past one of
+its checks, fails here, not only in a benchmark run."""
 
 from pathlib import Path
 
