@@ -9,9 +9,10 @@ as long as the characteristics x0 + t*psi0'(x0) do not cross (equivalently
 1 + t*psi0'' > 0).  The three routes:
 
   * geodesic_hj: psi from the exact characteristic solution (momentum is
-    constant along straight characteristics; node values recovered by Newton
-    inversion of the characteristic map from the latest stage's feet), rho
-    by RK4 on the continuity equation with spectral space derivatives.
+    constant along straight characteristics; node values read at the feet of
+    the nodes, from grid.monotone_inverse of the characteristic map at each
+    stage time), rho by RK4 on the continuity equation with spectral space
+    derivatives.
   * geodesic_christoffel: basis-coefficient ODE d(Psi_k)/dt = -Gram^{-1}_k
     [int psi' psi'' phi_l' dmu_t], the Galerkin contraction of the
     Christoffel symbols at the moving density, with rho co-evolved by the
@@ -28,14 +29,14 @@ mu_t.  The continuity residual is defined at the interior path times only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .density import Density, pushforward_monotone
 from .errors import CausticError, ConfigError, DomainError, NumericalError
-from .grid import (GridSpec, ScalarField, TrigSeries, check_same_grid, deriv, eval_trig, rk4,
-                   rk4_substeps, time_grid, trig_series)
+from .grid import (GridSpec, ScalarField, TrigSeries, check_same_grid, deriv, eval_trig,
+                   monotone_inverse, rk4, rk4_substeps, time_grid, trig_series)
 from .operators import WeightedOperatorContext
 from .tangent import TangentVector, flow_map
 
@@ -105,27 +106,6 @@ def _stepped_density(rho: np.ndarray, grid: GridSpec, t: float, route: str) -> D
                              f"is not a density ({exc})") from exc
 
 
-def _characteristic_feet(series: TrigSeries, t: float, targets: np.ndarray,
-                         start: np.ndarray) -> np.ndarray:
-    """Solve x0 + t*psi0'(x0) = target for each target by Newton from start.
-
-    Raises NumericalError, naming t and the worst residual, when the Newton
-    steps have not dropped below 1e-14 after 60 iterations.
-    """
-    x = start.copy()
-    for _ in range(60):
-        d1, d2 = eval_trig(series, x, (1, 2))
-        step = (x + t * d1 - targets) / (1.0 + t * d2)
-        x = x - step
-        if np.abs(step).max() < 1e-14:
-            return x
-    residual = np.abs(x + t * eval_trig(series, x, (1,))[0] - targets).max()
-    raise NumericalError(
-        f"characteristic Newton solve at t = {t:.6g} did not converge in 60 "
-        f"iterations (worst residual {residual:.3e})"
-    )
-
-
 def geodesic_hj(mu0: Density, psi0: ScalarField, times) -> GeodesicPath:
     """Characteristic Hamilton-Jacobi potential with RK4 continuity density."""
     times, series = _characteristic_setup(mu0, psi0, times)
@@ -133,14 +113,14 @@ def geodesic_hj(mu0: Density, psi0: ScalarField, times) -> GeodesicPath:
     nodes = grid.nodes
 
     # the latest stage time, feet and psi0'(feet): RK4 reuses only the last stage
-    # time (k2's for k3, k4's for the next k1), so each solve starts at the last feet
+    # time (k2's for k3, k4's for the next k1), so one entry solves each time once
     t_last, feet, dpsi = 0.0, nodes, eval_trig(series, nodes, (1,))[0]
     speed = float(np.abs(dpsi).max())  # momentum is conserved: every interval's speed
 
     def stage(t: float) -> tuple[np.ndarray, np.ndarray]:
         nonlocal t_last, feet, dpsi
-        if t != t_last:
-            feet = _characteristic_feet(series, t, nodes, feet)
+        if t != t_last:  # the feet x + t*psi0'(x) = node: row 1 of psi0's series times t
+            feet = monotone_inverse(replace(series, c=t * series.c), 1, nodes)
             t_last, dpsi = t, eval_trig(series, feet, (1,))[0]
         return feet, dpsi
 

@@ -19,7 +19,8 @@ All off-grid evaluation goes through one evaluator: trig_series takes a
 field's spectrum once, and eval_trig evaluates any set of derivative orders
 of it, and the antiderivative as order -1, in one Horner pass in e^{ix}.
 monotone_inverse solves x + D(x) = y for one such row D, the one
-iterative inverse of an increasing circle map (quantiles, pushforwards).
+iterative inverse of an increasing circle map: it serves quantiles,
+pushforwards and the feet of Hamilton-Jacobi characteristics.
 """
 
 from __future__ import annotations
@@ -167,7 +168,8 @@ def _rows(series: TrigSeries, orders) -> np.ndarray:
     d/dx multiplies c_k by ik; positive odd orders drop the Nyquist mode."""
     k = series.k
     rows = np.array([series.c * ((1, 1j, -1, -1j)[p % 4] * k**p) for p in orders])
-    rows[np.ix_([p > 0 and p % 2 == 1 for p in orders], k == series.n // 2)] = 0.0
+    if k.size and k[-1] == series.n // 2:  # the Nyquist mode is kept, and kept last
+        rows[[p > 0 and p % 2 == 1 for p in orders], -1] = 0.0
     return rows
 
 

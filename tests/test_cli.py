@@ -137,6 +137,32 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
     assert err.count("config error:") == 7 and err.count("\n") == 7
 
 
+@pytest.mark.parametrize("payload, flags, message", [
+    ([1, 2], [], "config must be a JSON object"),
+    ({"times": 3}, [], "times must be a JSON object"),
+    ({}, ["--seed", "-1"], "seed must be a nonnegative integer"),
+    ({"density": {"amplitude": 0.3}}, [], "density spec needs a 'family' key"),
+    ({"density": {"family": "custom"}}, [], "custom density spec needs a 'path' key"),
+    ({"potential": {"family": "coefficients"}}, [],
+     "coefficients potential spec needs a 'values' key"),
+    ({"potential": {"family": "coefficients", "values": [0.1, 0.2, 0.3]}}, [],
+     "potential.values needs an even length, got 3"),
+    ({"times": {"count": 1}}, [], "times.count must be >= 2, got 1"),
+], ids=["top_level", "times", "seed", "family", "custom_path", "coefficient_values",
+        "odd_values", "count"])
+def test_config_rules_exit_two(tmp_path, capsys, payload, flags, message):
+    # each rule is a usage error: exit 2, one line naming its config path,
+    # no report directory
+    out = tmp_path / "out"
+    config = write_config(tmp_path, payload)
+    assert run_cli(["metric", "--config", config, "--out", str(out), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sub, flags", [
     ("validate", ["--n", "64", "--N", "8"]),
     ("validate", ["--N", "1"]),

@@ -15,6 +15,7 @@ import ottocircle.operators as operators
 from ottocircle import (
     ChristoffelTensor,
     DomainError,
+    GeodesicPath,
     GridSpec,
     ScalarField,
     TangentVector,
@@ -349,3 +350,8 @@ def test_transport_input_validation(transport_path):
     wrong_base = TangentVector(rng.standard_normal(2 * N_MODES), VOL)
     with pytest.raises(DomainError):
         parallel_transport(wrong_base, transport_path)
+    # a one-time path has no interval to transport along
+    p = transport_path
+    one_time = GeodesicPath(p.grid, p.times[:1], p.densities[:1], p.potentials[:1])
+    with pytest.raises(DomainError, match="at least two times"):
+        parallel_transport(TangentVector(rng.standard_normal(2 * N_MODES), WEIGHTED), one_time)

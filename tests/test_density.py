@@ -51,6 +51,8 @@ def test_density_validation(grid):
     values[0] = np.inf
     with pytest.raises(DomainError):
         Density(grid, values)
+    with pytest.raises(DomainError, match="cannot normalize"):
+        make_density(ScalarField(grid, np.zeros(grid.n)))
 
 
 def test_make_density_normalizes(grid):
@@ -151,6 +153,8 @@ def test_csv_roundtrip(grid, tmp_path):
     density_to_csv(mu, path)
     back = density_from_csv(path, grid)
     np.testing.assert_allclose(back.rho, mu.rho, rtol=0.0, atol=0.0)
+    with pytest.raises(GridMismatchError):
+        density_from_csv(path, GridSpec(2 * grid.n))
 
     with open(tmp_path / "bad.csv", "w") as handle:
         handle.write("x,y\n0.0,1.0\n")

@@ -1,5 +1,7 @@
 """Geodesic routes, caustics, action, and speed diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -124,24 +126,24 @@ def test_routes_take_each_spectrum_once(monkeypatch):
 
 def test_displacement_potentials_use_the_pushforward_feet(monkeypatch):
     # one monotone inverse per time after t = 0 gives both the density and
-    # the feet of the characteristic potential: no second Newton solve
+    # the feet of the characteristic potential: no second solve
     import ottocircle.density as density
     import ottocircle.geodesics as geodesics
+    from ottocircle.grid import monotone_inverse
 
-    real_inverse, real_feet = density.monotone_inverse, geodesics._characteristic_feet
-    inverses, newtons = [], []
+    inverses, characteristic = [], []
     monkeypatch.setattr(density, "monotone_inverse",
-                        lambda *args: inverses.append(1) or real_inverse(*args))
-    monkeypatch.setattr(geodesics, "_characteristic_feet",
-                        lambda *args: newtons.append(1) or real_feet(*args))
+                        lambda *args: inverses.append(1) or monotone_inverse(*args))
+    monkeypatch.setattr(geodesics, "monotone_inverse",
+                        lambda *args: characteristic.append(1) or monotone_inverse(*args))
     for count in (2, 9, 17):
         inverses.clear()
         path = displacement_path(WEIGHTED, PSI0, np.linspace(0.0, 1.0, count))
-        assert len(inverses) == count - 1 and newtons == []
-    # the same potentials as from a characteristic solve at the nodes
+        assert len(inverses) == count - 1 and characteristic == []
+    # the same potentials as from a fresh solve of x + t*psi0'(x) = node
     series = geodesics.trig_series(PSI0)
     for t, mu_t, psi_t in zip(path.times[1:], path.densities[1:], path.potentials[1:]):
-        feet = real_feet(series, t, GRID.nodes, GRID.nodes)
+        feet = monotone_inverse(dataclasses.replace(series, c=t * series.c), 1, GRID.nodes)
         expected = geodesics._characteristic_potential(series, t, feet)
         np.testing.assert_allclose(psi_t.values, expected - np.mean(expected * mu_t.rho),
                                    rtol=0.0, atol=1e-14)
@@ -182,59 +184,26 @@ def test_flow_path_integrates_once_across_its_grid(monkeypatch):
     assert len(calls) == 4 * 16 * 12
 
 
-def test_hj_feet_start_from_the_previous_stage(monkeypatch):
-    # each characteristic solve of the HJ route starts from the feet at the
-    # previous stage time: fewer Newton iterations, the same feet
+def test_hj_solves_each_stage_time_once_through_the_shared_inverse(monkeypatch):
+    # 16 intervals of 4 RK4 steps, each with two new stage times (t + h/2 and
+    # t + h; t itself is the previous step's last): one monotone inverse per
+    # distinct stage time after t = 0, of psi0's series scaled by that time
     import ottocircle.geodesics as geodesics
 
-    grid = GridSpec(1024)
-    x = grid.nodes
-    shape = 0.5 * np.cos(x + 0.3) + 0.3 * np.sin(2 * x) + 0.2 * np.cos(3 * x - 1.0) \
-        + 0.1 * np.sin(4 * x + 0.5)
-    psi0 = ScalarField(grid, shape)
-    # first caustic at 4 t_max, as in the large Galerkin benchmark
-    psi0 = ScalarField(grid, shape * first_caustic_time(psi0) / 4.0)
-    mu0 = cosine_density(grid, 0.3, phase=1.0)
+    real = geodesics.monotone_inverse
+    scales = []
+    monkeypatch.setattr(geodesics, "monotone_inverse",
+                        lambda *args: scales.append(args[0].c[0]) or real(*args))
     times = np.linspace(0.0, 1.0, 17)
-
-    real_eval, real_feet = geodesics.eval_trig, geodesics._characteristic_feet
-    calls = []
-    monkeypatch.setattr(geodesics, "eval_trig",
-                        lambda *args, **kwargs: calls.append(1) or real_eval(*args, **kwargs))
-
-    def run(cold: bool):
-        feet = {}
-
-        def solve(series, t, targets, start):
-            feet[t] = real_feet(series, t, targets, targets if cold else start)
-            return feet[t]
-
-        monkeypatch.setattr(geodesics, "_characteristic_feet", solve)
-        calls.clear()
-        path = geodesic_hj(mu0, psi0, times)
-        return feet, len(calls), path
-
-    warm, warm_calls, warm_path = run(cold=False)
-    cold, cold_calls, cold_path = run(cold=True)
-    assert warm.keys() == cold.keys() and len(warm) == 4 * 16 * 2
-    assert warm_calls < cold_calls
-    assert max(np.abs(warm[t] - cold[t]).max() for t in warm) <= 1e-13
-    for a, b in zip(warm_path.potentials, cold_path.potentials):
-        np.testing.assert_allclose(a.values, b.values, rtol=0.0, atol=1e-13)
-
-
-def test_feet_non_convergence_names_time_and_residual():
-    # the first caustic sits at t = 1/0.99: Newton from the nodes diverges
-    # at t = 1, and a NaN start never converges either
-    from ottocircle.errors import NumericalError
-    from ottocircle.geodesics import _characteristic_feet
-    from ottocircle.grid import trig_series
-
-    series = trig_series(ScalarField(GRID, 0.99 * np.cos(GRID.nodes)))
-    with pytest.raises(NumericalError, match=r"at t = 1 did not converge .*worst residual \d"):
-        _characteristic_feet(series, 1.0, GRID.nodes, GRID.nodes)
-    with pytest.raises(NumericalError, match=r"at t = 0\.5 did not converge .*worst residual nan"):
-        _characteristic_feet(series, 0.5, GRID.nodes, np.full(GRID.n, np.nan))
+    hj = geodesic_hj(WEIGHTED, PSI0, times)
+    c0 = geodesics.trig_series(PSI0).c[0]
+    stage_times = np.array(scales).real / c0.real
+    assert len(scales) == 4 * 16 * 2 and np.unique(stage_times).size == len(scales)
+    assert stage_times.min() > 0.0 and stage_times.max() == pytest.approx(1.0, abs=1e-15)
+    # the characteristic potentials at those feet are the displacement route's
+    reference = displacement_path(WEIGHTED, PSI0, times)
+    for a, b in zip(hj.potentials, reference.potentials):
+        np.testing.assert_allclose(a.values, b.values, rtol=0.0, atol=1e-14)
 
 
 def test_flow_path_continues_where_a_single_pass_ends():

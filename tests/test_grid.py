@@ -286,6 +286,8 @@ def test_field_from_coeffs_matches_basis(grid):
     f = field_from_coeffs(grid, coeffs)
     expected = np.sqrt(2.0) * np.cos(grid.nodes) - 2.0 * np.sqrt(2.0) * np.sin(2 * grid.nodes)
     np.testing.assert_allclose(f.values, expected, atol=1e-15)
+    with pytest.raises(ConfigError, match="even positive length"):
+        field_from_coeffs(grid, np.ones(3))
 
 
 def test_rk4_is_fourth_order():

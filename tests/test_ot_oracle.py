@@ -408,6 +408,8 @@ def test_density_atoms_masses():
     assert locations.min() >= 0.0 and locations.max() < 2.0 * np.pi
     # more mass where the density is high (near x = 0 for a cos profile)
     assert weights[0] > weights[16]
+    with pytest.raises(ConfigError, match="at least 2 atoms"):
+        density_atoms(mu, 1)
 
 
 def test_lp_converges_to_quantile_route():

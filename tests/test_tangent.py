@@ -65,6 +65,8 @@ def test_otto_inner_base_discipline():
         otto_inner(v_weighted, v_weighted, gram_vol)
     with pytest.raises(DomainError):
         otto_inner(unit_vector(0), v_weighted, gram_vol)
+    with pytest.raises(DomainError, match="truncation mismatch"):
+        otto_inner(unit_vector(0), TangentVector(np.ones(2 * N_MODES + 2), VOL), gram_vol)
 
 
 def test_tangent_vector_validation():
