@@ -8,11 +8,9 @@ A geodesic from mu0 with initial potential psi0 solves the coupled system
 as long as the characteristics x0 + t*psi0'(x0) do not cross (equivalently
 1 + t*psi0'' > 0).  The three routes:
 
-  * geodesic_hj: psi from the exact characteristic solution (momentum is
-    constant along straight characteristics; node values read at the feet of
-    the nodes, from grid.monotone_inverse of the characteristic map at each
-    stage time), rho by RK4 on the continuity equation with spectral space
-    derivatives.
+  * geodesic_hj: the Eulerian system itself, (psi, rho) on the nodes
+    advanced together by RK4, with psi' from the spectral derivative; it
+    never solves for characteristics.
   * geodesic_christoffel: basis-coefficient ODE d(Psi_k)/dt = -Gram^{-1}_k
     [int psi' psi'' phi_l' dmu_t], the Galerkin contraction of the
     Christoffel symbols at the moving density, with rho co-evolved by the
@@ -20,7 +18,9 @@ as long as the characteristics x0 + t*psi0'(x0) do not cross (equivalently
     through the operator context built at mu0 (operators.project_at).
   * displacement_path: pushforward of mu0 by the displacement t * psi0'
     through the exact Jacobian formula at the feet of the nodes
-    (density.pushforward_monotone), characteristic potentials at its feet.
+    (density.pushforward_monotone, whose feet come from
+    grid.monotone_inverse), with the exact characteristic potentials at
+    those feet (momentum is constant along straight characteristics).
 
 Both RK4 routes take grid.rk4_substeps steps per interval, at n/2 wavenumbers
 and speed max|psi'|.  All stored potentials are de-meaned against their own
@@ -29,14 +29,14 @@ mu_t.  The continuity residual is defined at the interior path times only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .density import Density, pushforward_monotone
 from .errors import CausticError, ConfigError, DomainError, NumericalError
-from .grid import (GridSpec, ScalarField, TrigSeries, check_same_grid, deriv, eval_trig,
-                   monotone_inverse, rk4, rk4_substeps, time_grid, trig_series)
+from .grid import (GridSpec, ScalarField, TrigSeries, check_same_grid, deriv, eval_trig, rk4,
+                   rk4_substeps, time_grid, trig_series)
 from .operators import WeightedOperatorContext
 from .tangent import TangentVector, flow_map
 
@@ -107,36 +107,28 @@ def _stepped_density(rho: np.ndarray, grid: GridSpec, t: float, route: str) -> D
 
 
 def geodesic_hj(mu0: Density, psi0: ScalarField, times) -> GeodesicPath:
-    """Characteristic Hamilton-Jacobi potential with RK4 continuity density."""
-    times, series = _characteristic_setup(mu0, psi0, times)
+    """Eulerian Hamilton-Jacobi and continuity equations by RK4 on the nodes."""
+    times, _ = _characteristic_setup(mu0, psi0, times)
     grid = mu0.grid
-    nodes = grid.nodes
+    n = grid.n
+    # momentum is conserved along characteristics: max|psi0'| is every interval's speed
+    speed = float(np.abs(deriv(psi0).values).max())
 
-    # the latest stage time, feet and psi0'(feet): RK4 reuses only the last stage
-    # time (k2's for k3, k4's for the next k1), so one entry solves each time once
-    t_last, feet, dpsi = 0.0, nodes, eval_trig(series, nodes, (1,))[0]
-    speed = float(np.abs(dpsi).max())  # momentum is conserved: every interval's speed
+    def rhs(_t, state):  # autonomous: the stage time is unused
+        rho = state[n:]
+        dpsi = deriv(ScalarField(grid, state[:n])).values
+        return np.concatenate([-0.5 * dpsi**2, _continuity_rhs(rho, dpsi, grid)])
 
-    def stage(t: float) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal t_last, feet, dpsi
-        if t != t_last:  # the feet x + t*psi0'(x) = node: row 1 of psi0's series times t
-            feet = monotone_inverse(replace(series, c=t * series.c), 1, nodes)
-            t_last, dpsi = t, eval_trig(series, feet, (1,))[0]
-        return feet, dpsi
-
-    def rhs(t: float, rho: np.ndarray) -> np.ndarray:
-        return _continuity_rhs(rho, stage(t)[1], grid)
-
+    state = np.concatenate([psi0.values, mu0.rho])
     densities = [mu0]
     potentials = [_demeaned(psi0.values, mu0.rho, grid)]
     for idx in range(times.size - 1):
         t_out = times[idx + 1]
-        steps = rk4_substeps(t_out - times[idx], grid.n // 2, speed)
-        rho = rk4(rhs, times[idx], t_out, densities[-1].rho, steps)
-        mu_t = _stepped_density(rho, grid, t_out, "hj")
-        psi_t = _characteristic_potential(series, t_out, stage(t_out)[0])
+        steps = rk4_substeps(t_out - times[idx], n // 2, speed)
+        state = rk4(rhs, times[idx], t_out, state, steps)
+        mu_t = _stepped_density(state[n:], grid, t_out, "hj")
         densities.append(mu_t)
-        potentials.append(_demeaned(psi_t, mu_t.rho, grid))
+        potentials.append(_demeaned(state[:n], mu_t.rho, grid))
     return GeodesicPath(grid, times, densities, potentials)
 
 

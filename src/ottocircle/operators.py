@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .density import Density
 from .errors import CompatibilityError, ConditioningWarning, DomainError
@@ -82,7 +82,7 @@ class WeightedOperatorContext:
 
     @cached_property
     def _cho(self) -> tuple:
-        return cho_factor(self.gram)
+        return _cholesky(self.gram)
 
     def gram_solve(self, rhs: np.ndarray) -> np.ndarray:
         return cho_solve(self._cho, rhs)
@@ -101,7 +101,7 @@ class WeightedOperatorContext:
     def stage_factor(self, rho: np.ndarray) -> tuple:
         """Cholesky factor of the Gram matrix at the density rho, for
         project_at; a breakdown raises LinAlgError."""
-        return cho_factor(assemble_gram(rho, self.N))
+        return _cholesky(assemble_gram(rho, self.N))
 
     def project_at(self, factor: tuple, rho: np.ndarray, w_values: np.ndarray) -> np.ndarray:
         """Gram(rho)^{-1} [int w phi_l' rho dvol]: the coefficients of
@@ -159,6 +159,13 @@ def check_gram(matrix: np.ndarray) -> None:
             f"Gram eigenvalue ratio {eigs[-1] / eigs[0]:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e}",
             ConditioningWarning,
         )
+
+
+def _cholesky(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
+    """numpy's lower Cholesky factor, in the (factor, lower) form that
+    cho_solve takes; a breakdown raises LinAlgError.  Every factorization of
+    a Gram matrix goes through here."""
+    return np.linalg.cholesky(matrix), True
 
 
 @lru_cache(maxsize=16)

@@ -356,7 +356,7 @@ def test_cholesky_breakdown_exits_three(tmp_path, monkeypatch, capsys):
     # own factorization at its base density still succeeds
     import ottocircle.operators as operators
 
-    real = operators.cho_factor
+    real = operators._cholesky
     stage_calls = []
 
     def broken(*args, **kwargs):
@@ -365,7 +365,7 @@ def test_cholesky_breakdown_exits_three(tmp_path, monkeypatch, capsys):
         stage_calls.append(1)
         raise np.linalg.LinAlgError("not positive definite")
 
-    monkeypatch.setattr(operators, "cho_factor", broken)
+    monkeypatch.setattr(operators, "_cholesky", broken)
     for sub in ("geodesic", "transport"):
         capsys.readouterr()
         stage_calls.clear()

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import kepler
 
 from ottocircle import (
     CausticError,
@@ -85,29 +86,30 @@ def test_time_grid_order_is_checked_before_any_work():
             route(VOL, potential, times)
 
 
-def _count_spectra(monkeypatch) -> list:
-    """Record every trig_series call made through any ottocircle module."""
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record every call of the grid function `name` made through any
+    ottocircle module."""
     import sys
 
     from ottocircle import grid
 
-    real = grid.trig_series
+    real = getattr(grid, name)
     calls = []
 
-    def counting(f):
-        calls.append(f.grid.n)
-        return real(f)
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ottocircle" and getattr(module, "trig_series", None) is real:
-            monkeypatch.setattr(module, "trig_series", counting)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "ottocircle" and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def test_routes_take_each_spectrum_once(monkeypatch):
     # more path times or a steeper potential mean more Newton iterations and
     # RK4 stages, never more spectra
-    calls = _count_spectra(monkeypatch)
+    calls = _count_calls(monkeypatch, "trig_series")
     for scale, count in ((1.0, 3), (4.0, 9)):
         psi = ScalarField(GRID, scale * PSI0.values)
         times = np.linspace(0.0, 1.0, count)
@@ -131,15 +133,13 @@ def test_displacement_potentials_use_the_pushforward_feet(monkeypatch):
     import ottocircle.geodesics as geodesics
     from ottocircle.grid import monotone_inverse
 
-    inverses, characteristic = [], []
+    inverses = []
     monkeypatch.setattr(density, "monotone_inverse",
                         lambda *args: inverses.append(1) or monotone_inverse(*args))
-    monkeypatch.setattr(geodesics, "monotone_inverse",
-                        lambda *args: characteristic.append(1) or monotone_inverse(*args))
     for count in (2, 9, 17):
         inverses.clear()
         path = displacement_path(WEIGHTED, PSI0, np.linspace(0.0, 1.0, count))
-        assert len(inverses) == count - 1 and characteristic == []
+        assert len(inverses) == count - 1
     # the same potentials as from a fresh solve of x + t*psi0'(x) = node
     series = geodesics.trig_series(PSI0)
     for t, mu_t, psi_t in zip(path.times[1:], path.densities[1:], path.potentials[1:]):
@@ -184,26 +184,36 @@ def test_flow_path_integrates_once_across_its_grid(monkeypatch):
     assert len(calls) == 4 * 16 * 12
 
 
-def test_hj_solves_each_stage_time_once_through_the_shared_inverse(monkeypatch):
-    # 16 intervals of 4 RK4 steps, each with two new stage times (t + h/2 and
-    # t + h; t itself is the previous step's last): one monotone inverse per
-    # distinct stage time after t = 0, of psi0's series scaled by that time
+def test_hj_integrates_the_eulerian_system_without_an_inverse(monkeypatch):
+    # 16 intervals of 4 RK4 steps of 4 stages each, and no monotone inverse:
+    # HJ advances (psi, rho) on the nodes and never solves for characteristics
     import ottocircle.geodesics as geodesics
 
-    real = geodesics.monotone_inverse
-    scales = []
-    monkeypatch.setattr(geodesics, "monotone_inverse",
-                        lambda *args: scales.append(args[0].c[0]) or real(*args))
+    inverses = _count_calls(monkeypatch, "monotone_inverse")
+    real = geodesics.rk4
+    stages = []
+    monkeypatch.setattr(geodesics, "rk4", lambda f, *args: real(
+        lambda t, y: stages.append(t) or f(t, y), *args))
     times = np.linspace(0.0, 1.0, 17)
     hj = geodesic_hj(WEIGHTED, PSI0, times)
-    c0 = geodesics.trig_series(PSI0).c[0]
-    stage_times = np.array(scales).real / c0.real
-    assert len(scales) == 4 * 16 * 2 and np.unique(stage_times).size == len(scales)
-    assert stage_times.min() > 0.0 and stage_times.max() == pytest.approx(1.0, abs=1e-15)
-    # the characteristic potentials at those feet are the displacement route's
+    assert inverses == [] and len(stages) == 4 * 4 * 16
+    # its Eulerian potentials agree with the displacement route's
+    # characteristic potentials at the pushforward feet (measured 4.8e-15)
     reference = displacement_path(WEIGHTED, PSI0, times)
     for a, b in zip(hj.potentials, reference.potentials):
-        np.testing.assert_allclose(a.values, b.values, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(a.values, b.values, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n, a", kepler.CASES)
+def test_routes_match_the_kepler_closed_form(n, a):
+    mu, psi = kepler.start(n, a)
+    coeffs = np.zeros(64)
+    coeffs[0] = a / np.sqrt(2.0)  # psi0 = a cos x in the sqrt(2) cos x row
+    paths = {"hj": geodesic_hj(mu, psi, kepler.TIMES),
+             "christoffel": geodesic_christoffel(mu, coeffs, kepler.TIMES),
+             "displacement": displacement_path(mu, psi, kepler.TIMES)}
+    for route, path in paths.items():
+        assert kepler.worst_density_error(path, a) <= kepler.bound(route, a), route
 
 
 def test_flow_path_continues_where_a_single_pass_ends():

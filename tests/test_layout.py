@@ -1,6 +1,7 @@
 """The package's import layers: each module builds only on the ones below it,
 and importing the package leaves scipy's slow submodules unloaded."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -47,3 +48,16 @@ def test_displacement_path_needs_no_interpolation_module():
              "oc.displacement_path(oc.uniform_density(g), psi, [0.0, 0.5, 1.0]); "
              "print('scipy.interpolate' in sys.modules)")
     assert _fresh_process_output(probe) == ["False"]
+
+
+def test_hj_route_names_no_characteristic_solver():
+    # the HJ route integrates the Eulerian system; the characteristic solve,
+    # the off-grid evaluator and the pushforward belong to the displacement
+    # route, which HJ is checked against (ROADMAP north star, aim 2)
+    tree = ast.parse((PACKAGE / "geodesics.py").read_text())
+    hj = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "geodesic_hj")
+    names = ({node.id for node in ast.walk(hj) if isinstance(node, ast.Name)}
+             | {node.attr for node in ast.walk(hj) if isinstance(node, ast.Attribute)})
+    assert not names & {"monotone_inverse", "_characteristic_potential", "eval_trig",
+                        "pushforward_monotone"}

@@ -1,20 +1,40 @@
 """Check sensitivity: a kernel's output scaled by 1 + eps, in-process only,
 must make at least one check fail.
 
-HJ and the displacement route take their feet from one solver,
-grid.monotone_inverse, each through its own module binding, so scaling one
-binding perturbs one route and leaves the other as the reference.  A probe
-that no check catches yet is a strict xfail naming the ROADMAP item that
-will catch it: when that check lands, the xfail turns into a failure.
+Each probe perturbs one route through its own module binding and leaves the
+others as the reference: HJ's velocity psi' inside its RK4 right-hand side,
+and the feet the displacement route's pushforward takes from
+grid.monotone_inverse.  A probe that no check catches yet is a strict xfail
+naming the ROADMAP item that will catch it: when that check lands, the xfail
+turns into a failure.
 """
 
-import numpy as np
+import inspect
+import sys
+
+import kepler
 import pytest
 
 import ottocircle.density as density
 import ottocircle.geodesics as geodesics
-from ottocircle import NumericalError, ValidationSession, displacement_path
+from ottocircle import NumericalError, ScalarField, ValidationSession, displacement_path, geodesic_hj
 from ottocircle.validation import criterion_4_geodesic_routes
+
+# geodesic_hj's one nested function: its RK4 right-hand side
+_HJ_RHS = next(c for c in geodesics.geodesic_hj.__code__.co_consts if inspect.iscode(c))
+
+
+def _scale_hj_velocity(monkeypatch, eps: float) -> None:
+    """Scale psi' by 1 + eps where HJ's right-hand side takes it, and nowhere else."""
+    real = geodesics.deriv
+
+    def scaled(f, order=1):
+        out = real(f, order)
+        if sys._getframe(1).f_code is not _HJ_RHS:
+            return out
+        return ScalarField(out.grid, out.values * (1.0 + eps))
+
+    monkeypatch.setattr(geodesics, "deriv", scaled)
 
 
 def _scale_feet(monkeypatch, module, eps: float) -> None:
@@ -23,15 +43,24 @@ def _scale_feet(monkeypatch, module, eps: float) -> None:
 
 
 @pytest.mark.parametrize("eps", [
-    1e-5,
-    # hj_vs_christoffel_sup reads about 1.9e-5 against 1e-4; the sharp
-    # displacement check of ROADMAP item 14(a) would catch it
-    pytest.param(1e-6, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 14(a)")),
+    1e-3,
+    # hj_vs_christoffel_sup reads about 1.3e-6 against 1e-4 and the continuity
+    # residual 7.2e-7 against 1e-5; the exact reference of ROADMAP item 17
+    # catches it (test_scaled_hj_velocity_fails_the_kepler_closed_form)
+    pytest.param(1e-5, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 17")),
 ])
-def test_scaled_hj_feet_fail_the_route_agreement(monkeypatch, eps):
-    _scale_feet(monkeypatch, geodesics, eps)
+def test_scaled_hj_velocity_fails_the_route_agreement(monkeypatch, eps):
+    _scale_hj_velocity(monkeypatch, eps)
     record = criterion_4_geodesic_routes(ValidationSession(seed=0))
     assert not record["passed"]
+
+
+def test_scaled_hj_velocity_fails_the_kepler_closed_form(monkeypatch):
+    # at a = 0.1 the bound is 2e-11; psi' off by 1e-6 moves rho by about 1e-7
+    _scale_hj_velocity(monkeypatch, 1e-6)
+    n, a = kepler.CASES[0]
+    path = geodesic_hj(*kepler.start(n, a), kepler.TIMES)
+    assert kepler.worst_density_error(path, a) > kepler.bound("hj", a)
 
 
 def test_scaled_pushforward_feet_leave_an_under_resolved_density(monkeypatch):
