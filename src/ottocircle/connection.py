@@ -135,7 +135,7 @@ def parallel_transport(v0: TangentVector, path) -> list[TangentVector]:
     dpsi_spline = CubicSpline(times, dpsi_path, axis=0)
     speed = float(np.abs(dpsi_path).max())
 
-    # the latest stage time and its (rho_t, dpsi_t, factor), like geodesic_hj's stage memo
+    # the latest stage time and its (rho_t, dpsi_t, factor)
     t_last, memo = None, None
 
     def stage(t: float) -> tuple:

@@ -19,8 +19,8 @@ All off-grid evaluation goes through one evaluator: trig_series takes a
 field's spectrum once, and eval_trig evaluates any set of derivative orders
 of it, and the antiderivative as order -1, in one Horner pass in e^{ix}.
 monotone_inverse solves x + D(x) = y for one such row D, the one
-iterative inverse of an increasing circle map: it serves quantiles,
-pushforwards and the feet of Hamilton-Jacobi characteristics.
+iterative inverse of an increasing circle map: it serves quantiles and the
+feet of pushforwards.
 """
 
 from __future__ import annotations

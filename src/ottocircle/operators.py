@@ -11,7 +11,8 @@ The Green operator inverts L_mu on mean-zero data by a Galerkin solve in the
 L^2(mu) projection of one-forms onto exact forms d(theta).
 
 WeightedOperatorContext owns every integral of the basis against a density:
-Gram matrices and their Cholesky factors, weighted moments, triple products,
+Gram matrices and their Cholesky factors (numpy's, solved by scipy's
+cho_solve), weighted moments, triple products,
 and the projection at a moving density that the geodesic and transport ODEs
 solve at every RK4 stage.  That projection is two steps: stage_factor
 assembles and factors the Gram matrix at the stage density, and project_at
@@ -162,9 +163,8 @@ def check_gram(matrix: np.ndarray) -> None:
 
 
 def _cholesky(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
-    """numpy's lower Cholesky factor, in the (factor, lower) form that
-    cho_solve takes; a breakdown raises LinAlgError.  Every factorization of
-    a Gram matrix goes through here."""
+    """numpy's lower Cholesky factor in cho_solve's (factor, lower) form, for
+    every Gram matrix; a breakdown raises LinAlgError."""
     return np.linalg.cholesky(matrix), True
 
 

@@ -408,8 +408,8 @@ def criterion_12_truncation(session: ValidationSession) -> dict:
     route error by at least 4x.
 
     Both routes advance the density with the same continuity stepper, so the
-    comparison isolates the truncation of the potential ODE; the displacement
-    route is excluded because it does not depend on N.  On 33 times the
+    comparison isolates the potential ODE's truncation, down to the gap of the
+    two routes' RK4 errors; the displacement route, free of N, is left out.  On 33 times the
     routes take 4 RK4 steps per interval, 128 in all, at dyadic stage times.
     """
     psi0 = session.scenario_psi0

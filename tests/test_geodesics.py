@@ -208,7 +208,7 @@ def test_hj_integrates_the_eulerian_system_without_an_inverse(monkeypatch):
 def test_routes_match_the_kepler_closed_form(n, a):
     mu, psi = kepler.start(n, a)
     coeffs = np.zeros(64)
-    coeffs[0] = a / np.sqrt(2.0)  # psi0 = a cos x in the sqrt(2) cos x row
+    coeffs[0] = a / np.sqrt(2.0)  # psi0 = a cos x in the sqrt(2) cos x row, N = 32
     paths = {"hj": geodesic_hj(mu, psi, kepler.TIMES),
              "christoffel": geodesic_christoffel(mu, coeffs, kepler.TIMES),
              "displacement": displacement_path(mu, psi, kepler.TIMES)}
