@@ -22,8 +22,10 @@ solve.  Their agreement is a cross-check of the operator stack, and the
 Laplacian path is invariant under flipping the sign convention of the
 weighted Laplacian (both occurrences flip together).
 
-christoffel returns the plain pair (gamma, rhs): gamma is the read-only Gram
-solve itself, never copied, and rhs the triple products it solves against.
+christoffel returns the plain pair (gamma, rhs): rhs holds the triple
+products, and gamma is a read-only C-ordered array filled with one (d, d)
+Gram solve per first lower index.  Apart from these two d^3 arrays, the
+assembly and its residual allocate only (d, d) slices.
 """
 
 from __future__ import annotations
@@ -90,21 +92,24 @@ class ChristoffelTensor(NamedTuple):
 
 
 def christoffel(ctx: WeightedOperatorContext) -> ChristoffelTensor:
-    """Assemble Gamma^k_ij from Gram * Gamma^._ij = int phi_i' phi_j'' phi_l' dmu."""
+    """Assemble Gamma^k_ij from Gram * Gamma^._ij = int phi_i' phi_j'' phi_l' dmu,
+    one first lower index i at a time: c[i].T has rows l and columns j."""
     c = ctx.triple_products()
     d = 2 * ctx.N
-    # solve over the last axis for every (i, j) pair; gamma is the solve, never copied
-    gamma = ctx.gram_solve(c.reshape(d * d, d).T).reshape(d, d, d)
+    gamma = np.empty((d, d, d))
+    for i in range(d):
+        gamma[:, i, :] = ctx.gram_solve(c[i].T)
     gamma.flags.writeable = False
     return ChristoffelTensor(gamma, c)
 
 
 def christoffel_residual(tensor: ChristoffelTensor, ctx: WeightedOperatorContext) -> float:
-    """Max |Gram * Gamma^._ij - c_ij.| over all (i, j): solver self-consistency."""
-    # one GEMM into rows l, columns (i, j), then in place: no second d^3 temporary
-    recon = ctx.gram @ tensor.gamma.reshape(len(ctx.gram), -1)
-    recon -= np.reshape(tensor.rhs, (recon.shape[1], -1)).T
-    return float(np.abs(recon, out=recon).max())
+    """Max |Gram * Gamma^._ij - c_ij.| over all (i, j): solver self-consistency.
+    A NaN anywhere in gamma or rhs makes the result NaN."""
+    # one (d, d) slice at a time; np.max, unlike max(), propagates a NaN
+    slices = [np.abs(ctx.gram @ tensor.gamma[:, i, :] - tensor.rhs[i].T).max()
+              for i in range(len(ctx.gram))]
+    return float(np.max(slices))
 
 
 def parallel_transport(v0: TangentVector, path) -> list[TangentVector]:

@@ -84,8 +84,7 @@ def riemann_fd_oracle(i: int, j: int, k: int, l: int, ctx: WeightedOperatorConte
             raise ConfigError(f"basis index {idx} outside 0..{d - 1}")
     mu = ctx.mu
     grid = ctx.grid
-    # C order: the products below sum in memory order, which fixes the report's last digits
-    gamma0 = np.ascontiguousarray(christoffel(ctx).gamma)
+    gamma0 = christoffel(ctx).gamma
 
     def gamma_shifted(direction: int, sign: float):
         drho = -deriv(ScalarField(grid, mu.rho * ctx.basis1[direction]), 1).values

@@ -4,7 +4,10 @@ A Density is a smooth positive function rho with unit mass against the
 normalized volume; the measure it represents is mu = rho * dvol.  The
 pushforward under x -> x + T(x) returns the feet x of the grid nodes
 (grid.monotone_inverse) and the exact 1-d change-of-variables values
-rho(x) / (1 + T'(x)) there, checked as a Density, never renormalized.
+rho(x) / (1 + T'(x)) there, checked as a Density, never renormalized.  It
+works on the spectra of rho and T (pushforward_spectra), so a caller that
+pushes one density forward many times takes its spectrum once, and a caller
+that knows T's spectrum exactly passes it without sampling T on the nodes.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .errors import DomainError, FoldError, GridMismatchError, NumericalError
 from .grid import (
     GridSpec,
     ScalarField,
+    TrigSeries,
     check_same_grid,
     eval_trig,
     integrate,
@@ -96,16 +100,23 @@ def pushforward_monotone(mu: Density, displacement: ScalarField) -> tuple[Densit
     off 1 means the nodes under-resolve T_# mu, and raises NumericalError.
     """
     check_same_grid(mu, displacement)
-    series = trig_series(displacement)
-    jac_fine = 1.0 + eval_trig(series, GridSpec(4 * mu.grid.n).nodes, (1,))[0]
+    return pushforward_spectra(mu.grid, trig_series(mu.field()), trig_series(displacement))
+
+
+def pushforward_spectra(grid: GridSpec, rho: TrigSeries,
+                        displacement: TrigSeries) -> tuple[Density, np.ndarray]:
+    """pushforward_monotone on the grid, from the spectra of the density
+    rho and of the displacement T, with the same FoldError and
+    NumericalError checks."""
+    jac_fine = 1.0 + eval_trig(displacement, GridSpec(4 * grid.n).nodes, (1,))[0]
     if jac_fine.min() <= 0.0:
         raise FoldError(f"map folds: min(1 + T') = {jac_fine.min():.3e} <= 0")
-    feet = monotone_inverse(series, 0, mu.grid.nodes)
-    values = eval_trig(trig_series(mu.field()), feet)[0] / (1.0 + eval_trig(series, feet, (1,))[0])
+    feet = monotone_inverse(displacement, 0, grid.nodes)
+    values = eval_trig(rho, feet)[0] / (1.0 + eval_trig(displacement, feet, (1,))[0])
     try:
-        return Density(mu.grid, values), feet
+        return Density(grid, values), feet
     except DomainError as exc:
-        raise NumericalError(f"pushforward under-resolved on {mu.grid.n} nodes: {exc}") from exc
+        raise NumericalError(f"pushforward under-resolved on {grid.n} nodes: {exc}") from exc
 
 
 # -- serialization ----------------------------------------------------------

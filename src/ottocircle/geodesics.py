@@ -18,9 +18,11 @@ as long as the characteristics x0 + t*psi0'(x0) do not cross (equivalently
     through the operator context built at mu0 (operators.project_at).
   * displacement_path: pushforward of mu0 by the displacement t * psi0'
     through the exact Jacobian formula at the feet of the nodes
-    (density.pushforward_monotone, whose feet come from
+    (density.pushforward_spectra, whose feet come from
     grid.monotone_inverse), with the exact characteristic potentials at
-    those feet (momentum is constant along straight characteristics).
+    those feet (momentum is constant along straight characteristics).  The
+    displacement's spectrum is t times psi0's derivative row
+    (grid.derivative_series), and mu0's spectrum is taken once per path.
 
 Both RK4 routes take grid.rk4_substeps steps per interval, at n/2 wavenumbers
 and speed max|psi'|.  All stored potentials are de-meaned against their own
@@ -33,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import Density, pushforward_monotone
+from .density import Density, pushforward_spectra
 from .errors import CausticError, ConfigError, DomainError, NumericalError
-from .grid import (GridSpec, ScalarField, TrigSeries, check_same_grid, deriv, eval_trig, rk4,
-                   rk4_substeps, time_grid, trig_series)
+from .grid import (GridSpec, ScalarField, TrigSeries, check_same_grid, deriv, derivative_series,
+                   eval_trig, rk4, rk4_substeps, time_grid, trig_series)
 from .operators import WeightedOperatorContext
 from .tangent import TangentVector, flow_map
 
@@ -180,11 +182,11 @@ def displacement_path(mu0: Density, psi0: ScalarField, times) -> GeodesicPath:
     supports action and transport."""
     times, series = _characteristic_setup(mu0, psi0, times)
     grid = mu0.grid
-    dpsi0 = deriv(psi0).values
+    rho0 = trig_series(mu0.field())
     densities = [mu0]
     potentials = [_demeaned(psi0.values, mu0.rho, grid)]
     for t in map(float, times[1:]):
-        mu_t, feet = pushforward_monotone(mu0, ScalarField(grid, t * dpsi0))
+        mu_t, feet = pushforward_spectra(grid, rho0, derivative_series(series, t))
         psi_t = _characteristic_potential(series, t, feet)
         densities.append(mu_t)
         potentials.append(_demeaned(psi_t, mu_t.rho, grid))
@@ -197,8 +199,9 @@ def flow_path(mu0: Density, psi: ScalarField, times) -> GeodesicPath:
     constant in t: the curve is not a geodesic."""
     check_same_grid(psi, mu0)
     grid = mu0.grid
-    densities = [mu0] + [pushforward_monotone(mu0, ScalarField(grid, x - grid.nodes))[0]
-                         for x in flow_map(psi, times)[1:]]
+    rho0 = trig_series(mu0.field())
+    shifts = [trig_series(ScalarField(grid, x - grid.nodes)) for x in flow_map(psi, times)[1:]]
+    densities = [mu0] + [pushforward_spectra(grid, rho0, shift)[0] for shift in shifts]
     potentials = [_demeaned(psi.values, mu_t.rho, grid) for mu_t in densities]
     return GeodesicPath(grid, times, densities, potentials)
 

@@ -17,7 +17,8 @@ meaningful modulo constants.
 
 All off-grid evaluation goes through one evaluator: trig_series takes a
 field's spectrum once, and eval_trig evaluates any set of derivative orders
-of it, and the antiderivative as order -1, in one Horner pass in e^{ix}.
+of it, and the antiderivative as order -1, in one Horner pass in e^{ix};
+derivative_series turns its order-1 row into a series of its own.
 monotone_inverse solves x + D(x) = y for one such row D, the one
 iterative inverse of an increasing circle map: it serves quantiles and the
 feet of pushforwards.
@@ -195,6 +196,13 @@ def eval_trig(series: TrigSeries, points: np.ndarray, orders=(0,)) -> np.ndarray
         elif p == -1:
             row -= value_at_0
     return out.reshape((len(orders),) + points.shape)
+
+
+def derivative_series(series: TrigSeries, scale: float = 1.0) -> TrigSeries:
+    """The spectrum of scale * f' from f's: eval_trig's order-1 row as a
+    series, exact to roundoff in each kept mode, where trig_series of
+    sampled values of f' would also keep the FFT's roundoff modes."""
+    return TrigSeries(series.n, 0.0, series.k, scale * _rows(series, (1,))[0])
 
 
 def monotone_inverse(series: TrigSeries, order: int, targets) -> np.ndarray:

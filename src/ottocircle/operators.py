@@ -11,14 +11,19 @@ The Green operator inverts L_mu on mean-zero data by a Galerkin solve in the
 L^2(mu) projection of one-forms onto exact forms d(theta).
 
 WeightedOperatorContext owns every integral of the basis against a density:
-Gram matrices and their Cholesky factors (numpy's, solved by scipy's
-cho_solve), weighted moments, triple products,
-and the projection at a moving density that the geodesic and transport ODEs
-solve at every RK4 stage.  That projection is two steps: stage_factor
+Gram matrices and their Cholesky factors (numpy's), weighted moments, triple
+products, and the projection at a moving density that the geodesic and
+transport ODEs solve at every RK4 stage.  The context's own Gram matrix is
+solved with the inverse of its factor, L^-1, taken once per context: a solve
+is then two numpy products, L^-T (L^-1 b).  A stage Gram matrix serves one
+or two solves per factor, so it is solved by scipy's cho_solve on the
+factor: inverting a 128x128 factor costs about four Cholesky
+factorizations.  The stage projection is two steps: stage_factor
 assembles and factors the Gram matrix at the stage density, and project_at
 solves with that factor, so a caller whose stages repeat a density may keep
 the factor.  The context is fixed at construction, except that its own Gram
-matrix is factored on the first solve (a metric-only context never factors).
+matrix is factored and inverted on the first solve (a metric-only context
+never factors).
 
 In the trig basis these integrals are Fourier data of rho: the node
 quadrature of a product of basis rows against rho is a sum of DFT bins of rho
@@ -82,11 +87,14 @@ class WeightedOperatorContext:
         return self.mu.grid
 
     @cached_property
-    def _cho(self) -> tuple:
-        return _cholesky(self.gram)
+    def _inverse_factor(self) -> np.ndarray:
+        """L^-1 for the lower Cholesky factor L of gram."""
+        return np.linalg.inv(_cholesky(self.gram)[0])
 
     def gram_solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self._cho, rhs)
+        """gram^-1 rhs as L^-T (L^-1 rhs), over the first axis of rhs."""
+        inverse = self._inverse_factor
+        return inverse.T @ (inverse @ rhs)
 
     def weighted_moment(self, values: np.ndarray, order: int) -> np.ndarray:
         """Vector of int basis_i^{(order)} * values dmu over the 2N basis."""

@@ -23,9 +23,10 @@ CASES = ((256, 0.1), (256, 0.3), (512, 0.5))
 # 33 times cut a = 0.3 by 15.5.  Christoffel (N = 32) reads 5.1e-13, 1.9e-10
 # and 9.6e-9, the last with its truncation of psi_t (ROADMAP item 5(b)).
 RK4_BOUND = 2e-6  # times a^5: 27x HJ's model, 6x Christoffel's worst case
-# The displacement route takes no time steps: it reads 2.2e-16, 2.3e-12 and
-# 2.0e-11, the roundoff modes of its series (ROADMAP item 17(b)).
-DISPLACEMENT_BOUND = 5e-10
+# The displacement route takes no time steps, and its displacement's spectrum
+# is t times psi0's derivative row, with no FFT roundoff modes: it reads
+# 2.2e-16, 4.4e-16 and 1.3e-15, a few ulps of the density.
+DISPLACEMENT_BOUND = 1e-13
 
 
 def kapteyn_density(grid: GridSpec, e: float) -> np.ndarray:

@@ -35,6 +35,7 @@ from ottocircle import (
     uniform_density,
     vector_from_potential,
 )
+from ottocircle.validation import check
 
 GRID = GridSpec(256)
 VOL = uniform_density(GRID)
@@ -242,6 +243,35 @@ def test_christoffel_tensor_is_the_read_only_solve_and_its_rhs(ctx_weighted):
     with pytest.raises(ValueError, match="read-only"):
         gamma[0, 0, 0] = 1.0
     np.testing.assert_array_equal(rhs, ctx_weighted.triple_products())
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_christoffel_holds_two_cubes_at_most(N):
+    # c and gamma are the only d^3 arrays: the solve and its residual work one
+    # (d, d) slice at a time (one more cube read 3.0 to 3.3 here)
+    import tracemalloc
+
+    ctx = WeightedOperatorContext(cosine_density(GridSpec(8 * N), 0.3, phase=0.4), N)
+    ctx.gram_solve(np.ones(2 * N))  # factor outside the trace
+    d = 2 * N
+    tracemalloc.start()
+    try:
+        tensor = christoffel(ctx)
+        christoffel_residual(tensor, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * d**3 * 8, peak / (d**3 * 8)
+    assert tensor.gamma.flags.c_contiguous and not tensor.gamma.flags.writeable
+
+
+def test_christoffel_residual_propagates_a_nan(ctx_weighted):
+    gamma, rhs = christoffel(ctx_weighted)
+    planted = gamma.copy()
+    planted[3, 5, 2] = np.nan
+    residual = christoffel_residual(ChristoffelTensor(planted, rhs), ctx_weighted)
+    assert np.isnan(residual)
+    assert not check("assembly_residual", residual, 1e-8)["passed"]
 
 
 @pytest.fixture(scope="module")

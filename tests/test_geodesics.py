@@ -118,8 +118,9 @@ def test_routes_take_each_spectrum_once(monkeypatch):
         assert len(calls) == 1
         calls.clear()
         displacement_path(WEIGHTED, psi, times)
-        # psi0 once, then the displacement and the density of each pushforward
-        assert len(calls) == 1 + 2 * (count - 1)
+        # psi0 and mu0 once each: every displacement's spectrum is t times
+        # psi0's derivative row
+        assert len(calls) == 2
     for count in (2, 17):
         calls.clear()
         flow_map(PSI0, np.linspace(0.0, 1.0, count))

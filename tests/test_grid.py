@@ -193,6 +193,18 @@ def test_eval_trig_orders_in_one_call(grid):
         _close(rows[order + 1][::2], deriv(f, order).values)
 
 
+def test_derivative_series_is_the_scaled_order_one_row(grid):
+    # full spectrum with a Nyquist row: scale * f' and its second derivative,
+    # as eval_trig reads them off f's own series (f' drops the Nyquist row,
+    # as deriv does, so its first derivative is not f'' there)
+    rng = np.random.default_rng(7)
+    series = trig_series(ScalarField(grid, 0.3 + rng.standard_normal(grid.n)))
+    slope = grid_module.derivative_series(series, 0.25)
+    assert slope.mean == 0.0 and np.array_equal(slope.k, series.k)
+    points = rng.uniform(0.0, 2.0 * np.pi, 9)
+    _close(eval_trig(slope, points, (0, 2)), 0.25 * eval_trig(series, points, (1, 3)))
+
+
 def test_eval_trig_nyquist_rule(grid):
     # positive odd orders drop the Nyquist mode, even orders keep it
     half = grid.n // 2

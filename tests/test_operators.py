@@ -28,6 +28,7 @@ from ottocircle import (
     uniform_density,
     weighted_inner,
 )
+import ottocircle.operators as operators
 from ottocircle.operators import _gram_tables, assemble_gram, check_gram
 
 N_MODES = 6
@@ -250,3 +251,18 @@ def test_stage_projection_at_a_moved_density():
     assert np.abs(solved - expected).max() <= 1e-12 * np.abs(expected).max()
     base = cho_solve(cho_factor(ctx.gram), moment)
     assert np.abs(base - expected).max() > 1e-3 * np.abs(expected).max()
+
+
+def test_gram_solve_inverts_the_factor_once(monkeypatch):
+    # the context's own solves are L^-T (L^-1 b) with L^-1 taken on the first
+    # solve only; they match a direct solve to roundoff, for vectors and blocks
+    calls = []
+    real = operators._cholesky
+    monkeypatch.setattr(operators, "_cholesky", lambda g: calls.append(1) or real(g))
+    grid = GridSpec(256)
+    ctx = WeightedOperatorContext(cosine_density(grid, 0.3, phase=0.4), 16)
+    rhs = np.random.default_rng(5).standard_normal((32, 7))
+    for b in (rhs[:, 0], rhs):
+        expected = np.linalg.solve(ctx.gram, b)
+        assert np.abs(ctx.gram_solve(b) - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert calls == [1]
