@@ -198,7 +198,7 @@ def eval_trig(series: TrigSeries, points: np.ndarray, orders=(0,)) -> np.ndarray
     return out.reshape((len(orders),) + points.shape)
 
 
-def derivative_series(series: TrigSeries, scale: float = 1.0) -> TrigSeries:
+def derivative_series(series: TrigSeries, scale: float) -> TrigSeries:
     """The spectrum of scale * f' from f's: eval_trig's order-1 row as a
     series, exact to roundoff in each kept mode, where trig_series of
     sampled values of f' would also keep the FFT's roundoff modes."""

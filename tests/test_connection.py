@@ -248,7 +248,8 @@ def test_christoffel_tensor_is_the_read_only_solve_and_its_rhs(ctx_weighted):
 @pytest.mark.parametrize("N", [16, 32])
 def test_christoffel_holds_two_cubes_at_most(N):
     # c and gamma are the only d^3 arrays: the solve and its residual work one
-    # (d, d) slice at a time (one more cube read 3.0 to 3.3 here)
+    # (d, d) slice at a time (a whole-tensor solve and residual peaked at 3.0
+    # to 3.3 cubes)
     import tracemalloc
 
     ctx = WeightedOperatorContext(cosine_density(GridSpec(8 * N), 0.3, phase=0.4), N)

@@ -60,4 +60,4 @@ def test_hj_route_names_no_characteristic_solver():
     names = ({node.id for node in ast.walk(hj) if isinstance(node, ast.Name)}
              | {node.attr for node in ast.walk(hj) if isinstance(node, ast.Attribute)})
     assert not names & {"monotone_inverse", "_characteristic_potential", "eval_trig",
-                        "pushforward_monotone"}
+                        "pushforward_monotone", "pushforward_spectra", "derivative_series"}
