@@ -56,7 +56,6 @@ from .tangent import (
     vector_from_potential,
 )
 from .connection import (
-    ChristoffelTensor,
     christoffel,
     christoffel_residual,
     covariant_derivative,

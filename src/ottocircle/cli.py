@@ -313,15 +313,15 @@ def run_bracket(run: RunInputs, out_dir: str) -> dict:
 
 def run_christoffel(run: RunInputs, out_dir: str) -> dict:
     ctx = WeightedOperatorContext(run.density, run.config["N"])
-    tensor = christoffel(ctx)
-    d = tensor.gamma.shape[0]
+    gamma = christoffel(ctx)
+    d = gamma.shape[0]
     write_csv(out_dir, "christoffel.csv", ["k", "i", "j", "value"],
-              ((k, i, j, tensor.gamma[k, i, j])
+              ((k, i, j, gamma[k, i, j])
                for k in range(d) for i in range(d) for j in range(d)))
-    residual = christoffel_residual(tensor, ctx)
+    residual = christoffel_residual(gamma, ctx)
     results = {
         "dimension": d,
-        "max_ij_asymmetry": float(np.abs(tensor.gamma - tensor.gamma.transpose(0, 2, 1)).max()),
+        "max_ij_asymmetry": float(np.abs(gamma - gamma.transpose(0, 2, 1)).max()),
     }
     checks = [check("assembly_residual", residual, 1e-8)]
     return write_report(out_dir, "christoffel", run.config, results, checks)

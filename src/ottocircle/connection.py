@@ -22,15 +22,18 @@ solve.  Their agreement is a cross-check of the operator stack, and the
 Laplacian path is invariant under flipping the sign convention of the
 weighted Laplacian (both occurrences flip together).
 
-christoffel returns the plain pair (gamma, rhs): rhs holds the triple
-products, and gamma is a read-only C-ordered array filled with one (d, d)
-Gram solve per first lower index.  Apart from these two d^3 arrays, the
-assembly and its residual allocate only (d, d) slices.
+christoffel returns gamma itself, a read-only C-ordered array filled with
+one (d, d) Gram solve per first lower index from the triple-product slices
+that the context streams.  christoffel_residual streams those slices again,
+so it checks gamma against a fresh computation of its right-hand side.
+gamma is the only d^3 array either of them holds.
+
+parallel_transport interpolates the stored densities and potential slopes
+in time with a not-a-knot cubic spline, built in numpy beside it
+(_time_spline); it loads no interpolation library.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -77,39 +80,80 @@ def covariant_derivative(phi1: ScalarField, phi2: ScalarField,
     return TangentVector(coeffs, ctx.mu)
 
 
-class ChristoffelTensor(NamedTuple):
-    """Gamma^k_ij of the basis frame at a base density, as christoffel solves it.
+def christoffel(ctx: WeightedOperatorContext) -> np.ndarray:
+    """Gamma^k_ij of the basis frame at ctx.mu, as a read-only C-ordered array.
 
     gamma[k, i, j] multiplies coefficients as (nabla_{V_i} V_j)^k; indices
     follow the cos1, sin1, cos2, ... ordering.  The frame is not a coordinate
     frame, so gamma is generally not symmetric in (i, j); the antisymmetric
-    part encodes the bracket structure constants.  rhs[i, j, l] holds the
-    triple products int phi_i' phi_j'' phi_l' dmu that gamma solves for.
-    """
-
-    gamma: np.ndarray
-    rhs: np.ndarray
-
-
-def christoffel(ctx: WeightedOperatorContext) -> ChristoffelTensor:
-    """Assemble Gamma^k_ij from Gram * Gamma^._ij = int phi_i' phi_j'' phi_l' dmu,
-    one first lower index i at a time: c[i].T has rows l and columns j."""
-    c = ctx.triple_products()
+    part encodes the bracket structure constants.  Gram * Gamma^._ij =
+    int phi_i' phi_j'' phi_l' dmu is solved one first lower index i at a
+    time: the triple-product slice c[i].T has rows l and columns j."""
     d = 2 * ctx.N
     gamma = np.empty((d, d, d))
-    for i in range(d):
-        gamma[:, i, :] = ctx.gram_solve(c[i].T)
+    for i, c_i in enumerate(ctx.triple_products()):
+        gamma[:, i, :] = ctx.gram_solve(c_i.T)
     gamma.flags.writeable = False
-    return ChristoffelTensor(gamma, c)
+    return gamma
 
 
-def christoffel_residual(tensor: ChristoffelTensor, ctx: WeightedOperatorContext) -> float:
-    """Max |Gram * Gamma^._ij - c_ij.| over all (i, j): solver self-consistency.
-    A NaN anywhere in gamma or rhs makes the result NaN."""
+def christoffel_residual(gamma: np.ndarray, ctx: WeightedOperatorContext) -> float:
+    """Max |Gram * Gamma^._ij - c_ij.| over all (i, j): solver self-consistency
+    against triple products computed afresh.  A NaN anywhere in gamma or the
+    triple products makes the result NaN."""
     # one (d, d) slice at a time; np.max, unlike max(), propagates a NaN
-    slices = [np.abs(ctx.gram @ tensor.gamma[:, i, :] - tensor.rhs[i].T).max()
-              for i in range(len(ctx.gram))]
+    slices = [np.abs(ctx.gram @ gamma[:, i, :] - c_i.T).max()
+              for i, c_i in enumerate(ctx.triple_products())]
     return float(np.max(slices))
+
+
+def _time_spline(x: np.ndarray, y: np.ndarray):
+    """The not-a-knot cubic spline through the rows y[i] of a 2-d array at
+    the increasing times x[i], as scipy's CubicSpline builds it by default;
+    returns the evaluator t -> y(t).
+
+    The knot slopes solve one m x m system.  At 2 knots the spline is the line
+    through them; at 3 both not-a-knot conditions are the same one, so it is
+    the parabola through them.  y(t) is Horner's rule in t - x[i] on the knot
+    interval [x[i], x[i+1]) holding t, the last interval closed, and the end
+    intervals extended beyond the knots."""
+    m = x.size
+    dx = np.diff(x)
+    h = dx[:, None]
+    slope = np.diff(y, axis=0) / h
+    system, b = np.zeros((m, m)), np.empty(y.shape)
+    if m == 2:
+        system[[0, 1], [0, 1]] = 1.0
+        b[:] = slope[0]
+    elif m == 3:
+        system[0] = 1.0, 1.0, 0.0
+        system[1] = dx[1], 2.0 * (dx[0] + dx[1]), dx[0]
+        system[2] = 0.0, 1.0, 1.0
+        b[0] = 2.0 * slope[0]
+        b[1] = 3.0 * (h[0] * slope[1] + h[1] * slope[0])
+        b[2] = 2.0 * slope[1]
+    else:
+        inner = np.arange(1, m - 1)
+        system[inner, inner - 1] = dx[1:]
+        system[inner, inner] = 2.0 * (dx[:-1] + dx[1:])
+        system[inner, inner + 1] = dx[:-1]
+        b[1:-1] = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+        first, last = x[2] - x[0], x[-1] - x[-3]
+        system[0, :2] = dx[1], first
+        system[-1, -2:] = last, dx[-2]
+        b[0] = ((h[0] + 2.0 * first) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / first
+        b[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * last + h[-1]) * h[-2] * slope[-1]) / last
+    s = np.linalg.solve(system, b)
+    cubic = (s[:-1] + s[1:] - 2.0 * slope) / h
+    # cubic, quadratic, linear and constant coefficients on each interval
+    coeffs = (cubic / h, (slope - s[:-1]) / h - cubic, s[:-1], y[:-1])
+
+    def evaluate(t: float) -> np.ndarray:
+        i = min(max(int(np.searchsorted(x, t, side="right")) - 1, 0), m - 2)
+        u = t - x[i]
+        return ((coeffs[0][i] * u + coeffs[1][i]) * u + coeffs[2][i]) * u + coeffs[3][i]
+
+    return evaluate
 
 
 def parallel_transport(v0: TangentVector, path) -> list[TangentVector]:
@@ -117,27 +161,26 @@ def parallel_transport(v0: TangentVector, path) -> list[TangentVector]:
 
     Integrates d(eta)/dt = -Gram(mu_t)^{-1} b(t), b_l = int psi_t' eta''
     phi_l' dmu_t (the coefficient form of nabla_{V_psi} V_eta = 0), with RK4
-    whose stage data comes from cubic-in-time interpolation of the stored
-    densities and potentials, in grid.rk4_substeps steps per interval at N
-    modes (eta's span) and the path's max|psi'|.  Each stage is one
-    projection at the interpolated density through the context built at the
-    path's first density (operators.project_at).  rk4 repeats stage times
-    bitwise (k3 reuses k2's, the next k1 reuses k4's), so the interpolated
-    data and the Gram factor of the latest stage time are kept for reuse:
-    along 17 uniform times with 4 steps per interval, 129 of the 256 stages
-    factor.  A geodesic's own velocity solves the same equation as its
-    Christoffel ODE, so it is self-parallel.
+    whose stage data comes from not-a-knot cubic interpolation in time of the
+    stored densities and potential slopes (_time_spline), in grid.rk4_substeps
+    steps per interval at N modes (eta's span) and the path's max|psi'|.  Each
+    stage is one projection at the interpolated density through the context
+    built at the path's first density (operators.project_at).  rk4 repeats
+    stage times bitwise (k3 reuses k2's, the next k1 reuses k4's), so the
+    interpolated data and the Gram factor of the latest stage time are kept
+    for reuse: along 17 uniform times with 4 steps per interval, 129 of the
+    256 stages factor.  A geodesic's own velocity solves the same equation as
+    its Christoffel ODE, so it is self-parallel.
     """
-    from scipy.interpolate import CubicSpline  # loaded on first use: a slow import
     times = np.asarray(path.times, dtype=np.float64)
     if times.size < 2:
         raise DomainError("path must have at least two times for transport")
     if not np.array_equal(v0.base.rho, path.densities[0].rho):
         raise DomainError("v0 must be based at the path's initial density")
     ctx = WeightedOperatorContext(path.densities[0], v0.N)
-    rho_spline = CubicSpline(times, np.stack([d.rho for d in path.densities]), axis=0)
+    rho_spline = _time_spline(times, np.stack([d.rho for d in path.densities]))
     dpsi_path = np.stack([deriv(p).values for p in path.potentials])
-    dpsi_spline = CubicSpline(times, dpsi_path, axis=0)
+    dpsi_spline = _time_spline(times, dpsi_path)
     speed = float(np.abs(dpsi_path).max())
 
     # the latest stage time and its (rho_t, dpsi_t, factor)

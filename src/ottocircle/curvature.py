@@ -84,12 +84,12 @@ def riemann_fd_oracle(i: int, j: int, k: int, l: int, ctx: WeightedOperatorConte
             raise ConfigError(f"basis index {idx} outside 0..{d - 1}")
     mu = ctx.mu
     grid = ctx.grid
-    gamma0 = christoffel(ctx).gamma
+    gamma0 = christoffel(ctx)
 
     def gamma_shifted(direction: int, sign: float):
         drho = -deriv(ScalarField(grid, mu.rho * ctx.basis1[direction]), 1).values
         mu_h = make_density(ScalarField(grid, mu.rho + sign * FD_STEP * drho))
-        return christoffel(WeightedOperatorContext(mu_h, ctx.N)).gamma
+        return christoffel(WeightedOperatorContext(mu_h, ctx.N))
 
     def dgamma(direction: int):
         return (gamma_shifted(direction, +1.0) - gamma_shifted(direction, -1.0)) / (2.0 * FD_STEP)

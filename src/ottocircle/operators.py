@@ -12,7 +12,8 @@ L^2(mu) projection of one-forms onto exact forms d(theta).
 
 WeightedOperatorContext owns every integral of the basis against a density:
 Gram matrices and their Cholesky factors (numpy's), weighted moments, triple
-products, and the projection at a moving density that the geodesic and
+products (streamed one (d, d) slice per first index, so no caller needs the
+d^3 cube), and the projection at a moving density that the geodesic and
 transport ODEs solve at every RK4 stage.  The context's own Gram matrix is
 solved with the inverse of its factor, L^-1, taken once per context: a solve
 is then two numpy products, L^-T (L^-1 b).  A stage Gram matrix serves one
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -118,8 +120,9 @@ class WeightedOperatorContext:
         factor = stage_factor(rho)."""
         return cho_solve(factor, self.basis1 @ (w_values * rho) / self.grid.n)
 
-    def triple_products(self) -> np.ndarray:
-        """c[i, j, l] = int phi_i' phi_j'' phi_l' dmu over the 2N basis.
+    def triple_products(self) -> Iterator[np.ndarray]:
+        """Yield the d slices c[i] of c[i, j, l] = int phi_i' phi_j'' phi_l' dmu
+        over the 2N basis, in order of i, each (d, d) slice built afresh.
 
         With the rows written as exponentials (_FIRST_POWER, _SECOND_POWER),
         each entry is 2 Re of four products with the bins
@@ -133,10 +136,9 @@ class WeightedOperatorContext:
         patterns = [(sj, sl, sj * j[:, None] + sl * j[None, :])
                     for sj, sl in itertools.product((1, -1), repeat=2)]
         scale = (SQRT2 / 2.0) * (j[:, None] ** 2 * j[None, :]).astype(np.float64)
-        out = np.zeros((N, 2, N, 2, N, 2))
-        # one k at a time keeps the temporaries at O(N^2)
+        # one k at a time: the cos-k and sin-k slices, O(N^2) memory each
         for k in range(1, N + 1):
-            row = out[k - 1]
+            row = np.zeros((2, N, 2, N, 2))
             for sj, sl, offset in patterns:
                 # |m| <= 3N < n, so a negative m indexes its own bin from the end
                 m = k + offset
@@ -147,7 +149,7 @@ class WeightedOperatorContext:
                     block = row[ti, :, tj, :, tl]
                     accumulate(block, gathered[use_sin], out=block)
             row *= k * scale[None, :, None, :, None]
-        return out.reshape(2 * N, 2 * N, 2 * N)
+            yield from row.reshape(2, 2 * N, 2 * N)
 
     def potential_values(self, coeffs: np.ndarray, order: int = 0) -> np.ndarray:
         table = (self.basis0, self.basis1, self.basis2)[order]

@@ -13,7 +13,6 @@ from scipy.linalg import cho_factor, cho_solve
 import ottocircle.connection as connection
 import ottocircle.operators as operators
 from ottocircle import (
-    ChristoffelTensor,
     DomainError,
     GeodesicPath,
     GridSpec,
@@ -183,28 +182,28 @@ def test_metric_compatibility(ctx_weighted):
 
 def test_christoffel_contract_matches_covariant_derivative(ctx_weighted):
     rng = np.random.default_rng(71)
-    tensor = christoffel(ctx_weighted)
+    gamma = christoffel(ctx_weighted)
     a = rng.standard_normal(2 * N_MODES)
     b = rng.standard_normal(2 * N_MODES)
     fa = ScalarField(GRID, a @ ctx_weighted.basis0)
     fb = ScalarField(GRID, b @ ctx_weighted.basis0)
     direct = covariant_derivative(fa, fb, ctx_weighted)
-    np.testing.assert_allclose(np.einsum("kij,i,j->k", tensor.gamma, a, b), direct.coeffs,
+    np.testing.assert_allclose(np.einsum("kij,i,j->k", gamma, a, b), direct.coeffs,
                                atol=1e-10)
 
 
 def test_christoffel_frozen_entry_at_uniform(ctx_vol):
     # c_{0,0,l} = int (sqrt2 cos x)' (sqrt2 cos x)'' phi_l' dvol picks out only
     # the cos-2 mode, giving Gamma^2_{0,0} = -sqrt(2)/4
-    tensor = christoffel(ctx_vol)
+    gamma = christoffel(ctx_vol)
     expected = np.zeros(2 * N_MODES)
     expected[2] = -np.sqrt(2.0) / 4.0
-    np.testing.assert_allclose(tensor.gamma[:, 0, 0], expected, atol=1e-13)
+    np.testing.assert_allclose(gamma[:, 0, 0], expected, atol=1e-13)
 
 
 def test_christoffel_frame_is_not_coordinate(ctx_weighted):
     # nonzero brackets force gamma to be asymmetric in its lower indices
-    gamma = christoffel(ctx_weighted).gamma
+    gamma = christoffel(ctx_weighted)
     assert np.abs(gamma - gamma.transpose(0, 2, 1)).max() > 0.1
 
 
@@ -225,31 +224,38 @@ def test_christoffel_quadrature_oracle(ctx_weighted):
         return np.sqrt(2.0) * k * k * base
 
     gram = np.array([[np.mean(dphi(i) * dphi(j) * rho) for j in range(d)] for i in range(d)])
-    tensor = christoffel(ctx_weighted)
+    gamma = christoffel(ctx_weighted)
     for i, j in ((0, 0), (1, 2), (5, 3), (7, 7)):
         rhs = np.array([np.mean(dphi(i) * ddphi(j) * dphi(l) * rho) for l in range(d)])
         gamma_ij = np.linalg.solve(gram, rhs)
-        np.testing.assert_allclose(tensor.gamma[:, i, j], gamma_ij, atol=1e-11)
+        np.testing.assert_allclose(gamma[:, i, j], gamma_ij, atol=1e-11)
 
 
 def test_christoffel_residual_small(ctx_weighted):
-    tensor = christoffel(ctx_weighted)
-    assert christoffel_residual(tensor, ctx_weighted) < 1e-12
+    gamma = christoffel(ctx_weighted)
+    assert christoffel_residual(gamma, ctx_weighted) < 1e-12
 
 
-def test_christoffel_tensor_is_the_read_only_solve_and_its_rhs(ctx_weighted):
-    gamma, rhs = christoffel(ctx_weighted)
-    assert ChristoffelTensor._fields == ("gamma", "rhs")
+def test_christoffel_is_the_read_only_slice_solve(ctx_weighted):
+    # gamma is the bare array, solved one streamed triple-product slice at a
+    # time: gamma[:, i, :] = Gram^-1 c[i].T
+    gamma = christoffel(ctx_weighted)
+    d = 2 * N_MODES
+    assert type(gamma) is np.ndarray and gamma.shape == (d, d, d)
+    assert gamma.flags.c_contiguous and not gamma.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         gamma[0, 0, 0] = 1.0
-    np.testing.assert_array_equal(rhs, ctx_weighted.triple_products())
+    triple = np.stack(list(ctx_weighted.triple_products()))
+    assert triple.shape == (d, d, d)
+    for i in range(d):
+        assert np.array_equal(gamma[:, i, :], ctx_weighted.gram_solve(triple[i].T))
 
 
-@pytest.mark.parametrize("N", [16, 32])
-def test_christoffel_holds_two_cubes_at_most(N):
-    # c and gamma are the only d^3 arrays: the solve and its residual work one
-    # (d, d) slice at a time (a whole-tensor solve and residual peaked at 3.0
-    # to 3.3 cubes)
+@pytest.mark.parametrize("N", [16, 32, 64])
+def test_christoffel_holds_one_cube(N):
+    # gamma is the only d^3 array: the triple products stream one (d, d) slice
+    # at a time into the solve and again into the residual (holding the
+    # triple-product cube beside gamma peaked at 2.0 to 2.1 cubes)
     import tracemalloc
 
     ctx = WeightedOperatorContext(cosine_density(GridSpec(8 * N), 0.3, phase=0.4), N)
@@ -257,20 +263,28 @@ def test_christoffel_holds_two_cubes_at_most(N):
     d = 2 * N
     tracemalloc.start()
     try:
-        tensor = christoffel(ctx)
-        christoffel_residual(tensor, ctx)
+        gamma = christoffel(ctx)
+        christoffel_residual(gamma, ctx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * d**3 * 8, peak / (d**3 * 8)
-    assert tensor.gamma.flags.c_contiguous and not tensor.gamma.flags.writeable
+    assert peak <= 1.5 * d**3 * 8, peak / (d**3 * 8)
+    assert gamma.flags.c_contiguous and not gamma.flags.writeable
 
 
-def test_christoffel_residual_propagates_a_nan(ctx_weighted):
-    gamma, rhs = christoffel(ctx_weighted)
+def test_christoffel_residual_propagates_a_nan(monkeypatch):
+    # a NaN in gamma, or in one streamed triple-product slice, fails the check
+    ctx = WeightedOperatorContext(WEIGHTED, N_MODES)
+    gamma = christoffel(ctx)
     planted = gamma.copy()
     planted[3, 5, 2] = np.nan
-    residual = christoffel_residual(ChristoffelTensor(planted, rhs), ctx_weighted)
+    residual = christoffel_residual(planted, ctx)
+    assert np.isnan(residual)
+    assert not check("assembly_residual", residual, 1e-8)["passed"]
+    triple = np.stack(list(ctx.triple_products()))
+    triple[6, 1, 4] = np.nan
+    monkeypatch.setattr(ctx, "triple_products", lambda: iter(triple))
+    residual = christoffel_residual(gamma, ctx)
     assert np.isnan(residual)
     assert not check("assembly_residual", residual, 1e-8)["passed"]
 
@@ -329,13 +343,34 @@ def test_transport_substep_refinement(transport_path, monkeypatch):
     assert gap < 1e-7
 
 
+@pytest.mark.parametrize("knots", [2, 3, 4, 17])
+@pytest.mark.parametrize("spacing", ["uniform", "random"])
+def test_time_spline_matches_scipy_not_a_knot(knots, spacing):
+    # transport's numpy spline is scipy's default CubicSpline: the line at 2
+    # knots, the parabola at 3, not-a-knot from 4; checked at the knots, at
+    # RK4 stage times between them and just outside [x[0], x[-1]]
+    rng = np.random.default_rng(101 + knots)
+    if spacing == "uniform":
+        x = np.linspace(0.0, 1.0, knots)
+    else:
+        x = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 1.0, knots - 1))])
+    y = rng.standard_normal((knots, 64))
+    spline, expected = connection._time_spline(x, y), CubicSpline(x, y, axis=0)
+    h = np.diff(x)[:, None] / 4.0
+    stages = (x[:-1, None] + h * np.arange(8)[None, :] / 2.0).ravel()
+    for t in np.concatenate([x, stages, [x[0] - 0.01, x[-1] + 0.01]]):
+        want = expected(t)
+        assert np.abs(spline(t) - want).max() <= 1e-13 * np.abs(want).max(), t
+
+
 def transport_factoring_every_stage(v0, path, substeps=4):
     """parallel_transport by a local RK4 that assembles and factors the stage
-    Gram matrix afresh at every stage."""
+    Gram matrix afresh at every stage, and evaluates the package's time spline
+    afresh at every stage too."""
     ctx = WeightedOperatorContext(path.densities[0], v0.N)
-    rho_spline = CubicSpline(path.times, np.stack([d.rho for d in path.densities]), axis=0)
-    dpsi_spline = CubicSpline(path.times, np.stack([deriv(p).values for p in path.potentials]),
-                              axis=0)
+    rho_spline = connection._time_spline(path.times, np.stack([d.rho for d in path.densities]))
+    dpsi_spline = connection._time_spline(
+        path.times, np.stack([deriv(p).values for p in path.potentials]))
 
     def rhs(t, eta):
         rho = rho_spline(t)

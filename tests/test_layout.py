@@ -50,6 +50,18 @@ def test_displacement_path_needs_no_interpolation_module():
     assert _fresh_process_output(probe) == ["False"]
 
 
+def test_transport_needs_no_interpolation_or_optimization_module():
+    # parallel_transport interpolates in time with its own numpy spline, so a
+    # geodesic and its transport load neither scipy.interpolate nor the
+    # scipy.optimize that it drags in
+    probe = ("import sys, numpy as np, ottocircle as oc; g = oc.GridSpec(64); "
+             "mu = oc.cosine_density(g, 0.3); psi = oc.ScalarField(g, 0.1 * np.cos(g.nodes)); "
+             "path = oc.geodesic_hj(mu, psi, np.linspace(0.0, 1.0, 5)); "
+             "oc.parallel_transport(oc.TangentVector(np.ones(8), mu), path); "
+             "print(*[m in sys.modules for m in ('scipy.interpolate', 'scipy.optimize')])")
+    assert _fresh_process_output(probe) == ["False", "False"]
+
+
 def test_hj_route_names_no_characteristic_solver():
     # the HJ route integrates the Eulerian system; the characteristic solve,
     # the off-grid evaluator and the pushforward belong to the displacement

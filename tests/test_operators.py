@@ -206,7 +206,7 @@ def test_fourier_assembly_matches_node_quadrature(n, N):
     gram = assemble_gram(ctx.mu.rho, N)
     assert np.abs(gram - expected).max() <= 1e-13 * np.abs(expected).max()
     expected = table_triple_products(ctx)
-    triple = ctx.triple_products()
+    triple = np.stack(list(ctx.triple_products()))
     assert np.abs(triple - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
