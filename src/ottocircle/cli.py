@@ -9,8 +9,8 @@ output directory and exits with the shared code contract:
     0  everything ran and every checked tolerance held
     1  a tolerance check failed
     2  configuration or usage problem
-    3  numerical failure (caustic crossing, non-converged solve, Cholesky
-       breakdown, an RK4 density that turns nonpositive)
+    3  numerical failure (caustic crossing, non-converged solve, a singular
+       Gram solve, a density that turns nonpositive in an RK4 stage)
 
 Reports are deterministic for a given (config, seed): keys are sorted, no
 timestamps are embedded, and the config hash covers everything the
@@ -508,7 +508,7 @@ def main(argv=None) -> int:
         if not os.path.isdir(ancestor):
             raise ConfigError(f"--out {args.out!r}: {ancestor!r} is not a directory")
         report = SUBCOMMANDS[args.subcommand](run, args.out)
-    # LinAlgError (a Cholesky breakdown) subclasses ValueError: catch it first
+    # LinAlgError (a singular Gram solve) subclasses ValueError: catch it first
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

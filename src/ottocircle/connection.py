@@ -30,13 +30,16 @@ gamma is the only d^3 array either of them holds.
 
 parallel_transport interpolates the stored densities and potential slopes
 in time with a not-a-knot cubic spline, built in numpy beside it
-(_time_spline); it loads no interpolation library.
+(_time_spline); it loads no interpolation library.  Each RK4 stage checks
+its interpolated density and solves one projection there; nothing is kept
+from one stage to the next.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .density import stepped_density
 from .errors import DomainError
 from .grid import ScalarField, check_same_grid, deriv, rk4, rk4_substeps
 from .operators import WeightedOperatorContext, div_mu, green_mu_coeffs, laplace_mu
@@ -109,8 +112,7 @@ def christoffel_residual(gamma: np.ndarray, ctx: WeightedOperatorContext) -> flo
 
 def _time_spline(x: np.ndarray, y: np.ndarray):
     """The not-a-knot cubic spline through the rows y[i] of a 2-d array at
-    the increasing times x[i], as scipy's CubicSpline builds it by default;
-    returns the evaluator t -> y(t).
+    the increasing times x[i]; returns the evaluator t -> y(t).
 
     The knot slopes solve one m x m system.  At 2 knots the spline is the line
     through them; at 3 both not-a-knot conditions are the same one, so it is
@@ -164,13 +166,11 @@ def parallel_transport(v0: TangentVector, path) -> list[TangentVector]:
     whose stage data comes from not-a-knot cubic interpolation in time of the
     stored densities and potential slopes (_time_spline), in grid.rk4_substeps
     steps per interval at N modes (eta's span) and the path's max|psi'|.  Each
-    stage is one projection at the interpolated density through the context
-    built at the path's first density (operators.project_at).  rk4 repeats
-    stage times bitwise (k3 reuses k2's, the next k1 reuses k4's), so the
-    interpolated data and the Gram factor of the latest stage time are kept
-    for reuse: along 17 uniform times with 4 steps per interval, 129 of the
-    256 stages factor.  A geodesic's own velocity solves the same equation as
-    its Christoffel ODE, so it is self-parallel.
+    stage checks the interpolated density (density.stepped_density, which
+    raises NumericalError naming the stage time) and solves one projection
+    there through the context built at the path's first density
+    (operators.project_at).  A geodesic's own velocity solves the same
+    equation as its Christoffel ODE, so it is self-parallel.
     """
     times = np.asarray(path.times, dtype=np.float64)
     if times.size < 2:
@@ -183,19 +183,9 @@ def parallel_transport(v0: TangentVector, path) -> list[TangentVector]:
     dpsi_spline = _time_spline(times, dpsi_path)
     speed = float(np.abs(dpsi_path).max())
 
-    # the latest stage time and its (rho_t, dpsi_t, factor)
-    t_last, memo = None, None
-
-    def stage(t: float) -> tuple:
-        nonlocal t_last, memo
-        if t != t_last:
-            rho = rho_spline(t)
-            t_last, memo = t, (rho, dpsi_spline(t), ctx.stage_factor(rho))
-        return memo
-
     def rhs(t, eta):
-        rho, dpsi, factor = stage(t)
-        return -ctx.project_at(factor, rho, dpsi * ctx.potential_values(eta, 2))
+        mu_t = stepped_density(ctx.grid, rho_spline(t), t, "transport")
+        return -ctx.project_at(mu_t, dpsi_spline(t) * ctx.potential_values(eta, 2))
 
     eta = v0.coeffs.copy()
     out = [TangentVector(eta, path.densities[0])]

@@ -8,6 +8,8 @@ rho(x) / (1 + T'(x)) there, checked as a Density, never renormalized.  It
 works on the spectra of rho and T (pushforward_spectra), so a caller that
 pushes one density forward many times takes its spectrum once, and a caller
 that knows T's spectrum exactly passes it without sampling T on the nodes.
+stepped_density is the one check on a density that an integrator produced
+(a geodesic route's path times and RK4 stages, parallel transport's stages).
 """
 
 from __future__ import annotations
@@ -89,6 +91,19 @@ def weighted_inner(f: ScalarField, g: ScalarField, mu: Density) -> float:
                           f"got {type(f).__name__} and {type(g).__name__}")
     check_same_grid(f, g, mu)
     return float(np.mean(f.values * g.values * mu.rho))
+
+
+def stepped_density(grid: GridSpec, rho: np.ndarray, t: float, route: str) -> Density:
+    """Check, never renormalize, a density that an integrator produced at
+    time t: a path time or an RK4 stage time of a geodesic route, or a stage
+    time of parallel transport.  A nonpositive or non-finite result, or a
+    mass off 1, is a breakdown of the integration, not a bad input, so it
+    raises NumericalError naming the route and t."""
+    try:
+        return Density(grid, rho)
+    except DomainError as exc:
+        raise NumericalError(f"{route} route: the RK4 density at t = {t:.6g} "
+                             f"is not a density ({exc})") from exc
 
 
 def pushforward_monotone(mu: Density, displacement: ScalarField) -> tuple[Density, np.ndarray]:

@@ -14,8 +14,9 @@ as long as the characteristics x0 + t*psi0'(x0) do not cross (equivalently
   * geodesic_christoffel: basis-coefficient ODE d(Psi_k)/dt = -Gram^{-1}_k
     [int psi' psi'' phi_l' dmu_t], the Galerkin contraction of the
     Christoffel symbols at the moving density, with rho co-evolved by the
-    same continuity stepper.  Each RK4 stage is one projection at rho_t
-    through the operator context built at mu0 (operators.project_at).
+    same continuity stepper.  Each RK4 stage checks rho_t as a density
+    (density.stepped_density) and solves one projection there through the
+    operator context built at mu0 (operators.project_at).
   * displacement_path: pushforward of mu0 by the displacement t * psi0'
     through the exact Jacobian formula at the feet of the nodes
     (density.pushforward_spectra, whose feet come from
@@ -25,8 +26,10 @@ as long as the characteristics x0 + t*psi0'(x0) do not cross (equivalently
     (grid.derivative_series), and mu0's spectrum is taken once per path.
 
 Both RK4 routes take grid.rk4_substeps steps per interval, at n/2 wavenumbers
-and speed max|psi'|.  All stored potentials are de-meaned against their own
-mu_t.  The continuity residual is defined at the interior path times only.
+and speed max|psi'|, and check every stored density with
+density.stepped_density, which names the route and the time of a breakdown.
+All stored potentials are de-meaned against their own mu_t.  The continuity
+residual is defined at the interior path times only.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import Density, pushforward_spectra
-from .errors import CausticError, ConfigError, DomainError, NumericalError
+from .density import Density, pushforward_spectra, stepped_density
+from .errors import CausticError, ConfigError
 from .grid import (GridSpec, ScalarField, TrigSeries, check_same_grid, deriv, derivative_series,
                    eval_trig, rk4, rk4_substeps, time_grid, trig_series)
 from .operators import WeightedOperatorContext
@@ -97,17 +100,6 @@ def _continuity_rhs(rho: np.ndarray, dpsi: np.ndarray, grid: GridSpec) -> np.nda
     return -deriv(ScalarField(grid, rho * dpsi), 1).values
 
 
-def _stepped_density(rho: np.ndarray, grid: GridSpec, t: float, route: str) -> Density:
-    """Check, never renormalize, an RK4-advanced density.  A nonpositive or
-    non-finite result, or a mass off 1, is a breakdown of the integration, not
-    a bad input, so it raises NumericalError naming t."""
-    try:
-        return Density(grid, rho)
-    except DomainError as exc:
-        raise NumericalError(f"{route} route: the RK4 density at t = {t:.6g} "
-                             f"is not a density ({exc})") from exc
-
-
 def geodesic_hj(mu0: Density, psi0: ScalarField, times) -> GeodesicPath:
     """Eulerian Hamilton-Jacobi and continuity equations by RK4 on the nodes."""
     times, _ = _characteristic_setup(mu0, psi0, times)
@@ -128,7 +120,7 @@ def geodesic_hj(mu0: Density, psi0: ScalarField, times) -> GeodesicPath:
         t_out = times[idx + 1]
         steps = rk4_substeps(t_out - times[idx], n // 2, speed)
         state = rk4(rhs, times[idx], t_out, state, steps)
-        mu_t = _stepped_density(state[n:], grid, t_out, "hj")
+        mu_t = stepped_density(grid, state[n:], t_out, "hj")
         densities.append(mu_t)
         potentials.append(_demeaned(state[:n], mu_t.rho, grid))
     return GeodesicPath(grid, times, densities, potentials)
@@ -155,12 +147,12 @@ def geodesic_christoffel(mu0: Density, psi0_coeffs, times, N: int | None = None)
     grid = mu0.grid
     ctx = WeightedOperatorContext(mu0, N)
 
-    def rhs(_t, state):  # autonomous: the stage time is unused
+    def rhs(t, state):  # autonomous: the stage time only names a breakdown
         psi_c = state[: 2 * N]
-        rho = state[2 * N :]
+        mu_t = stepped_density(grid, state[2 * N :], t, "christoffel")
         dpsi = ctx.potential_values(psi_c, 1)
-        dcoeffs = -ctx.project_at(ctx.stage_factor(rho), rho, dpsi * ctx.potential_values(psi_c, 2))
-        return np.concatenate([dcoeffs, _continuity_rhs(rho, dpsi, grid)])
+        dcoeffs = -ctx.project_at(mu_t, dpsi * ctx.potential_values(psi_c, 2))
+        return np.concatenate([dcoeffs, _continuity_rhs(mu_t.rho, dpsi, grid)])
 
     state = np.concatenate([coeffs, mu0.rho])
     densities = [mu0]
@@ -169,7 +161,7 @@ def geodesic_christoffel(mu0: Density, psi0_coeffs, times, N: int | None = None)
         speed = float(np.abs(ctx.potential_values(state[: 2 * N], 1)).max())
         steps = rk4_substeps(times[idx + 1] - times[idx], grid.n // 2, speed)
         state = rk4(rhs, times[idx], times[idx + 1], state, steps)
-        mu_t = _stepped_density(state[2 * N :], grid, times[idx + 1], "christoffel")
+        mu_t = stepped_density(grid, state[2 * N :], times[idx + 1], "christoffel")
         densities.append(mu_t)
         potentials.append(_demeaned(ctx.potential_values(state[: 2 * N]), mu_t.rho, grid))
     return GeodesicPath(grid, times, densities, potentials)

@@ -276,7 +276,7 @@ def time_grid(times) -> np.ndarray:
 def rk4(f, t0: float, t1: float, y: np.ndarray, steps: int) -> np.ndarray:
     """Classical RK4 for dy/dt = f(t, y) from (t0, y) to t1 in `steps` steps.
     The step start accumulates as t += h, so the stage times t, t + h/2, t + h
-    repeat bitwise from one step to the next (callers may cache on them)."""
+    repeat bitwise from one step to the next."""
     h = (t1 - t0) / steps
     t = t0
     for _ in range(steps):

@@ -11,20 +11,19 @@ The Green operator inverts L_mu on mean-zero data by a Galerkin solve in the
 L^2(mu) projection of one-forms onto exact forms d(theta).
 
 WeightedOperatorContext owns every integral of the basis against a density:
-Gram matrices and their Cholesky factors (numpy's), weighted moments, triple
-products (streamed one (d, d) slice per first index, so no caller needs the
-d^3 cube), and the projection at a moving density that the geodesic and
-transport ODEs solve at every RK4 stage.  The context's own Gram matrix is
-solved with the inverse of its factor, L^-1, taken once per context: a solve
-is then two numpy products, L^-T (L^-1 b).  A stage Gram matrix serves one
-or two solves per factor, so it is solved by scipy's cho_solve on the
-factor: inverting a 128x128 factor costs about four Cholesky
-factorizations.  The stage projection is two steps: stage_factor
-assembles and factors the Gram matrix at the stage density, and project_at
-solves with that factor, so a caller whose stages repeat a density may keep
-the factor.  The context is fixed at construction, except that its own Gram
-matrix is factored and inverted on the first solve (a metric-only context
-never factors).
+Gram matrices, weighted moments, triple products (streamed one (d, d) slice
+per first index, so no caller needs the d^3 cube), and the projection at a
+moving density that the geodesic and transport ODEs solve at every RK4
+stage.  The context's own Gram matrix is solved with the inverse of its
+numpy Cholesky factor, L^-1, taken once per context: a solve is then two
+numpy products, L^-T (L^-1 b).  A stage Gram matrix serves one solve, so
+project_at assembles it at the stage density and solves it by
+np.linalg.solve, which is cheaper there than a Cholesky factor and its two
+triangular solves.  The stage density is a checked Density (positive at the
+nodes), which keeps its Gram matrix positive definite; an exactly singular
+one raises LinAlgError.  The context is fixed at construction, except that
+its own Gram matrix is factored and inverted on the first solve (a
+metric-only context never factors).
 
 In the trig basis these integrals are Fourier data of rho: the node
 quadrature of a product of basis rows against rho is a sum of DFT bins of rho
@@ -45,7 +44,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .density import Density
 from .errors import CompatibilityError, ConditioningWarning, DomainError
@@ -91,7 +89,7 @@ class WeightedOperatorContext:
     @cached_property
     def _inverse_factor(self) -> np.ndarray:
         """L^-1 for the lower Cholesky factor L of gram."""
-        return np.linalg.inv(_cholesky(self.gram)[0])
+        return np.linalg.inv(np.linalg.cholesky(self.gram))
 
     def gram_solve(self, rhs: np.ndarray) -> np.ndarray:
         """gram^-1 rhs as L^-T (L^-1 rhs), over the first axis of rhs."""
@@ -109,16 +107,12 @@ class WeightedOperatorContext:
         coeffs = self.gram_solve(self.weighted_moment(w_values, 1))
         return coeffs, w_values - coeffs @ self.basis1
 
-    def stage_factor(self, rho: np.ndarray) -> tuple:
-        """Cholesky factor of the Gram matrix at the density rho, for
-        project_at; a breakdown raises LinAlgError."""
-        return _cholesky(assemble_gram(rho, self.N))
-
-    def project_at(self, factor: tuple, rho: np.ndarray, w_values: np.ndarray) -> np.ndarray:
-        """Gram(rho)^{-1} [int w phi_l' rho dvol]: the coefficients of
-        project_gradient_coeffs at the density rho instead of mu, solved with
-        factor = stage_factor(rho)."""
-        return cho_solve(factor, self.basis1 @ (w_values * rho) / self.grid.n)
+    def project_at(self, mu_t: Density, w_values: np.ndarray) -> np.ndarray:
+        """Gram(mu_t)^{-1} [int w phi_l' dmu_t]: the coefficients of
+        project_gradient_coeffs at the density mu_t instead of mu, by one
+        np.linalg.solve of the Gram matrix assembled at mu_t."""
+        rho = mu_t.rho
+        return np.linalg.solve(assemble_gram(rho, self.N), self.basis1 @ (w_values * rho) / self.grid.n)
 
     def triple_products(self) -> Iterator[np.ndarray]:
         """Yield the d slices c[i] of c[i, j, l] = int phi_i' phi_j'' phi_l' dmu
@@ -170,12 +164,6 @@ def check_gram(matrix: np.ndarray) -> None:
             f"Gram eigenvalue ratio {eigs[-1] / eigs[0]:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e}",
             ConditioningWarning,
         )
-
-
-def _cholesky(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
-    """numpy's lower Cholesky factor in cho_solve's (factor, lower) form, for
-    every Gram matrix; a breakdown raises LinAlgError."""
-    return np.linalg.cholesky(matrix), True
 
 
 @lru_cache(maxsize=16)

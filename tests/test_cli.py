@@ -351,27 +351,25 @@ def test_unconverged_characteristics_exit_three(tmp_path, capsys, amplitude):
     assert "pushforward under-resolved on 256 nodes" in capsys.readouterr().err
 
 
-def test_cholesky_breakdown_exits_three(tmp_path, monkeypatch, capsys):
-    # break only the factorizations of the RK4 stage solves; every context's
-    # own factorization at its base density still succeeds
+def test_stage_breakdown_exits_three(tmp_path, monkeypatch, capsys):
+    # make every RK4 stage Gram matrix singular (project_at alone assembles
+    # one); every context's own Gram matrix at its base density still factors
     import ottocircle.operators as operators
 
-    real = operators._cholesky
+    real = operators.assemble_gram
     stage_calls = []
 
-    def broken(*args, **kwargs):
-        if sys._getframe(1).f_code.co_name != "stage_factor":
-            return real(*args, **kwargs)
+    def singular(rho, N):
         stage_calls.append(1)
-        raise np.linalg.LinAlgError("not positive definite")
+        return np.zeros_like(real(rho, N))
 
-    monkeypatch.setattr(operators, "_cholesky", broken)
+    monkeypatch.setattr(operators, "assemble_gram", singular)
     for sub in ("geodesic", "transport"):
         capsys.readouterr()
         stage_calls.clear()
         assert run_cli([sub, "--out", str(tmp_path / "out")]) == 3, sub
         assert stage_calls == [1], sub
-        assert "numerical failure: not positive definite" in capsys.readouterr().err
+        assert "numerical failure: Singular matrix" in capsys.readouterr().err
 
 
 def test_nonpositive_rk4_density_exits_three(tmp_path, monkeypatch, capsys):

@@ -8,7 +8,6 @@ tests draw potentials band-limited to N/2.
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
-from scipy.linalg import cho_factor, cho_solve
 
 import ottocircle.connection as connection
 import ottocircle.operators as operators
@@ -16,6 +15,7 @@ from ottocircle import (
     DomainError,
     GeodesicPath,
     GridSpec,
+    NumericalError,
     ScalarField,
     TangentVector,
     WeightedOperatorContext,
@@ -132,8 +132,7 @@ def test_stage_projection_is_the_covariant_derivative(ctx_weighted):
     rng = np.random.default_rng(61)
     psi, eta = band_limited_pair(rng, ctx_weighted)
     w = deriv(psi).values * deriv(eta, 2).values
-    rho = ctx_weighted.mu.rho
-    np.testing.assert_allclose(-ctx_weighted.project_at(ctx_weighted.stage_factor(rho), rho, w),
+    np.testing.assert_allclose(-ctx_weighted.project_at(ctx_weighted.mu, w),
                                -covariant_derivative(psi, eta, ctx_weighted).coeffs,
                                rtol=0.0, atol=1e-13)
 
@@ -363,10 +362,9 @@ def test_time_spline_matches_scipy_not_a_knot(knots, spacing):
         assert np.abs(spline(t) - want).max() <= 1e-13 * np.abs(want).max(), t
 
 
-def transport_factoring_every_stage(v0, path, substeps=4):
-    """parallel_transport by a local RK4 that assembles and factors the stage
-    Gram matrix afresh at every stage, and evaluates the package's time spline
-    afresh at every stage too."""
+def transport_by_a_local_rk4(v0, path, substeps=4):
+    """parallel_transport by a local RK4 that evaluates the package's time
+    spline and assembles and solves the stage Gram matrix at every stage."""
     ctx = WeightedOperatorContext(path.densities[0], v0.N)
     rho_spline = connection._time_spline(path.times, np.stack([d.rho for d in path.densities]))
     dpsi_spline = connection._time_spline(
@@ -376,7 +374,7 @@ def transport_factoring_every_stage(v0, path, substeps=4):
         rho = rho_spline(t)
         w = dpsi_spline(t) * ctx.potential_values(eta, 2)
         gram = operators.assemble_gram(rho, v0.N)
-        return -cho_solve(cho_factor(gram), ctx.basis1 @ (w * rho) / ctx.grid.n)
+        return -np.linalg.solve(gram, ctx.basis1 @ (w * rho) / ctx.grid.n)
 
     eta, out = v0.coeffs, [v0.coeffs]
     for t0, t1 in zip(path.times[:-1], path.times[1:]):
@@ -392,23 +390,32 @@ def transport_factoring_every_stage(v0, path, substeps=4):
     return out
 
 
-def test_transport_factors_each_stage_time_once(transport_path, monkeypatch):
-    # 17 times, 4 substeps: 16 * 4 steps of 4 stages, but k3 repeats k2's
-    # stage time and the next k1 repeats k4's, so 16 * 4 * 2 + 1 are distinct
+def test_transport_matches_a_local_rk4_bitwise(transport_path):
     rng = np.random.default_rng(97)
     v0 = TangentVector(rng.standard_normal(2 * N_MODES), WEIGHTED)
-    expected = transport_factoring_every_stage(v0, transport_path)
-    real, calls = operators.assemble_gram, []
-
-    def counted(rho, N):
-        calls.append(1)
-        return real(rho, N)
-
-    monkeypatch.setattr(operators, "assemble_gram", counted)
+    expected = transport_by_a_local_rk4(v0, transport_path)
     moved = parallel_transport(v0, transport_path)
-    assert len(calls) == 129
     for vector, coeffs in zip(moved, expected, strict=True):
         assert np.array_equal(vector.coeffs, coeffs)
+
+
+def test_transport_stage_density_breakdown_names_its_stage_time(transport_path, monkeypatch):
+    # a time spline whose density turns negative after t = 0.2 breaks the
+    # first RK4 stage past it: NumericalError names transport and that stage
+    # time, not the end of its interval
+    real = connection._time_spline
+
+    def dipping(x, y):
+        spline = real(x, y)
+        if not np.array_equal(y[0], WEIGHTED.rho):  # the potential slopes' spline
+            return spline
+        return lambda t: spline(t) + max(t - 0.2, 0.0) * 1e3 * np.cos(GRID.nodes)
+
+    monkeypatch.setattr(connection, "_time_spline", dipping)
+    v0 = TangentVector(np.eye(2 * N_MODES)[0], WEIGHTED)
+    with pytest.raises(NumericalError, match=r"transport route: the RK4 density at t = 0\.203125 "
+                                             r"is not a density \(density must be strictly positive"):
+        parallel_transport(v0, transport_path)
 
 
 def test_transport_input_validation(transport_path):

@@ -1,5 +1,6 @@
 """The package's import layers: each module builds only on the ones below it,
-and importing the package leaves scipy's slow submodules unloaded."""
+only the transport oracle imports scipy, and importing the package or
+running its geodesics and transport leaves every scipy module unloaded."""
 
 import ast
 import os
@@ -7,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from package_imports import PACKAGE, package_imports
+from package_imports import PACKAGE, imported_modules, package_imports
 
 # lowest first; a module may import only modules earlier in this order
 LAYERS = ("errors", "grid", "density", "operators", "tangent", "connection", "curvature",
@@ -25,6 +26,14 @@ def test_module_imports_only_lower_layers(module):
     assert package_imports(module) <= below, package_imports(module) - below
 
 
+@pytest.mark.parametrize("module", LAYERS)
+def test_only_the_transport_oracle_imports_scipy(module):
+    # every Gram matrix is factored or solved by numpy; scipy serves only the
+    # oracle's quantile spline and LP
+    scipy = {name for name in imported_modules(module) if name.split(".")[0] == "scipy"}
+    assert not scipy or module == "ot_oracle", scipy
+
+
 def _fresh_process_output(probe: str) -> list[str]:
     """The words a fresh interpreter prints after running probe on this package."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
@@ -35,7 +44,7 @@ def _fresh_process_output(probe: str) -> list[str]:
 def test_import_defers_slow_scipy_submodules():
     # each of these costs a fresh process tenths of a second; the functions
     # that use them import them on first use
-    deferred = ("scipy.interpolate", "scipy.optimize", "scipy.sparse")
+    deferred = ("scipy.linalg", "scipy.interpolate", "scipy.optimize", "scipy.sparse")
     assert _fresh_process_output(f"import sys, ottocircle, ottocircle.cli; "
                                  f"print(*[m for m in {deferred!r} if m in sys.modules])") == []
 
@@ -50,16 +59,17 @@ def test_displacement_path_needs_no_interpolation_module():
     assert _fresh_process_output(probe) == ["False"]
 
 
-def test_transport_needs_no_interpolation_or_optimization_module():
-    # parallel_transport interpolates in time with its own numpy spline, so a
-    # geodesic and its transport load neither scipy.interpolate nor the
-    # scipy.optimize that it drags in
+def test_geodesics_and_transport_load_no_scipy_module():
+    # the stage solves are numpy's and parallel_transport interpolates in time
+    # with its own numpy spline, so both geodesic ODE routes and the transport
+    # along one load no scipy module at all
     probe = ("import sys, numpy as np, ottocircle as oc; g = oc.GridSpec(64); "
              "mu = oc.cosine_density(g, 0.3); psi = oc.ScalarField(g, 0.1 * np.cos(g.nodes)); "
-             "path = oc.geodesic_hj(mu, psi, np.linspace(0.0, 1.0, 5)); "
+             "times = np.linspace(0.0, 1.0, 5); path = oc.geodesic_hj(mu, psi, times); "
+             "coeffs = np.zeros(8); coeffs[0] = 0.1; oc.geodesic_christoffel(mu, coeffs, times); "
              "oc.parallel_transport(oc.TangentVector(np.ones(8), mu), path); "
-             "print(*[m in sys.modules for m in ('scipy.interpolate', 'scipy.optimize')])")
-    assert _fresh_process_output(probe) == ["False", "False"]
+             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_process_output(probe) == []
 
 
 def test_hj_route_names_no_characteristic_solver():
