@@ -352,6 +352,9 @@ def run_geodesic(run: RunInputs, out_dir: str) -> dict:
 
 
 def run_transport(run: RunInputs, out_dir: str) -> dict:
+    # through two times the time spline is the chord; checked before any route runs
+    if run.times.size < 3:
+        raise ConfigError(f"transport needs times.count >= 3, got {run.times.size}")
     times, N = run.times, run.config["N"]
     path = geodesic_hj(run.density, run.potential, times)
     rng = np.random.default_rng(run.config["seed"])

@@ -114,9 +114,9 @@ def _time_spline(x: np.ndarray, y: np.ndarray):
     """The not-a-knot cubic spline through the rows y[i] of a 2-d array at
     the increasing times x[i]; returns the evaluator t -> y(t).
 
-    The knot slopes solve one m x m system.  At 2 knots the spline is the line
-    through them; at 3 both not-a-knot conditions are the same one, so it is
-    the parabola through them.  y(t) is Horner's rule in t - x[i] on the knot
+    The knot slopes solve one m x m system, m >= 3.  At 3 knots both
+    not-a-knot conditions are the same one, so it is the parabola through
+    them.  y(t) is Horner's rule in t - x[i] on the knot
     interval [x[i], x[i+1]) holding t, the last interval closed, and the end
     intervals extended beyond the knots."""
     m = x.size
@@ -124,10 +124,7 @@ def _time_spline(x: np.ndarray, y: np.ndarray):
     h = dx[:, None]
     slope = np.diff(y, axis=0) / h
     system, b = np.zeros((m, m)), np.empty(y.shape)
-    if m == 2:
-        system[[0, 1], [0, 1]] = 1.0
-        b[:] = slope[0]
-    elif m == 3:
+    if m == 3:
         system[0] = 1.0, 1.0, 0.0
         system[1] = dx[1], 2.0 * (dx[0] + dx[1]), dx[0]
         system[2] = 0.0, 1.0, 1.0
@@ -173,8 +170,8 @@ def parallel_transport(v0: TangentVector, path) -> list[TangentVector]:
     equation as its Christoffel ODE, so it is self-parallel.
     """
     times = np.asarray(path.times, dtype=np.float64)
-    if times.size < 2:
-        raise DomainError("path must have at least two times for transport")
+    if times.size < 3:  # through two knots the time spline is the chord
+        raise DomainError("path must have at least three times for transport")
     if not np.array_equal(v0.base.rho, path.densities[0].rho):
         raise DomainError("v0 must be based at the path's initial density")
     ctx = WeightedOperatorContext(path.densities[0], v0.N)

@@ -28,16 +28,16 @@ metric-only context never factors).
 In the trig basis these integrals are Fourier data of rho: the node
 quadrature of a product of basis rows against rho is a sum of DFT bins of rho
 at the sums and differences of the row modes.  The stage Gram matrix
-(assemble_gram, bins up to 2N) and the triple products (bins up to 3N) are
-assembled from those bins.  The context's own Gram matrix, the weighted
-moments and the syntheses of potentials from coefficients stay quadratures
-of the node tables basis0/1/2 (grid.basis_matrix's), so the base Gram
-matrix and the moments it solves against agree to a few ulps.
+(assemble_gram, bins up to 2N, in real arithmetic) and the triple products
+(bins up to 3N, one complex contraction per first mode) are assembled from
+those bins.  The context's own Gram matrix, the weighted moments and the
+syntheses of potentials from coefficients stay quadratures of the node
+tables basis0/1/2 (grid.basis_matrix's), so the base Gram matrix and the
+moments it solves against agree to a few ulps.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -51,12 +51,6 @@ from .grid import SQRT2, ScalarField, basis_matrix, check_same_grid, deriv
 
 GRAM_CONDITION_LIMIT = 1e12
 MEAN_ZERO_TOL = 1e-8
-# On e^{ikx}, phi_k' is k/sqrt(2) times i^p with p = 1 (cos row) or 0 (sin
-# row), and phi_k'' is k^2/sqrt(2) times i^2 or i^1; e^{-ikx} carries i^-p.
-_FIRST_POWER = (1, 0)
-_SECOND_POWER = (2, 1)
-# Re(i^q (C + i S)) for q mod 4 = 0, 1, 2, 3: +C, -S, -C, +S as (use_sin, op)
-_REAL_PART = ((False, np.add), (True, np.subtract), (False, np.subtract), (True, np.add))
 
 
 @dataclass
@@ -118,32 +112,28 @@ class WeightedOperatorContext:
         """Yield the d slices c[i] of c[i, j, l] = int phi_i' phi_j'' phi_l' dmu
         over the 2N basis, in order of i, each (d, d) slice built afresh.
 
-        With the rows written as exponentials (_FIRST_POWER, _SECOND_POWER),
-        each entry is 2 Re of four products with the bins
-        int e^{imx} dmu = C_m + i S_m at m = k +- j +- l, one per sign
-        pattern.  Each pattern is gathered at mode level and added into the
-        8 cos/sin blocks; 2 (1/sqrt(2))^3 k j^2 l scales the sum."""
+        The cos/sin rows of mode j are sqrt(2) Re(z e^{ijx}), z = (1, -i), and
+        their p-th derivatives carry z (ij)^p.  With the bins beta_m =
+        int e^{imx} dmu, the (j, l) block of mode k is (sqrt(2)/2) ik times the
+        sum over four sign patterns of a (x) b beta[k + s_j j + s_l l], a the
+        z'' of j or its conjugate (s_j = 1 or -1), b likewise the z' of l: its
+        real part is the cos-k slice, its imaginary part the sin-k slice."""
         N = self.N
-        bins = np.fft.fft(self.mu.rho) / self.grid.n
-        cos_bins, sin_bins = bins.real, -bins.imag  # int cos(mx) dmu, int sin(mx) dmu
+        # |m| <= 3N < n, so a negative m indexes its own bin from the end
+        beta = np.conj(np.fft.fft(self.mu.rho)) / self.grid.n
         j = np.arange(1, N + 1)
-        patterns = [(sj, sl, sj * j[:, None] + sl * j[None, :])
-                    for sj, sl in itertools.product((1, -1), repeat=2)]
-        scale = (SQRT2 / 2.0) * (j[:, None] ** 2 * j[None, :]).astype(np.float64)
+        # z (ij) and z (ij)^2 of the cos/sin rows, (N, 2) each
+        first = np.multiply.outer(1j * j, (1.0, -1j))
+        second = 1j * j[:, None] * first
+        rows, cols = j[:, None, None, None], j[:, None]
         # one k at a time: the cos-k and sin-k slices, O(N^2) memory each
         for k in range(1, N + 1):
-            row = np.zeros((2, N, 2, N, 2))
-            for sj, sl, offset in patterns:
-                # |m| <= 3N < n, so a negative m indexes its own bin from the end
-                m = k + offset
-                gathered = (cos_bins[m], sin_bins[m])
-                for ti, tj, tl in itertools.product((0, 1), repeat=3):
-                    q = _FIRST_POWER[ti] + sj * _SECOND_POWER[tj] + sl * _FIRST_POWER[tl]
-                    use_sin, accumulate = _REAL_PART[q % 4]
-                    block = row[ti, :, tj, :, tl]
-                    accumulate(block, gathered[use_sin], out=block)
-            row *= k * scale[None, :, None, :, None]
-            yield from row.reshape(2, 2 * N, 2 * N)
+            block = sum(a[:, :, None, None] * sum(b * beta[k + sj * rows + sl * cols]
+                                                  for b, sl in ((first, 1), (first.conj(), -1)))
+                        for a, sj in ((second, 1), (second.conj(), -1)))
+            block = (SQRT2 / 2.0) * 1j * k * block.reshape(2 * N, 2 * N)
+            yield block.real.copy()
+            yield block.imag.copy()
 
     def potential_values(self, coeffs: np.ndarray, order: int = 0) -> np.ndarray:
         table = (self.basis0, self.basis1, self.basis2)[order]

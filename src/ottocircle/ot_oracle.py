@@ -18,13 +18,14 @@ Two deliberately separate routes to the quadratic Wasserstein distance:
     grid-aligned cuts c = j/m in [-1, 1] (Delon, Salomon & Sobolevski 2010);
     the best of the exact costs at its argmin and neighbours picks the
     bracket of two cells around it.  On a periodic cubic spline through the
-    target's midpoint quantiles (built when a table first serves as a
-    target), whose nodes are the midpoints, the cost on each cell is a
-    polynomial of degree 6 in the cut, minimized exactly over the roots of
-    its derivative inside the cell.
+    target's midpoint quantiles (built in numpy when a table first serves as
+    a target: one rfft/irfft pair solves its circulant curvature system),
+    whose nodes are the midpoints, the cost on each cell is a polynomial of
+    degree 6 in the cut, minimized exactly over the roots of its derivative
+    inside the cell.
   * transport_lp: a linear program on explicit atoms with squared circular
-    distance cost, solved by scipy's HiGHS backend.  w2_lp discretizes a pair
-    of densities onto m atoms and calls it.
+    distance cost, solved by the HiGHS backend of linprog.  w2_lp
+    discretizes a pair of densities onto m atoms and calls it.
 
 Neither route shares physics with the geometry modules, only grid's spectral
 plumbing; they exist to check the metric side against classical transport.
@@ -75,10 +76,11 @@ class _QuantileTable:
     s_j = (j + 1/2)/m.
 
     s holds the s_j, q_mid the exact quantiles there that the cut scan
-    indexes.  Off-grid cuts read spline, a periodic cubic spline of the
-    smooth 1-periodic part quantile(u) - 2*pi*u through those same values
-    (nodes s_j and s_0 + 1), so the polish and the scan see one quantile
-    function; the polish, its only reader, builds it on first use.
+    indexes.  Off-grid cuts read spline, the coefficient rows of the periodic
+    cubic spline of the smooth 1-periodic part quantile(u) - 2*pi*u (the
+    wobble) through those same values at the nodes s_j, so the polish and
+    the scan see one quantile function; the polish, its only reader, builds
+    it on first use.
     """
 
     def __init__(self, mu: Density, m: int):
@@ -87,11 +89,17 @@ class _QuantileTable:
         self.q_mid = monotone_inverse(trig_series(mu.field()), -1, TWO_PI * self.s)
 
     @cached_property
-    def spline(self):
-        from scipy.interpolate import CubicSpline  # loaded on first use: a slow import
-        s, wobble = self.s, self.q_mid - TWO_PI * self.s
-        return CubicSpline(np.append(s, s[0] + 1.0), np.append(wobble, wobble[0]),
-                           bc_type="periodic")
+    def spline(self) -> np.ndarray:
+        """(4, m) coefficients of the periodic cubic spline of the wobble in
+        the cell variable t in [0, 1): row p multiplies t^p on cell j."""
+        y = self.q_mid - TWO_PI * self.s
+        m, ahead = y.size, np.roll(y, -1)
+        # the curvatures in t solve the circulant (1, 4, 1)/6 system against
+        # the second differences, which one rfft diagonalizes
+        weights = (4.0 + 2.0 * np.cos(TWO_PI * np.arange(m // 2 + 1) / m)) / 6.0
+        c = np.fft.irfft(np.fft.rfft(ahead - 2.0 * y + np.roll(y, 1)) / weights, m)
+        c_ahead = np.roll(c, -1)
+        return np.stack((y, ahead - y - (2.0 * c + c_ahead) / 6.0, c / 2.0, (c_ahead - c) / 6.0))
 
 
 class CircleDistanceSolver:
@@ -139,7 +147,7 @@ class CircleDistanceSolver:
         # (j + k) mod m: there the cost is a sextic in t whose coefficients
         # are antidiagonal sums of the Gram matrix of four residual rows; the
         # real part of a complex root is a harmless extra sample
-        pieces = -G.spline.c[::-1] / float(m) ** np.arange(4)[:, None]
+        pieces = -G.spline
         powers = np.add.outer(np.arange(4), np.arange(4)).ravel()
         for k in (best - 1, best):
             rows = np.roll(pieces, -k, axis=1)

@@ -98,14 +98,19 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
     aliased = write_config(tmp_path, {"potential": {"family": "cosine", "amplitude": 0.1,
                                                     "mode": 250}}, "alias_p.json")
     assert run_cli(["geodesic", "--config", aliased, "--out", out]) == 2
-    # geodesic's continuity residual needs 5 path times: checked before any
-    # route runs; transport takes any count >= 2
+    # geodesic's continuity residual needs 5 path times and transport's time
+    # spline 3 (through 2 it is the chord): both checked before any route runs
     capsys.readouterr()
     short = write_config(tmp_path, {"times": {"count": 4}}, "short.json")
     assert run_cli(["geodesic", "--config", short, "--out", out]) == 2
     assert "times.count" in capsys.readouterr().err
+    two = write_config(tmp_path, {"times": {"count": 2}}, "two.json")
+    assert run_cli(["transport", "--config", two, "--out", out]) == 2
+    assert capsys.readouterr().err == "config error: transport needs times.count >= 3, got 2\n"
     assert not (tmp_path / "out").exists()
-    assert run_cli(["transport", "--config", short, "--out", out]) == 0
+    three = write_config(tmp_path, {"times": {"count": 3}}, "three.json")
+    for config in (three, short):
+        assert run_cli(["transport", "--config", config, "--out", out]) == 0, config
     # unreadable inputs and an unwritable --out are usage problems, not tracebacks
     capsys.readouterr()
     missing = write_config(tmp_path, {"density": {"family": "custom",

@@ -342,12 +342,12 @@ def test_transport_substep_refinement(transport_path, monkeypatch):
     assert gap < 1e-7
 
 
-@pytest.mark.parametrize("knots", [2, 3, 4, 17])
+@pytest.mark.parametrize("knots", [3, 4, 17])
 @pytest.mark.parametrize("spacing", ["uniform", "random"])
 def test_time_spline_matches_scipy_not_a_knot(knots, spacing):
-    # transport's numpy spline is scipy's default CubicSpline: the line at 2
-    # knots, the parabola at 3, not-a-knot from 4; checked at the knots, at
-    # RK4 stage times between them and just outside [x[0], x[-1]]
+    # transport's numpy spline is scipy's default CubicSpline: the parabola at
+    # 3 knots, not-a-knot from 4; checked at the knots, at RK4 stage times
+    # between them and just outside [x[0], x[-1]]
     rng = np.random.default_rng(101 + knots)
     if spacing == "uniform":
         x = np.linspace(0.0, 1.0, knots)
@@ -423,8 +423,11 @@ def test_transport_input_validation(transport_path):
     wrong_base = TangentVector(rng.standard_normal(2 * N_MODES), VOL)
     with pytest.raises(DomainError):
         parallel_transport(wrong_base, transport_path)
-    # a one-time path has no interval to transport along
+    # a one-time path has no interval to transport along, and through two
+    # times the time spline is the chord, off the path
     p = transport_path
-    one_time = GeodesicPath(p.grid, p.times[:1], p.densities[:1], p.potentials[:1])
-    with pytest.raises(DomainError, match="at least two times"):
-        parallel_transport(TangentVector(rng.standard_normal(2 * N_MODES), WEIGHTED), one_time)
+    v0 = TangentVector(rng.standard_normal(2 * N_MODES), WEIGHTED)
+    for count in (1, 2):
+        short = GeodesicPath(p.grid, p.times[:count], p.densities[:count], p.potentials[:count])
+        with pytest.raises(DomainError, match="at least three times"):
+            parallel_transport(v0, short)

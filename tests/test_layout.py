@@ -1,6 +1,7 @@
 """The package's import layers: each module builds only on the ones below it,
-only the transport oracle imports scipy, and importing the package or
-running its geodesics and transport leaves every scipy module unloaded."""
+only the transport LP imports scipy, and importing the package or running
+its geodesics, transport and circle distance leaves every scipy module
+unloaded."""
 
 import ast
 import os
@@ -8,7 +9,7 @@ import subprocess
 import sys
 
 import pytest
-from package_imports import PACKAGE, imported_modules, package_imports
+from package_imports import PACKAGE, package_imports
 
 # lowest first; a module may import only modules earlier in this order
 LAYERS = ("errors", "grid", "density", "operators", "tangent", "connection", "curvature",
@@ -26,12 +27,32 @@ def test_module_imports_only_lower_layers(module):
     assert package_imports(module) <= below, package_imports(module) - below
 
 
+def _scipy_imports(tree: ast.AST) -> set[ast.AST]:
+    """The import statements under tree that name a scipy module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.add(node)
+    return found
+
+
 @pytest.mark.parametrize("module", LAYERS)
 def test_only_the_transport_oracle_imports_scipy(module):
-    # every Gram matrix is factored or solved by numpy; scipy serves only the
-    # oracle's quantile spline and LP
-    scipy = {name for name in imported_modules(module) if name.split(".")[0] == "scipy"}
-    assert not scipy or module == "ot_oracle", scipy
+    # every Gram matrix, solve and spline is numpy's; scipy serves only the
+    # LP, and only inside the body of transport_lp
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    allowed = set()
+    if module == "ot_oracle":
+        lp = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "transport_lp")
+        allowed = _scipy_imports(lp)
+    assert _scipy_imports(tree) == allowed, [ast.unparse(node) for node in _scipy_imports(tree)]
 
 
 def _fresh_process_output(probe: str) -> list[str]:
@@ -68,6 +89,16 @@ def test_geodesics_and_transport_load_no_scipy_module():
              "times = np.linspace(0.0, 1.0, 5); path = oc.geodesic_hj(mu, psi, times); "
              "coeffs = np.zeros(8); coeffs[0] = 0.1; oc.geodesic_christoffel(mu, coeffs, times); "
              "oc.parallel_transport(oc.TangentVector(np.ones(8), mu), path); "
+             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_process_output(probe) == []
+
+
+def test_circle_distance_loads_no_scipy_module():
+    # the quantile route's polish reads a periodic cubic spline built in
+    # numpy; only the LP route loads scipy
+    probe = ("import sys, ottocircle as oc; g = oc.GridSpec(64); "
+             "oc.CircleDistanceSolver().distance(oc.cosine_density(g, 0.3), "
+             "oc.cosine_density(g, 0.2, phase=1.0)); "
              "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _fresh_process_output(probe) == []
 

@@ -194,7 +194,7 @@ def table_triple_products(ctx):
                      ctx.mu.rho / ctx.grid.n, optimize=True)
 
 
-@pytest.mark.parametrize("n, N", [(256, 8), (512, 32), (1024, 64)])
+@pytest.mark.parametrize("n, N", [(64, 1), (64, 2), (256, 8), (512, 32), (1024, 64)])
 def test_fourier_assembly_matches_node_quadrature(n, N):
     grid = GridSpec(n)
     ctx = WeightedOperatorContext(full_spectrum_density(grid, n + N), N)

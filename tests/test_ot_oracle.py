@@ -260,9 +260,27 @@ def test_only_a_distance_target_builds_its_spline():
 
 
 def _unrolled(table, u):
-    """The table's quantile at any u, extended by quantile(u + 1) = quantile(u) + 2*pi."""
-    s0 = table.spline.x[0]
-    return 2.0 * np.pi * u + table.spline(s0 + np.mod(u - s0, 1.0))
+    """The table's quantile at any u, extended by quantile(u + 1) = quantile(u) + 2*pi:
+    the spline's cubic on the cell holding u, at u's offset t in that cell."""
+    m = table.s.size
+    cell, t = np.divmod((np.asarray(u) - table.s[0]) * m, 1.0)
+    rows = table.spline[:, cell.astype(int) % m]
+    return 2.0 * np.pi * u + ((rows[3] * t + rows[2]) * t + rows[1]) * t + rows[0]
+
+
+@pytest.mark.parametrize("name", ["cosine", "cosine_mode2", "flow_pushforward"])
+def test_table_spline_is_scipys_periodic_cubic(name):
+    # the numpy spline's coefficient rows are scipy's periodic CubicSpline
+    # through the wobble at the midpoints, rescaled to the cell variable
+    from scipy.interpolate import CubicSpline
+
+    table = CircleDistanceSolver().table(_table_density(name))
+    s, wobble, m = table.s, table.q_mid - 2.0 * np.pi * table.s, QUANTILE_MIDPOINTS
+    expected = CubicSpline(np.append(s, s[0] + 1.0), np.append(wobble, wobble[0]),
+                           bc_type="periodic").c[::-1] / float(m) ** np.arange(4)[:, None]
+    assert table.spline.shape == (4, m)
+    # the cubic row is of order 1e-8, so an absolute 1e-16 pins every row
+    assert np.abs(table.spline - expected).max() <= 1e-16
 
 
 def test_table_unrolled_passes_through_midpoint_quantiles():
@@ -274,14 +292,17 @@ def test_table_unrolled_passes_through_midpoint_quantiles():
                                    rtol=0.0, atol=1e-12)
 
 
+def _table_density(name):
+    if name == "cosine":
+        return cosine_density(GRID, 0.3)
+    if name == "cosine_mode2":
+        return cosine_density(GRID, 0.45, mode=2)
+    return _flow_density()
+
+
 @pytest.mark.parametrize("name", ["cosine", "cosine_mode2", "flow_pushforward"])
 def test_table_off_grid_matches_direct_quantile(name):
-    if name == "cosine":
-        mu = cosine_density(GRID, 0.3)
-    elif name == "cosine_mode2":
-        mu = cosine_density(GRID, 0.45, mode=2)
-    else:
-        mu = _flow_density()
+    mu = _table_density(name)
     table = CircleDistanceSolver().table(mu)
     # off-grid points across three turns, none on a midpoint or a turn boundary
     u = np.linspace(-1.0, 2.0, 401) + 1e-4 * np.pi
